@@ -1,9 +1,9 @@
 """Exact rational answers far beyond full enumeration.
 
 The full-distribution engine needs the whole group in memory (n! grows fast).
-The pairwise engine instead evolves one rational number per ordered index
-pair, so rank 60 costs a few thousand entries per step and the answers stay
-exact.  Here we run a rank-60 symmetric group walk for 40 steps, a rank-30
+The pairwise engine instead evolves one integer numerator per ordered index
+pair over the common denominator |R|^t, so rank 60 costs a few thousand
+integer updates per step and the answers stay exact.  Here we run a rank-60 symmetric group walk for 40 steps, a rank-30
 type-B walk, and confirm the closed forms entry by entry.
 """
 import time

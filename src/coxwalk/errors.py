@@ -9,6 +9,10 @@ class InvalidRank(CoxwalkError, ValueError):
     """Rank parameters outside the domain of a group family or formula."""
 
 
+class InvalidStepCount(CoxwalkError, ValueError):
+    """Walk length t outside the domain of an engine (t < 0)."""
+
+
 class SpecMismatch(CoxwalkError, ValueError):
     """Operands belong to different groups."""
 

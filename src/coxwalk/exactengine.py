@@ -9,8 +9,9 @@ Two complementary engines:
   by one linear recurrence per family.
 
 The pairwise state scales as O(n^2) and therefore reaches ranks far beyond
-full enumeration.  Both engines use exact big-rational arithmetic throughout;
-the pairwise tables are renormalized every step so entries stay in [0, 1].
+full enumeration.  Both engines are exact.  The pairwise tables hold integer
+numerators over |R|^t, so a step is integer arithmetic without a gcd, and
+reduced fractions are formed only when entries are read.
 
 Also here: the row-plus-column summation operators on antisymmetric matrices
 and on the doubly symmetric signed-pair space, with their projection
@@ -18,9 +19,12 @@ identities Q.Q = n.Q and Q.Q = (2n-2).Q used by the pairwise closed forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from .elements import (
     Family,
@@ -35,7 +39,7 @@ from .elements import (
     reflections_of,
     simple_reflections_of,
 )
-from .errors import InvalidRank, OrderLimitExceeded
+from .errors import InvalidRank, InvalidStepCount, OrderLimitExceeded
 from . import lengths
 
 
@@ -62,7 +66,7 @@ def iterate_distributions(
     tabulates right multiplication by each generator.
     """
     if t_max < 0:
-        raise ValueError("t must be >= 0")
+        raise InvalidStepCount(f"t must be >= 0, got {t_max}")
     cap = guard_limit() if limit is None else limit
     elems = enumerate_group(spec, limit=cap)
     gen_list = (
@@ -146,168 +150,146 @@ def make_statistic(
 # ---------------------------------------------------------------------------
 
 
+def _support(family: Family, n: int) -> np.ndarray:
+    """Index labels along each axis of a pair table: 1..n for A, the signed
+    support -n..-1, 1..n for B and D (so position p and 2n-1-p carry i, -i)."""
+    if family == Family.A:
+        return np.arange(1, n + 1)
+    return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+
+
+def _cell(family: Family, n: int, i: int) -> int:
+    """Array position of index label i; KeyError off the support."""
+    if not 0 < abs(i) <= n or (family == Family.A and i < 0):
+        raise KeyError(i)
+    return i - 1 if family == Family.A else i + n - (i > 0)
+
+
+def _unpack(family: Family, n: int, arr: np.ndarray, mask: np.ndarray) -> dict:
+    """(i, j) -> arr cell over the cells of mask, in row-major order."""
+    lab, vals = _support(family, n).tolist(), arr.tolist()
+    return {(lab[a], lab[b]): vals[a][b] for a, b in np.argwhere(mask).tolist()}
+
+
+def _num_reflections(family: Family, n: int) -> int:
+    if family == Family.A:
+        return n * (n - 1) // 2
+    return n * n if family == Family.B else n * (n - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class PairTable:
-    """Pairwise quantities indexed by ordered index pairs.
+    """Pairwise quantities indexed by ordered index pairs, held as integer
+    numerators ``num`` over one common denominator ``den``.
 
-    kind "P": entries are Prob(w(i) < w(j)).  kind "U": the same scaled by
-    |R|^t.  kind "V": the antisymmetrized differences p(i,j) - p(j,i).
+    kind "P": entries are Prob(w(i) < w(j)), with num = |R|^t * P over
+    den = |R|^t.  kind "U": the same numerators over 1.  kind "V": the
+    antisymmetrized differences p(i,j) - p(j,i).
 
     Family A indexes ordered pairs (i, j) with 1 <= i != j <= n; families B
     and D index signed pairs, with the pairs (i, -i) present for B only.
+    ``mask`` marks the domain cells of ``num``; every other cell is zero.
     """
 
     family: Family
     n: int
     t: int
     kind: str
-    entries: dict
+    num: np.ndarray
+    den: int
+    mask: np.ndarray
+
+    @cached_property
+    def entries(self) -> dict:
+        """(i, j) -> reduced Fraction over the domain, built on first access."""
+        return {
+            ij: Fraction(x, self.den)
+            for ij, x in _unpack(self.family, self.n, self.num, self.mask).items()
+        }
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[(i, j)]
+        a, b = _cell(self.family, self.n, i), _cell(self.family, self.n, j)
+        if not self.mask[a, b]:
+            raise KeyError((i, j))
+        return Fraction(self.num[a, b], self.den)
 
     def num_generators(self) -> int:
-        n = self.n
-        if self.family == Family.A:
-            return n * (n - 1) // 2
-        if self.family == Family.B:
-            return n * n
-        return n * (n - 1)
+        return _num_reflections(self.family, self.n)
 
     def to_v(self) -> "PairTable":
         """Antisymmetrized table v(i,j) = p(i,j) - p(j,i)."""
         if self.kind != "P":
             raise ValueError("to_v expects a P table")
-        v = {ij: self.entries[ij] - self.entries[(ij[1], ij[0])] for ij in self.entries}
-        return PairTable(self.family, self.n, self.t, "V", v)
+        return replace(self, kind="V", num=self.num - self.num.T)
 
     def to_u(self) -> "PairTable":
         """Unnormalized table u = |R|^t * p."""
         if self.kind != "P":
             raise ValueError("to_u expects a P table")
-        scale = Fraction(self.num_generators()) ** self.t
-        return PairTable(
-            self.family, self.n, self.t, "U",
-            {ij: scale * p for ij, p in self.entries.items()},
-        )
+        return replace(self, kind="U", den=1)
 
     def expected_length(self) -> Fraction:
         """Expected inversion-type length: the sum of Prob(w(i) > w(j)) over
-        the family's inversion pair set."""
+        the family's inversion pairs (i, j) with j > |i|, plus (-i, i) in B."""
         if self.kind != "P":
             raise ValueError("expected_length expects a P table")
-        n, e = self.n, self.entries
-        total = Fraction(0)
-        if self.family == Family.A:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    total += 1 - e[(i, j)]
-            return total
-        for i, j in e:
-            if j > abs(i):
-                total += 1 - e[(i, j)]
+        lab = _support(self.family, self.n)
+        i, j = lab[:, None], lab[None, :]
+        inv = j > abs(i)
         if self.family == Family.B:
-            for i in range(1, n + 1):
-                total += 1 - e[(-i, i)]
-        return total
-
-
-def _initial_pairs(family: Family, n: int) -> dict:
-    if family == Family.A:
-        domain = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    elif family == Family.B:
-        support = [i for i in range(-n, n + 1) if i != 0]
-        domain = [(i, j) for i in support for j in support if i != j]
-    else:
-        domain = index_pairs(n)
-    return {(i, j): Fraction(1 if i < j else 0) for (i, j) in domain}
-
-
-def _step_A(n: int, p: dict) -> dict:
-    nrefl = n * (n - 1) // 2
-    col = {j: sum(p[(i, j)] for i in range(1, n + 1) if i != j) for j in range(1, n + 1)}
-    row = {i: sum(p[(i, j)] for j in range(1, n + 1) if j != i) for i in range(1, n + 1)}
-    new = {}
-    for (i, j), pij in p.items():
-        acc = nrefl * pij
-        acc += p[(j, i)] - pij
-        acc += col[j] - (n - 1) * pij
-        acc += row[i] - (n - 1) * pij
-        new[(i, j)] = acc / nrefl
-    return new
-
-
-def _step_B(n: int, p: dict) -> dict:
-    nrefl = n * n
-    support = [i for i in range(-n, n + 1) if i != 0]
-    col = {j: sum(p[(i, j)] for i in support if i != j) for j in support}
-    row = {i: sum(p[(i, j)] for j in support if j != i) for i in support}
-    antidiag = sum(p[(-i, i)] for i in support)
-    new = {}
-    for (i, j), pij in p.items():
-        if j == -i:
-            acc = nrefl * pij
-            acc += p[(j, i)] - pij
-            acc += antidiag - pij - p[(j, i)] - (2 * n - 2) * pij
-        else:
-            acc = nrefl * pij
-            acc += p[(j, i)] - pij
-            acc += p[(-j, -i)] - pij
-            acc += col[j] - p[(-j, j)] - (2 * n - 2) * pij
-            acc += row[i] - p[(i, -i)] - (2 * n - 2) * pij
-        new[(i, j)] = acc / nrefl
-    return new
-
-
-def _step_D(n: int, p: dict) -> dict:
-    nrefl = n * n - n
-    support = [i for i in range(-n, n + 1) if i != 0]
-    col = {
-        j: sum(p[(i, j)] for i in support if abs(i) != abs(j)) for j in support
-    }
-    row = {
-        i: sum(p[(i, j)] for j in support if abs(j) != abs(i)) for i in support
-    }
-    new = {}
-    for (i, j), pij in p.items():
-        acc = nrefl * pij
-        acc += p[(j, i)] - pij
-        acc += p[(-j, -i)] - pij
-        acc += col[j] - pij - p[(-i, j)] - (2 * n - 4) * pij
-        acc += row[i] - pij - p[(i, -j)] - (2 * n - 4) * pij
-        new[(i, j)] = acc / nrefl
-    return new
-
-
-_STEPS = {Family.A: _step_A, Family.B: _step_B, Family.D: _step_D}
+            inv |= (i == -j) & (j > 0)
+        return Fraction(int(inv.sum()) * self.den - self.num[inv].sum(), self.den)
 
 
 def iterate_pairtables(family: Family, n: int, t_max: int):
-    """Yield the P-kind pair tables for t = 0, 1, ..., t_max in order."""
-    if family not in _STEPS:
+    """Yield the P-kind pair tables for t = 0, 1, ..., t_max in order.
+
+    The state is the integer table U = |R|^t * P.  One step maps it to
+    c*U + U^T (+ U[-j,-i] for B and D) + Q(U), less U[-i,j] + U[i,-j] in D;
+    the sign pairs (-i, i) of B follow their own rule.  Off-domain cells stay
+    zero, and no step divides or takes a gcd.
+    """
+    if family not in (Family.A, Family.B, Family.D):
         raise ValueError(f"pairwise engine supports families A, B, D, not {family}")
     if family == Family.D and n < 2:
         raise InvalidRank("family D needs n >= 2")
     if n < 1 or (family == Family.A and n < 2):
         raise InvalidRank(f"invalid rank {n} for family {family.value}")
+    if t_max < 0:
+        raise InvalidStepCount(f"t must be >= 0, got {t_max}")
     cap = guard_limit()
     work = 4 * n * n * max(t_max, 1)
     if work > cap:
         raise OrderLimitExceeded(f"pair-table work estimate {work} exceeds guard {cap}")
-    step = _STEPS[family]
-    p = _initial_pairs(family, n)
-    yield PairTable(family, n, 0, "P", dict(p))
+    lab = _support(family, n)
+    i, j = lab[:, None], lab[None, :]
+    q_mask = abs(i) != abs(j)
+    mask = q_mask if family == Family.D else i != j
+    nrefl = _num_reflections(family, n)
+    # the reflections that fix i and j (those of rank n - 2), less the two
+    # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
+    # less the copy inside the sum over the sign pairs
+    c, c_sign = _num_reflections(family, n - 2) - 2, _num_reflections(family, n - 1) - 1
+    anti = (np.arange(2 * n), np.arange(2 * n)[::-1])
+    u, den = np.where(mask & (i < j), 1, 0).astype(object), 1
+    yield PairTable(family, n, 0, "P", u, den, mask)
     for t in range(1, t_max + 1):
-        p = step(n, p)
-        yield PairTable(family, n, t, "P", dict(p))
+        new = c * u + u.T + _q(u, q_mask)
+        if family != Family.A:
+            new += u[::-1, ::-1].T  # U[-j, -i]
+        if family == Family.D:
+            new -= u[::-1, :] + u[:, ::-1]  # U[-i, j] and U[i, -j]
+        if family == Family.B:
+            new[anti] = c_sign * u[anti] + u[anti].sum()
+        u, den = new, den * nrefl
+        yield PairTable(family, n, t, "P", u, den, mask)
 
 
 def evolve_pairtable(family: Family, n: int, t: int) -> PairTable:
     """The P-kind pair table after t uniform reflection steps."""
     for table in iterate_pairtables(family, n, t):
-        if table.t == t:
-            return table
-    raise AssertionError("unreachable")
+        pass
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +340,19 @@ class AntisymMatrix:
         return AntisymMatrix(self.n, tuple(tuple(c * x for x in row) for row in self.rows))
 
 
+def _q(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row sum plus column sum at every cell of mask, both sums taken over
+    the cells of mask; zero off mask.  The one Q of the pair engine and of
+    apply_Q_A / apply_Q_BD."""
+    m = np.where(mask, u, 0)
+    return np.where(mask, m.sum(axis=1)[:, None] + m.sum(axis=0)[None, :], 0)
+
+
 def apply_Q_A(v: AntisymMatrix) -> AntisymMatrix:
     """Row sum plus column sum at every entry; satisfies Q.Q = n.Q on
     antisymmetric matrices."""
-    n = v.n
-    rowsum = [sum(v.rows[i]) for i in range(n)]
-    colsum = [sum(v.rows[i][j] for i in range(n)) for j in range(n)]
-    rows = tuple(
-        tuple(colsum[j] + rowsum[i] if i != j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    return AntisymMatrix(n, rows)
+    q = _q(np.array(v.rows, dtype=object), ~np.eye(v.n, dtype=bool))
+    return AntisymMatrix(v.n, tuple(map(tuple, q.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,9 +397,9 @@ def apply_Q_BD(v: DSpaceFunction) -> DSpaceFunction:
     """Column sum over |i'| != |j| plus row sum over |j'| != |i|; satisfies
     Q.Q = (2n-2).Q on the doubly symmetric pair space."""
     n = v.n
-    support = [i for i in range(-n, n + 1) if i != 0]
-    col = {j: sum(v.entries[(i, j)] for i in support if abs(i) != abs(j)) for j in support}
-    row = {i: sum(v.entries[(i, j)] for j in support if abs(j) != abs(i)) for i in support}
-    return DSpaceFunction(
-        n, {(i, j): col[j] + row[i] for (i, j) in v.entries}
-    )
+    arr = np.zeros((2 * n, 2 * n), dtype=object)
+    for (i, j), x in v.entries.items():
+        arr[_cell(Family.D, n, i), _cell(Family.D, n, j)] = x
+    lab = abs(_support(Family.D, n))
+    mask = lab[:, None] != lab[None, :]
+    return DSpaceFunction(n, _unpack(Family.D, n, _q(arr, mask), mask))

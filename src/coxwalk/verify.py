@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import closedform as cf
-from .elements import Family, Gens, GroupSpec, Measure
+from .elements import Family, Gens, GroupSpec, Measure, index_pairs
 from .exactengine import (
     AntisymMatrix,
     DSpaceFunction,
@@ -130,7 +130,7 @@ def _check_signed_family(family: Family) -> CheckResult:
         for table in iterate_pairtables(family, n, PAIR_TMAX):
             t = table.t
             memo = {}
-            for (i, j) in table.entries:
+            for (i, j) in index_pairs(n):
                 if j > abs(i):
                     key = (i > 0, j - i, t)
                     if key not in memo:

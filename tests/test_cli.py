@@ -140,6 +140,19 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_t_exact_engines_exit_2(capsys):
+    for argv in (
+        ["eval", "--family", "A", "--n", "4", "--t", "-1", "--engine", "exact-pair"],
+        ["eval", "--family", "A", "--n", "4", "--t", "-1", "--engine", "exact-full"],
+        ["table", "--family", "A", "--n", "3", "--t-max", "-1", "--trials", "10"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from coxwalk import verify
     from coxwalk.verify import CheckResult

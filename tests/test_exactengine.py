@@ -10,6 +10,7 @@ from coxwalk import (
     Family,
     Gens,
     GroupSpec,
+    InvalidStepCount,
     Measure,
     OrderLimitExceeded,
     apply_Q_A,
@@ -187,6 +188,46 @@ class TestPairTables:
         monkeypatch.setenv("COXWALK_GUARD_LIMIT", "100")
         with pytest.raises(OrderLimitExceeded):
             evolve_pairtable(Family.A, 20, 5)
+
+    def test_negative_t_rejected(self):
+        for family, n in ((Family.A, 3), (Family.B, 2), (Family.D, 2)):
+            with pytest.raises(InvalidStepCount):
+                evolve_pairtable(family, n, -1)
+        with pytest.raises(InvalidStepCount):
+            evolve_distribution(GroupSpec(Family.A, 3), Gens.REFLECTIONS, -1)
+        assert issubclass(InvalidStepCount, ValueError)
+
+    def test_yielded_tables_never_change(self):
+        # a later step must not update an earlier table's numerators in place
+        for family, n in ((Family.A, 5), (Family.B, 3), (Family.D, 4)):
+            tables = list(iterate_pairtables(family, n, 8))
+            for t, table in enumerate(tables):
+                assert table.entries == evolve_pairtable(family, n, t).entries
+
+    def test_expected_length_is_sum_over_inversion_pairs(self):
+        for family, n in ((Family.A, 5), (Family.B, 3), (Family.D, 4)):
+            for table in iterate_pairtables(family, n, 5):
+                pairs = [(i, j) for (i, j) in table.entries if j > abs(i)]
+                if family == Family.B:
+                    pairs += [(-i, i) for i in range(1, n + 1)]
+                total = sum((1 - table.entry(i, j) for i, j in pairs), Fraction(0))
+                assert table.expected_length() == total
+
+    def test_entry_off_domain_raises_key_error(self):
+        for family, n in ((Family.A, 4), (Family.B, 3), (Family.D, 3)):
+            table = evolve_pairtable(family, n, 2)
+            for i in range(1, n + 1):
+                with pytest.raises(KeyError):
+                    table.entry(i, i)
+            with pytest.raises(KeyError):
+                table.entry(1, n + 1)
+        d = evolve_pairtable(Family.D, 3, 2)
+        for i in (1, 2, 3):
+            for a, b in ((i, -i), (-i, i), (-i, -i)):
+                with pytest.raises(KeyError):
+                    d.entry(a, b)
+        with pytest.raises(KeyError):
+            evolve_pairtable(Family.A, 4, 1).entry(-1, 2)
 
 
 class TestOperators:
