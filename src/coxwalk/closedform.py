@@ -18,7 +18,7 @@ from math import comb
 from typing import Callable, Union
 
 from .elements import Family, Gens, GroupSpec, Measure
-from .errors import InvalidRank
+from .errors import InvalidRank, check_step_count
 
 Rational = Fraction
 Value = Union[Fraction, float]
@@ -58,6 +58,7 @@ class ExpectationResult:
 def expected_length_A_T(n_letters: int, t: int) -> Fraction:
     """Expected inversion count after t uniform transpositions on the
     symmetric group on n_letters letters."""
+    check_step_count(t)
     n = n_letters
     if n < 2:
         raise InvalidRank(f"need at least 2 letters, got {n}")
@@ -73,6 +74,7 @@ def expected_length_A_T(n_letters: int, t: int) -> Fraction:
 def pair_prob_A(n_letters: int, i: int, j: int, t: int) -> Fraction:
     """Probability that positions i < j hold an inversion after t uniform
     transpositions.  Depends on (i, j) only through j - i."""
+    check_step_count(t)
     n = n_letters
     if not 1 <= i < j <= n:
         raise IndexError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
@@ -85,6 +87,7 @@ def pair_prob_A(n_letters: int, i: int, j: int, t: int) -> Fraction:
 def expected_length_B_T(n: int, t: int) -> Fraction:
     """Expected signed-inversion length after t uniform reflections in the
     signed permutation group of rank n."""
+    check_step_count(t)
     if n < 1:
         raise InvalidRank(f"need rank >= 1, got {n}")
     b1 = 1 - Fraction(2, n)
@@ -103,6 +106,7 @@ def pair_prob_B(n: int, i: int, j: int, t: int) -> Fraction:
     Accepts either a generic pair with j > |i| (requires n >= 2) or a sign
     pair (-i, i) with 1 <= i <= n.
     """
+    check_step_count(t)
     if n < 1:
         raise InvalidRank(f"need rank >= 1, got {n}")
     b1 = 1 - Fraction(2, n)
@@ -120,6 +124,7 @@ def pair_prob_B(n: int, i: int, j: int, t: int) -> Fraction:
 def expected_length_D_T(n: int, t: int) -> Fraction:
     """Expected length after t uniform reflections in the even-signed
     permutation group of rank n >= 2."""
+    check_step_count(t)
     if n < 2:
         raise InvalidRank(f"need rank >= 2, got {n}")
     b1 = 1 - Fraction(2, n)
@@ -134,6 +139,7 @@ def expected_length_D_T(n: int, t: int) -> Fraction:
 def pair_prob_D(n: int, i: int, j: int, t: int) -> Fraction:
     """Probability that w(i) > w(j), j > |i|, after t uniform reflections in
     rank-n even-signed permutations."""
+    check_step_count(t)
     if n < 2:
         raise InvalidRank(f"need rank >= 2, got {n}")
     if not (i != 0 and abs(i) < j <= n):
@@ -155,6 +161,7 @@ def expected_length_I2_T(m: int, t: int) -> Fraction:
 
     t = 0 returns 0 (empty product), an extension beyond the t >= 1 statement.
     """
+    check_step_count(t)
     if m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
     if t == 0:
@@ -171,6 +178,7 @@ def expected_abslength_I2_S(m, t: int) -> Fraction:
     1 for odd t; for even t, 2 minus 2^(1-t) times the central section of
     binomial row t sampled with period 2m.
     """
+    check_step_count(t)
     if not _is_inf(m) and m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
     if t % 2 == 1:
@@ -187,6 +195,7 @@ def expected_abslength_I2_T(m: int, t: int) -> Fraction:
     """Expected minimal reflection-word length after t >= 1 uniform
     reflections in the dihedral group of order 2m: 1 for odd t, 2 - 2/m for
     even t.  t = 0 returns 0 (empty product)."""
+    check_step_count(t)
     if m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
     if t == 0:
@@ -201,6 +210,7 @@ def expected_length_I2_S_troili(m, t: int) -> Fraction:
     of order 2m (m may be math.inf), by the binomial double sum of Troili
     (2002): a central-binomial main sum with period-m side terms, minus a
     parity-dependent boundary correction."""
+    check_step_count(t)
     if not _is_inf(m) and m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
     total = Fraction(0)
@@ -280,6 +290,7 @@ def expected_length_A_S_eriksen(n_gens: int, t: int) -> Fraction:
     """Exact expected inversion count after t uniform adjacent transpositions
     on the symmetric group with n_gens generators (n_gens + 1 letters), by
     Eriksen's binomial expansion (2005)."""
+    check_step_count(t)
     if n_gens < 1:
         raise InvalidRank(f"need at least 1 generator, got {n_gens}")
     n = n_gens
@@ -293,6 +304,7 @@ def expected_length_A_S_bm(n_gens: int, t: int) -> float:
     """Expected inversion count after t uniform adjacent transpositions, by
     the trigonometric eigenexpansion of Bousquet-Melou (2010).  Float valued;
     agrees with the exact expansion to about 1e-9."""
+    check_step_count(t)
     if n_gens < 1:
         raise InvalidRank(f"need at least 1 generator, got {n_gens}")
     n = n_gens
@@ -321,6 +333,7 @@ def expected_abslength_G_EH(r: int, n: int, t: int) -> Fraction:
     the r-colored permutation group on n letters, by the character expansion
     of Eriksen and Hultman (2005).  r = 1 is the symmetric group on n
     letters; r = 2 the signed permutations of rank n."""
+    check_step_count(t)
     if r < 1 or n < 1:
         raise InvalidRank(f"need r, n >= 1, got r={r}, n={n}")
     if r == 1 and n == 1:
@@ -363,6 +376,7 @@ def lemma_bd_v(n: int, x, t: int, i: int, j: int) -> Fraction:
     """Closed form for the signed-pair recurrence v' = (Q + x I) v started
     from v(i,j) = sign(j - i): a two-eigenvalue combination of (2n - 2 + x)^t
     and x^t."""
+    check_step_count(t)
     from .elements import in_index_domain
 
     if n < 2:
@@ -452,6 +466,7 @@ def closed_form(
 ) -> ExpectationResult:
     """Evaluate the closed form for this cell, raising ValueError when the
     cell has none."""
+    check_step_count(t)
     found = formula_for(spec, gens, measure, formula)
     if found is None:
         raise ValueError(

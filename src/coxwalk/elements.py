@@ -1,9 +1,17 @@
-"""Concrete group elements for the families A, B, D and I2.
+"""Concrete group elements for the families A, B, D and I2, and their
+integer ranks.
 
 Elements are immutable and hashable.  Permutations are stored in one-line
 window notation, signed permutations as a length-n window with the negative
 half of the domain implicit through w(-i) = -w(i), dihedral elements as a
 (rotation, flip) pair.
+
+``RankedGroup`` numbers every element of a group 0..|W|-1, the identity 0:
+the Lehmer rank of the window in A, perm-rank * 2^n + sign bits in B,
+perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
+and 2 * rot + flip in I2.  Enumeration, generator action tables, the exact
+full-distribution engine and the breadth-first length tables all work on
+these ranks.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -17,7 +25,15 @@ from enum import Enum
 from math import factorial
 from typing import Union
 
-from .errors import InvalidRank, OrderLimitExceeded, SpecMismatch, UnsupportedFamily
+import numpy as np
+
+from .errors import (
+    InvalidGuardLimit,
+    InvalidRank,
+    OrderLimitExceeded,
+    SpecMismatch,
+    UnsupportedFamily,
+)
 
 DEFAULT_GUARD_LIMIT = 10**7
 GUARD_ENV_VAR = "COXWALK_GUARD_LIMIT"
@@ -26,7 +42,22 @@ GUARD_ENV_VAR = "COXWALK_GUARD_LIMIT"
 def guard_limit() -> int:
     """Current group-order guard (COXWALK_GUARD_LIMIT overrides the default)."""
     raw = os.environ.get(GUARD_ENV_VAR)
-    return int(raw) if raw else DEFAULT_GUARD_LIMIT
+    if not raw:
+        return DEFAULT_GUARD_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidGuardLimit(
+            f"{GUARD_ENV_VAR} must be a decimal integer, got {raw!r}"
+        ) from None
+
+
+def check_order(spec: "GroupSpec", limit: int | None = None) -> None:
+    """Raise OrderLimitExceeded when the group order exceeds the guard."""
+    cap = guard_limit() if limit is None else limit
+    order = spec.order()
+    if order > cap:
+        raise OrderLimitExceeded(f"group order {order} exceeds guard {cap}")
 
 
 class Family(str, Enum):
@@ -380,32 +411,125 @@ def simple_reflections_of(spec: GroupSpec) -> list[GroupElement]:
 
 
 def enumerate_group(spec: GroupSpec, limit: int | None = None) -> list[GroupElement]:
-    """Every group element exactly once (breadth-first from the identity over
-    the simple reflections), identity first.
+    """Every group element exactly once, in rank order (identity first).
 
     Raises OrderLimitExceeded when the group order exceeds the guard.
     """
-    cap = guard_limit() if limit is None else limit
-    order = spec.order()
-    if order > cap:
-        raise OrderLimitExceeded(f"group order {order} exceeds guard {cap}")
-    gens = simple_reflections_of(spec)
-    start = spec.identity()
-    out = [start]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = w * g
-                if wg not in seen:
-                    seen.add(wg)
-                    out.append(wg)
-                    nxt.append(wg)
-        frontier = nxt
-    if len(out) != order:
-        raise AssertionError(
-            f"enumeration produced {len(out)} elements, expected {order}"
-        )
-    return out
+    check_order(spec, limit)
+    return RankedGroup(spec).elements()
+
+
+# ---------------------------------------------------------------------------
+# Integer ranks
+# ---------------------------------------------------------------------------
+
+
+def _perm_windows(n: int) -> np.ndarray:
+    """All permutations of 1..n as an int8 (n!, n) array in lexicographic
+    order, so that row k has Lehmer rank k."""
+    w = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        # rows starting with v: v, then each (k-1)-permutation shifted past v
+        w = np.concatenate([
+            np.hstack([np.full((len(w), 1), v, np.int8), w + (w >= v)])
+            for v in range(1, k + 1)
+        ])
+    return w
+
+
+def _perm_rank(cols: np.ndarray) -> np.ndarray:
+    """Lehmer rank of every permutation of 1..n held column-wise in the
+    (n, N) array cols: position i of permutation k is cols[i, k]."""
+    n = len(cols)
+    rank = np.zeros(cols.shape[1], dtype=np.int64)
+    for i in range(n - 1):
+        # Horner form of the sum of digit_i * (n-1-i)!; digit_i counts the
+        # later positions holding a smaller value
+        rank *= n - i
+        rank += (cols[i + 1:] < cols[i]).sum(axis=0, dtype=np.int8)
+    return rank
+
+
+class RankedGroup:
+    """A group of family A, B, D or I2 with its elements ranked 0..|W|-1.
+
+    ``windows`` holds every element's window as one int8 (|W|, n) array in
+    rank order (None for I2), stored column by column.  Element objects are
+    built on demand and kept.  ``memo`` maps a statistic to its values by
+    rank, filled only where the statistic was asked for.
+    """
+
+    def __init__(self, spec: GroupSpec):
+        f, n = spec.family, spec.n
+        if f == Family.G:
+            raise UnsupportedFamily("no element model for family G")
+        self.spec = spec
+        self.order = spec.order()
+        self.windows = None
+        # sign bits in the rank: all n in B, all but the last in D
+        self._bits = {Family.B: n, Family.D: n - 1}.get(f, 0)
+        if f != Family.I2:
+            perms = _perm_windows(n)
+            s = np.arange(2**self._bits)[:, None] >> np.arange(n) & 1
+            if f == Family.D:
+                s[:, n - 1] = s.sum(axis=1) & 1  # parity fixes the last sign
+            signs = (1 - 2 * s).astype(np.int8)
+            full = np.repeat(perms, len(signs), axis=0) * np.tile(signs, (len(perms), 1))
+            self.windows = np.ascontiguousarray(full.T).T
+        self._elements: dict[int, GroupElement] = {}
+        self.memo: dict = {}
+
+    def _rank(self, cols: np.ndarray) -> np.ndarray:
+        """Rank of every window of this group held column-wise in the (n, N)
+        array cols."""
+        if self.spec.family == Family.A:
+            return _perm_rank(cols)
+        rank = _perm_rank(np.abs(cols)) << self._bits
+        for i in range(self._bits):
+            rank += (cols[i] < 0).astype(np.int64) << i
+        return rank
+
+    def rank_of(self, w) -> int:
+        """Rank of one element; KeyError if w does not belong to the group."""
+        f = self.spec.family
+        if f == Family.I2:
+            if isinstance(w, DihedralElement) and w.m == self.spec.n:
+                return 2 * w.rot + w.flip
+        elif (
+            type(w) is (Permutation if f == Family.A else SignedPermutation)
+            and w.n == self.spec.n
+            and (f != Family.D or w.in_type_d)
+        ):
+            return int(self._rank(np.array(w.window, dtype=np.int8)[:, None])[0])
+        raise KeyError(w)
+
+    def element(self, k: int) -> GroupElement:
+        """The element of rank k."""
+        w = self._elements.get(k)
+        if w is None:
+            w = self._elements[k] = self._build(k)
+        return w
+
+    def _build(self, k: int) -> GroupElement:
+        f = self.spec.family
+        if f == Family.I2:
+            return DihedralElement(self.spec.n, k >> 1, k & 1)
+        cls = Permutation if f == Family.A else SignedPermutation
+        return cls(tuple(self.windows[k].tolist()))
+
+    def elements(self) -> list[GroupElement]:
+        """Every element, in rank order."""
+        return [self._build(k) for k in range(self.order)]
+
+    def action(self, g: GroupElement) -> np.ndarray:
+        """Right multiplication by g as an int32 rank table: the rank of w * g
+        at the rank of w.  For an involution g the table is its own inverse."""
+        if self.spec.family == Family.I2:
+            k = np.arange(self.order)
+            rot, flip = k >> 1, k & 1
+            rot = (rot + np.where(flip, -g.rot, g.rot)) % self.spec.n
+            return (2 * rot + (flip ^ g.flip)).astype(np.int32)
+        # (w * g)(i) = w(g(i)) = sign(g(i)) * w(|g(i)|)
+        gw = np.array(g.window)
+        cols = self.windows.T[np.abs(gw) - 1] * np.sign(gw).astype(np.int8)[:, None]
+        return self._rank(cols).astype(np.int32)

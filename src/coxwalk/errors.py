@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the one walk-length check."""
 
 
 class CoxwalkError(Exception):
@@ -10,7 +10,15 @@ class InvalidRank(CoxwalkError, ValueError):
 
 
 class InvalidStepCount(CoxwalkError, ValueError):
-    """Walk length t outside the domain of an engine (t < 0)."""
+    """Walk length t outside the domain of an engine or formula (t < 0)."""
+
+
+class InvalidTrialCount(CoxwalkError, ValueError):
+    """Monte Carlo trial count below the two needed for a standard error."""
+
+
+class InvalidGuardLimit(CoxwalkError, ValueError):
+    """COXWALK_GUARD_LIMIT is set but is not a decimal integer."""
 
 
 class SpecMismatch(CoxwalkError, ValueError):
@@ -29,3 +37,9 @@ class UnsupportedFamily(CoxwalkError, ValueError):
 
 class OrderLimitExceeded(CoxwalkError, RuntimeError):
     """Group order (or walk work estimate) exceeds the configured guard."""
+
+
+def check_step_count(t: int) -> None:
+    """Reject a walk length below 0; every engine and closed form calls this."""
+    if t < 0:
+        raise InvalidStepCount(f"t must be >= 0, got {t}")

@@ -8,10 +8,14 @@ Two complementary engines:
   the exact probability that the walk's window satisfies w(i) < w(j),
   by one linear recurrence per family.
 
+Both engines are exact and hold integer numerators over |R|^t, so a step is
+integer arithmetic without a gcd, and reduced fractions are formed only when
+entries are read.  The full engine indexes the group by the integer ranks of
+``elements.RankedGroup`` (identity 0) and keeps counts = |R|^t * P in one
+numpy vector in rank order, int64 while |R|^(t+1) < 2^63 and Python ints
+beyond; a step gathers the counts through each generator's action table.
 The pairwise state scales as O(n^2) and therefore reaches ranks far beyond
-full enumeration.  Both engines are exact.  The pairwise tables hold integer
-numerators over |R|^t, so a step is integer arithmetic without a gcd, and
-reduced fractions are formed only when entries are read.
+full enumeration.
 
 Also here: the row-plus-column summation operators on antisymmetric matrices
 and on the doubly symmetric signed-pair space, with their projection
@@ -19,6 +23,7 @@ identities Q.Q = n.Q and Q.Q = (2n-2).Q used by the pairwise closed forms.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -32,29 +37,66 @@ from .elements import (
     GroupElement,
     GroupSpec,
     Measure,
-    enumerate_group,
+    RankedGroup,
+    check_order,
     guard_limit,
     index_pairs,
-    multiply,
     reflections_of,
     simple_reflections_of,
 )
-from .errors import InvalidRank, InvalidStepCount, OrderLimitExceeded
+from .errors import InvalidRank, OrderLimitExceeded, UnsupportedFamily, check_step_count
 from . import lengths
+
+_INT64_LIMIT = 2**63
+
+
+class _Probs(Mapping):
+    """Read-only element -> reduced Fraction view of a distribution's
+    support; KeyError off the support."""
+
+    def __init__(self, dist: "ExactDist"):
+        self._dist = dist
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._dist.counts))
+
+    def __iter__(self):
+        group = self._dist.group
+        return (group.element(k) for k in np.flatnonzero(self._dist.counts).tolist())
+
+    def __getitem__(self, w) -> Fraction:
+        c = int(self._dist.counts[self._dist.group.rank_of(w)])
+        if not c:
+            raise KeyError(w)
+        return Fraction(c, self._dist.den)
 
 
 @dataclass(frozen=True, eq=False)
 class ExactDist:
-    """Exact distribution over a finite group: element -> probability.
+    """Exact distribution over a finite group, as integer counts over one
+    denominator: the probability of the element of rank k is
+    counts[k] / den, with den = |R|^t and counts summing to den.
 
-    Only the support is stored; probabilities sum to exactly 1.
+    ``group`` is the ranked group shared by every distribution of one walk;
+    ``counts`` is read-only and in rank order.
     """
 
-    spec: GroupSpec
-    probs: dict
+    group: RankedGroup
+    counts: np.ndarray
+    den: int
+
+    @property
+    def spec(self) -> GroupSpec:
+        return self.group.spec
+
+    @property
+    def probs(self) -> Mapping:
+        """element -> probability over the support, as a read-only mapping
+        that compares equal to the matching dict."""
+        return _Probs(self)
 
     def total(self) -> Fraction:
-        return sum(self.probs.values(), start=Fraction(0))
+        return Fraction(int(self.counts.sum()), self.den)
 
 
 def iterate_distributions(
@@ -63,37 +105,39 @@ def iterate_distributions(
     """Yield the walk distribution at t = 0, 1, ..., t_max in order.
 
     Work is t_max * |W| * |R| index operations after a one-time setup that
-    tabulates right multiplication by each generator.
+    ranks the group and tabulates right multiplication by each generator.
+    Every generator is an involution, so the counts arriving at w are the
+    counts at w * g, summed over g.
     """
-    if t_max < 0:
-        raise InvalidStepCount(f"t must be >= 0, got {t_max}")
+    check_step_count(t_max)
     cap = guard_limit() if limit is None else limit
-    elems = enumerate_group(spec, limit=cap)
+    check_order(spec, cap)
     gen_list = (
         simple_reflections_of(spec) if gens == Gens.SIMPLE else reflections_of(spec)
     )
     if not gen_list:
         raise InvalidRank(f"{spec} has no generators to walk on")
-    work = len(elems) * len(gen_list) * max(t_max, 1)
+    n_gens = len(gen_list)
+    work = spec.order() * n_gens * max(t_max, 1)
     if work > cap:
         raise OrderLimitExceeded(f"walk work estimate {work} exceeds guard {cap}")
 
-    index = {w: k for k, w in enumerate(elems)}
-    actions = [[index[multiply(w, g)] for w in elems] for g in gen_list]
-
-    size = len(elems)
-    vec = [Fraction(0)] * size
-    vec[index[spec.identity()]] = Fraction(1)
-    n_gens = len(gen_list)
-    yield ExactDist(spec, {elems[index[spec.identity()]]: Fraction(1)})
+    group = RankedGroup(spec)
+    actions = [group.action(g) for g in gen_list]
+    counts = np.zeros(group.order, dtype=np.int64)
+    counts[0] = 1  # the identity
+    counts.flags.writeable = False
+    den = 1
+    yield ExactDist(group, counts, den)
     for _ in range(t_max):
-        new = [Fraction(0)] * size
-        for act in actions:
-            for k, p in enumerate(vec):
-                if p:
-                    new[act[k]] += p
-        vec = [p / n_gens for p in new]
-        yield ExactDist(spec, {elems[k]: p for k, p in enumerate(vec) if p})
+        if counts.dtype != object and den * n_gens >= _INT64_LIMIT:
+            counts = counts.astype(object)  # an entry could reach 2^63
+        new = counts[actions[0]]
+        for act in actions[1:]:
+            new += counts[act]
+        new.flags.writeable = False
+        counts, den = new, den * n_gens
+        yield ExactDist(group, counts, den)
 
 
 def evolve_distribution(
@@ -107,18 +151,33 @@ def evolve_distribution(
 
 
 def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fraction:
-    """Exact expected value of an integer statistic under the distribution."""
-    return sum(
-        (p * statistic(w) for w, p in dist.probs.items()), start=Fraction(0)
-    )
+    """Exact expected value of an integer statistic under the distribution.
+
+    The statistic's values are memoized by rank on the walk's group, so each
+    support element is evaluated once per walk and statistic object.
+    """
+    group = dist.group
+    memo = group.memo.setdefault(statistic, {})
+    support = np.flatnonzero(dist.counts)
+    total = 0
+    for k, c in zip(support.tolist(), dist.counts[support].tolist()):
+        v = memo.get(k)
+        if v is None:
+            v = memo[k] = statistic(group.element(k))
+        total += c * v
+    return Fraction(total, dist.den)
 
 
 def pair_probability(dist: ExactDist, i: int, j: int) -> Fraction:
     """Prob(w(i) < w(j)) under the distribution, summed over the support."""
-    return sum(
-        (p for w, p in dist.probs.items() if w.value(i) < w.value(j)),
-        start=Fraction(0),
-    )
+    win = dist.group.windows
+    if win is None:
+        raise UnsupportedFamily("pair probabilities need a permutation window")
+
+    def value(x: int) -> np.ndarray:
+        return win[:, x - 1] if x > 0 else -win[:, -x - 1]
+
+    return Fraction(int(dist.counts[value(i) < value(j)].sum()), dist.den)
 
 
 def make_statistic(
@@ -255,8 +314,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
         raise InvalidRank("family D needs n >= 2")
     if n < 1 or (family == Family.A and n < 2):
         raise InvalidRank(f"invalid rank {n} for family {family.value}")
-    if t_max < 0:
-        raise InvalidStepCount(f"t must be >= 0, got {t_max}")
+    check_step_count(t_max)
     cap = guard_limit()
     work = 4 * n * n * max(t_max, 1)
     if work > cap:

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .elements import (
     DihedralElement,
     Family,
     GroupElement,
     GroupSpec,
     Permutation,
+    RankedGroup,
     SignedPermutation,
+    check_order,
     reflections_of,
     simple_reflections_of,
 )
@@ -64,31 +68,31 @@ def d_inversion_count(w: SignedPermutation) -> int:
     return count
 
 
-def _word_length_table(spec: GroupSpec, gens: list[GroupElement]) -> dict:
-    """Breadth-first word lengths over ``gens`` from the identity."""
-    start = spec.identity()
-    table = {start: 0}
-    frontier = [start]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = w * g
-                if wg not in table:
-                    table[wg] = dist
-                    nxt.append(wg)
-        frontier = nxt
-    return table
+def _bfs_lengths(spec: GroupSpec, gens: list[GroupElement]) -> dict:
+    """Word length over ``gens`` of every group element, by one breadth-first
+    search over the ranked group's action tables."""
+    group = RankedGroup(spec)
+    actions = [group.action(g) for g in gens]
+    dist = np.full(group.order, -1, dtype=np.int32)
+    dist[0] = 0
+    frontier, d = np.zeros(1, dtype=np.int32), 0
+    while frontier.size:
+        d += 1
+        reached = np.zeros(group.order, dtype=bool)
+        for act in actions:
+            reached[act[frontier]] = True
+        reached &= dist < 0
+        dist[reached] = d
+        frontier = np.flatnonzero(reached)
+    return dict(zip(group.elements(), dist.tolist()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def dihedral_length_table(m: int) -> dict:
     """Word length of every element of the dihedral group of order 2m over
     its two standard generators."""
     spec = GroupSpec(Family.I2, m)
-    return _word_length_table(spec, simple_reflections_of(spec))
+    return _bfs_lengths(spec, simple_reflections_of(spec))
 
 
 def coxeter_length(spec: GroupSpec, w: GroupElement) -> int:
@@ -112,22 +116,15 @@ def abs_length_A(p: Permutation) -> int:
     return p.n - p.cycle_count()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _abs_length_table_cached(spec: GroupSpec) -> dict:
-    return _word_length_table(spec, reflections_of(spec))
+    return _bfs_lengths(spec, reflections_of(spec))
 
 
 def abs_length_table(spec: GroupSpec, limit: int | None = None) -> dict:
     """Minimal reflection-word length of every group element, breadth-first
     over the full reflection set.  Subject to the group-order guard."""
-    from .elements import guard_limit
-
-    cap = guard_limit() if limit is None else limit
-    order = spec.order()
-    if order > cap:
-        from .errors import OrderLimitExceeded
-
-        raise OrderLimitExceeded(f"group order {order} exceeds guard {cap}")
+    check_order(spec, limit)
     return _abs_length_table_cached(spec)
 
 

@@ -25,7 +25,7 @@ from .elements import (
     reflection_descriptors,
     simple_reflection_descriptors,
 )
-from .errors import InvalidRank
+from .errors import InvalidRank, InvalidTrialCount, check_step_count
 from .exactengine import make_statistic
 
 _MASK64 = (1 << 64) - 1
@@ -123,9 +123,8 @@ def simulate(
     result for any number of workers.
     """
     if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+        raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
+    check_step_count(t)
     descriptors = (
         simple_reflection_descriptors(spec)
         if gens == Gens.SIMPLE

@@ -173,3 +173,29 @@ def test_guard_env_var(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert "guard" in err
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_negative_t_closed_form_exit_2(capsys):
+    _assert_usage_error(*run(capsys, "eval", "--family", "A", "--n", "4", "--t", "-1"))
+
+
+def test_mc_too_few_trials_exit_2(capsys):
+    _assert_usage_error(*run(
+        capsys, "eval", "--family", "A", "--n", "4", "--t", "2",
+        "--engine", "mc", "--trials", "1",
+    ))
+
+
+def test_unparsable_guard_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("COXWALK_GUARD_LIMIT", "abc")
+    code, out, err = run(capsys, "eval", "--family", "A", "--n", "4", "--t", "2",
+                         "--engine", "exact-full")
+    _assert_usage_error(code, out, err)
+    assert "COXWALK_GUARD_LIMIT" in err

@@ -346,3 +346,38 @@ class TestDispatch:
             for t in range(0, 12):
                 res = closed_form(spec, Gens.REFLECTIONS, Measure.LENGTH, t)
                 assert 0 <= res.value <= max_len[family](n)
+
+
+class TestNegativeSteps:
+    def test_reported_cases_raise(self):
+        with pytest.raises(cw.InvalidStepCount):
+            expected_length_A_T(4, -1)
+        with pytest.raises(cw.InvalidStepCount):
+            pair_prob_B(3, -1, 1, -2)
+        with pytest.raises(cw.InvalidStepCount):
+            expected_length_I2_S_troili(5, -2)
+
+    def test_every_evaluator_and_dispatch_reject(self):
+        calls = [
+            lambda t: expected_length_A_T(4, t),
+            lambda t: pair_prob_A(4, 1, 2, t),
+            lambda t: expected_length_B_T(3, t),
+            lambda t: pair_prob_B(3, 1, 2, t),
+            lambda t: expected_length_D_T(3, t),
+            lambda t: pair_prob_D(3, 1, 2, t),
+            lambda t: expected_length_I2_T(5, t),
+            lambda t: expected_abslength_I2_S(5, t),
+            lambda t: expected_abslength_I2_S(INF, t),
+            lambda t: expected_abslength_I2_T(5, t),
+            lambda t: expected_length_I2_S_troili(INF, t),
+            lambda t: expected_length_A_S_eriksen(3, t),
+            lambda t: expected_length_A_S_bm(3, t),
+            lambda t: expected_abslength_G_EH(3, 2, t),
+            lambda t: lemma_bd_v(3, 1, t, 1, 2),
+            lambda t: closed_form(GroupSpec(Family.A, 4), Gens.REFLECTIONS, Measure.LENGTH, t),
+        ]
+        for call in calls:
+            call(0)
+            for t in (-1, -5):
+                with pytest.raises(cw.InvalidStepCount):
+                    call(t)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coxwalk import (
@@ -288,3 +289,104 @@ def test_dihedral_walk_statistic_lookup():
     stat = make_statistic(spec, Measure.LENGTH)
     assert stat(DihedralElement(m, 0, 0)) == 0
     assert stat(DihedralElement(m, 2, 0)) == 4  # the longest element
+
+
+class TestRankedEngine:
+    def test_int64_to_object_crossover_is_exact(self):
+        # 6^30 > 2^63: the counts switch from int64 to Python ints on the way
+        from coxwalk import expected_length_A_T
+
+        spec = GroupSpec(Family.A, 4)
+        stat = make_statistic(spec, Measure.LENGTH)
+        dtypes = set()
+        for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, 30)):
+            dtypes.add(dist.counts.dtype)
+            assert dist.den == 6**t
+            assert dist.total() == 1
+            assert expectation(dist, stat) == expected_length_A_T(4, t)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+        assert dist.counts.dtype == object
+
+    def test_probs_is_a_view_over_the_support(self):
+        spec = GroupSpec(Family.A, 4)
+        for dist in iterate_distributions(spec, Gens.REFLECTIONS, 4):
+            assert len(dist.probs) == int(np.count_nonzero(dist.counts))
+            assert len(dist.probs) == len(list(dist.probs))
+        dist = evolve_distribution(GroupSpec(Family.A, 3), Gens.REFLECTIONS, 1)
+        assert len(dist.probs) == 3
+        with pytest.raises(KeyError):
+            dist.probs[GroupSpec(Family.A, 3).identity()]  # zero after one step
+        with pytest.raises(KeyError):
+            dist.probs[GroupSpec(Family.A, 4).identity()]  # another group
+        d3 = evolve_distribution(GroupSpec(Family.D, 3), Gens.REFLECTIONS, 2)
+        from coxwalk import SignedPermutation
+
+        with pytest.raises(KeyError):
+            d3.probs[SignedPermutation((-1, 2, 3))]  # not in type D
+        assert SignedPermutation((-1, -2, 3)) in d3.probs
+
+    def test_yielded_dists_never_change(self):
+        for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3), GroupSpec(Family.I2, 5)):
+            dists = list(iterate_distributions(spec, Gens.REFLECTIONS, 8))
+            for t, dist in enumerate(dists):
+                assert dist.probs == evolve_distribution(spec, Gens.REFLECTIONS, t).probs
+
+    def test_statistic_called_once_per_element_per_walk(self):
+        spec = GroupSpec(Family.A, 5)
+        calls = {}
+
+        def counting(w):
+            calls[w] = calls.get(w, 0) + 1
+            return inversion_count(w)
+
+        for dist in iterate_distributions(spec, Gens.REFLECTIONS, 6):
+            assert expectation(dist, counting) == _inversions_over_probs(dist)
+        assert calls and set(calls.values()) == {1}
+
+    def test_pair_probability_on_object_counts(self):
+        spec = GroupSpec(Family.A, 3)
+        dist = evolve_distribution(spec, Gens.REFLECTIONS, 41)  # 3^41 > 2^63
+        assert dist.counts.dtype == object
+        table = evolve_pairtable(Family.A, 3, 41)
+        for (i, j), p in table.entries.items():
+            assert pair_probability(dist, i, j) == p
+
+
+def _inversions_over_probs(dist):
+    """Expected inversion count summed straight over the probs view."""
+    return sum((p * inversion_count(w) for w, p in dist.probs.items()), Fraction(0))
+
+
+def test_enumerate_group_matches_independent_bfs():
+    from coxwalk import enumerate_group
+    from helpers import bfs_word_length
+
+    for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),
+                 GroupSpec(Family.D, 4), GroupSpec(Family.I2, 5)):
+        group = enumerate_group(spec)
+        assert group[0] == spec.identity()
+        assert len(group) == spec.order()
+        assert set(group) == set(bfs_word_length(spec.identity(), simple_reflections_of(spec)))
+
+
+def test_helpers_stay_independent_of_the_engines():
+    # the brute-force oracles may take only element multiplication from the
+    # package, so that an engine or enumeration bug cannot mask itself
+    import ast
+    import helpers
+
+    tree = ast.parse(open(helpers.__file__).read())
+    from_package = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coxwalk")
+        for alias in node.names
+    ]
+    plain = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert from_package == ["multiply"]
+    assert not any(name.startswith("coxwalk") for name in plain)
