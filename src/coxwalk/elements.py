@@ -479,7 +479,7 @@ class RankedGroup:
         self._elements: dict[int, GroupElement] = {}
         self.memo: dict = {}
 
-    def _rank(self, cols: np.ndarray) -> np.ndarray:
+    def ranks(self, cols: np.ndarray) -> np.ndarray:
         """Rank of every window of this group held column-wise in the (n, N)
         array cols."""
         if self.spec.family == Family.A:
@@ -500,7 +500,7 @@ class RankedGroup:
             and w.n == self.spec.n
             and (f != Family.D or w.in_type_d)
         ):
-            return int(self._rank(np.array(w.window, dtype=np.int8)[:, None])[0])
+            return int(self.ranks(np.array(w.window, dtype=np.int8)[:, None])[0])
         raise KeyError(w)
 
     def element(self, k: int) -> GroupElement:
@@ -532,4 +532,4 @@ class RankedGroup:
         # (w * g)(i) = w(g(i)) = sign(g(i)) * w(|g(i)|)
         gw = np.array(g.window)
         cols = self.windows.T[np.abs(gw) - 1] * np.sign(gw).astype(np.int8)[:, None]
-        return self._rank(cols).astype(np.int32)
+        return self.ranks(cols).astype(np.int32)

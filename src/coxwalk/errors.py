@@ -17,6 +17,10 @@ class InvalidTrialCount(CoxwalkError, ValueError):
     """Monte Carlo trial count below the two needed for a standard error."""
 
 
+class InvalidSeed(CoxwalkError, ValueError):
+    """Monte Carlo seed outside [0, 2^64), the key range of its streams."""
+
+
 class InvalidGuardLimit(CoxwalkError, ValueError):
     """COXWALK_GUARD_LIMIT is set but is not a decimal integer."""
 

@@ -1,34 +1,57 @@
 """Seeded, reproducible Monte Carlo estimation of expected walk lengths.
 
-Reproducibility contract: the generator drawn at step s of trial k is a pure
-function of (seed, k, s) — each trial owns a counter-based Philox stream
-keyed by (seed, trial index).  Aggregation uses exactly rounded summation of
-the per-trial values in trial order, so the result is bit-identical for any
-split of the trial range across workers.
+Stream contract.  Trial k of a run with seed s (both in [0, 2^64)) draws its
+t generator indices from the Philox4x64-10 stream keyed by (s, k), exactly
+as ``np.random.Generator(np.random.Philox(key=[s, k])).integers(0, n, t)``
+does for n <= 2^32 generators (``trial_choices``):
+
+* the counter blocks are (1, 0, 0, 0), (2, 0, 0, 0), ... in order, each
+  giving four 64-bit words, and each 64-bit word gives two 32-bit words,
+  its low half first;
+* a draw takes the next 32-bit word x, forms m = x * n and returns m >> 32,
+  unless m mod 2^32 < (2^32 - n) mod n, in which case the word is rejected
+  and the next one tried (Lemire's bounded draw).  For n = 1 every draw is 0.
+
+``simulate`` computes these words for a block of trials at once; the rare
+trial whose row hits a rejection is redrawn by ``trial_choices``.  It then
+applies the walk as gathers and scatters on a (trials, n) state array and
+evaluates the statistic over the block.  The per-trial values are summed
+with exactly rounded summation in trial order.  ``workers`` only splits the
+trial range into contiguous blocks, processed in order, so the result is
+bit-identical for any number of workers.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum, sqrt
+from typing import Callable
 
 import numpy as np
 
 from .elements import (
-    DihedralElement,
     Family,
     Gens,
     GroupSpec,
     Measure,
-    Permutation,
-    SignedPermutation,
+    RankedGroup,
     reflection_descriptors,
     simple_reflection_descriptors,
 )
-from .errors import InvalidRank, InvalidTrialCount, check_step_count
+from .errors import InvalidRank, InvalidSeed, InvalidTrialCount, check_step_count
 from .exactengine import make_statistic
 
-_MASK64 = (1 << 64) - 1
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+# bound on draws (and on state entries) held per block of trials
+_BLOCK_WORDS = 2**15
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise InvalidSeed(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -48,64 +71,188 @@ class SimResult:
 
 def trial_choices(seed: int, trial: int, n_choices: int, steps: int) -> np.ndarray:
     """The generator indices used by the given trial: steps draws from the
-    Philox stream keyed by (seed, trial)."""
-    rng = np.random.Generator(np.random.Philox(key=(seed & _MASK64, trial & _MASK64)))
-    return rng.integers(0, n_choices, size=steps)
+    Philox stream keyed by (seed, trial).  This is the stream contract's
+    reference; a seed outside [0, 2^64) raises InvalidSeed."""
+    _check_seed(seed)
+    key = np.array([seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).integers(0, n_choices, size=steps)
 
 
-def _moves_and_state(spec: GroupSpec, descriptors):
-    """Per-generator in-place state updates plus a fresh-state factory and a
-    state -> element converter."""
-    n = spec.n
-    if spec.family == Family.I2:
-        def fresh():
-            return [0, 0]
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products a * b, built from
+    32-bit halves so that no partial sum passes 2^64 (b is uint64, and
+    numpy's uint64 products wrap mod 2^64)."""
+    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b0, b1 = b & _LOW32, b >> _32
+    mid = a1 * b0
+    mid += (a0 * b0) >> _32
+    low = mid & _LOW32
+    low += a0 * b1
+    hi = a1 * b1
+    hi += mid >> _32
+    hi += low >> _32
+    return hi, np.uint64(a) * b
 
-        def convert(st):
-            return DihedralElement(n, st[0], st[1])
 
-        moves = []
-        for _, rot in descriptors:
-            def mv(st, rot=rot, m=n):
-                sign = -1 if st[1] else 1
-                st[0] = (st[0] + sign * rot) % m
-                st[1] ^= 1
+def _philox_words(seed: int, lo: int, hi: int, steps: int) -> np.ndarray:
+    """The first ``steps`` 32-bit stream words of every trial lo..hi-1, as a
+    uint64 (hi - lo, steps) array."""
+    blocks = -(-steps // 8)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    c = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero]
+    k1 = np.arange(lo, hi, dtype=np.uint64)[:, None]
+    for r in range(10):
+        if r:
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        # the seed half of the key stays a scalar; bump it in Python ints
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
+    lanes = np.stack(np.broadcast_arrays(*c), axis=-1)
+    words = np.stack([lanes & _LOW32, lanes >> _32], axis=-1)
+    return words.reshape(hi - lo, 8 * blocks)[:, :steps]
 
-            moves.append(mv)
-        return moves, fresh, convert
 
-    def fresh():
-        return list(range(n + 1))  # 1-based; slot 0 unused
+def _draws(seed: int, lo: int, hi: int, n_choices: int, steps: int) -> np.ndarray:
+    """``trial_choices(seed, k, n_choices, steps)`` for every trial k in
+    lo..hi-1, as one (hi - lo, steps) array."""
+    if n_choices > 2**32:
+        raise ValueError(f"at most 2**32 choices per draw, got {n_choices}")
+    m = _philox_words(seed, lo, hi, steps) * np.uint64(n_choices)
+    choices = (m >> _32).astype(np.intp)
+    threshold = (2**32 - n_choices) % n_choices
+    rejected = ((m & _LOW32) < threshold).any(axis=1)
+    for row in np.flatnonzero(rejected).tolist():
+        choices[row] = trial_choices(seed, lo + row, n_choices, steps)
+    return choices
 
-    if spec.family == Family.A:
-        def convert(st):
-            return Permutation(tuple(st[1:]))
-    else:
-        def convert(st):
-            return SignedPermutation(tuple(st[1:]))
 
+def _blocks(trials: int, workers: int, rows: int):
+    """Contiguous (lo, hi) trial ranges of at most ``rows`` trials, in trial
+    order, within each worker's share of the trial range."""
+    workers = max(workers, 1)
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        for lo in range(start, stop, rows):
+            yield lo, min(lo + rows, stop)
+
+
+def _move_arrays(descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each A/B/D generator as (a, b, s), 0-based positions: it maps the
+    window entries w(a), w(b) to s * w(b), s * w(a).  A sign change at a is
+    (a, a, -1)."""
     moves = []
     for desc in descriptors:
         kind = desc[0]
         if kind == "swap":
-            _, a, b = desc
-
-            def mv(st, a=a, b=b):
-                st[a], st[b] = st[b], st[a]
+            moves.append((desc[1] - 1, desc[2] - 1, 1))
         elif kind == "sswap":
-            _, a, b, s = desc
-
-            def mv(st, a=a, b=b, s=s):
-                st[a], st[b] = s * st[b], s * st[a]
+            moves.append((desc[1] - 1, desc[2] - 1, desc[3]))
         elif kind == "neg":
-            a = desc[1]
-
-            def mv(st, a=a):
-                st[a] = -st[a]
+            moves.append((desc[1] - 1, desc[1] - 1, -1))
         else:
             raise ValueError(f"unknown descriptor {desc!r}")
-        moves.append(mv)
-    return moves, fresh, convert
+    a, b, s = np.array(moves, dtype=np.intp).T
+    return a, b, s
+
+
+def _walk_windows(choices: np.ndarray, moves, n: int) -> np.ndarray:
+    """Final windows, (trials, n), of the walks that apply generator
+    choices[k, s] at step s of trial k, starting from the identity."""
+    rows, steps = choices.shape
+    a, b, s = moves
+    # one contiguous row of flat state indices per step
+    by_step = np.ascontiguousarray(choices.T)
+    base = np.arange(rows) * n
+    ia, ib = a[by_step] + base, b[by_step] + base
+    src = np.concatenate([ia, ib], axis=1)
+    dst = np.concatenate([ib, ia], axis=1)
+    state = np.tile(np.arange(1, n + 1), rows)
+    if (s == 1).all():  # transpositions only: skip the sign product
+        for step in range(steps):
+            state[dst[step]] = state[src[step]]
+    else:
+        sign = np.tile(s[by_step], 2)
+        for step in range(steps):
+            state[dst[step]] = state[src[step]] * sign[step]
+    return state.reshape(rows, n)
+
+
+def _walk_dihedral(choices: np.ndarray, rots: np.ndarray, m: int) -> np.ndarray:
+    """Final ranks 2 * rot + flip of I2(m) walks over the reflections with
+    the given rotation parts.  Before step s the flip is s mod 2, so step s
+    adds (-1)^s times its rotation part."""
+    r = rots[choices]
+    rot = (r[:, ::2].sum(axis=1) - r[:, 1::2].sum(axis=1)) % m
+    return 2 * rot + choices.shape[1] % 2
+
+
+def _inversions(w: np.ndarray) -> np.ndarray:
+    """Pairs i < j with w(i) > w(j), per row."""
+    return sum((w[:, :-d] > w[:, d:]).sum(axis=1) for d in range(1, w.shape[1]))
+
+
+def _negative_sum_pairs(w: np.ndarray) -> np.ndarray:
+    """Pairs i < j with w(i) + w(j) < 0, per row."""
+    return sum((w[:, :-d] + w[:, d:] < 0).sum(axis=1) for d in range(1, w.shape[1]))
+
+
+def _descents(w: np.ndarray) -> np.ndarray:
+    """Positions i with w(i) > w(i + 1), per row."""
+    return (w[:, :-1] > w[:, 1:]).sum(axis=1)
+
+
+def _cycles(w: np.ndarray) -> np.ndarray:
+    """Cycles of each row's permutation of 1..n, fixed points included: the
+    positions that are the least of their orbit, found by pointer doubling."""
+    n = w.shape[1]
+    # least[k, i] is the least of the first ``reach`` points of the orbit of
+    # i, and step[k] the reach-th power of row k's permutation
+    least, step, reach = np.broadcast_to(np.arange(n), w.shape), w - 1, 1
+    while reach < n:
+        least = np.minimum(least, np.take_along_axis(least, step, axis=1))
+        step = np.take_along_axis(step, step, axis=1)
+        reach *= 2
+    return (least == np.arange(n)).sum(axis=1)
+
+
+def _block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray], np.ndarray]:
+    """The measure on a block of walk states: (trials, n) windows in A, B
+    and D, ranks 2 * rot + flip in I2.  Equal to ``make_statistic`` on
+    every element.
+
+    Inversion-type statistics are broadcast compares over the windows.  I2,
+    and absolute length in B and D, read a table indexed by rank that is
+    filled from ``make_statistic`` (same guard) where the walks land.
+    """
+    f, n = spec.family, spec.n
+    if measure == Measure.LENGTH and f != Family.I2:
+        if f == Family.A:
+            return _inversions
+        if f == Family.B:
+            return lambda w: _inversions(w) + _negative_sum_pairs(w) + (w < 0).sum(axis=1)
+        return lambda w: _inversions(w) + _negative_sum_pairs(w)
+    if measure == Measure.DESCENTS and f != Family.I2:
+        if f == Family.A:
+            return _descents
+        if f == Family.B:
+            return lambda w: _descents(w) + (w[:, 0] < 0)
+        return lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
+    if measure == Measure.ABSLENGTH and f == Family.A:
+        return lambda w: n - _cycles(w)
+
+    statistic = make_statistic(spec, measure)
+    group = RankedGroup(spec)
+    table = np.full(group.order, -1, dtype=np.int64)
+
+    def by_rank(state: np.ndarray) -> np.ndarray:
+        ranks = state if f == Family.I2 else group.ranks(state.T)
+        missing = np.unique(ranks[table[ranks] < 0])
+        table[missing] = [statistic(group.element(k)) for k in missing.tolist()]
+        return table[ranks]
+
+    return by_rank
 
 
 def simulate(
@@ -120,11 +267,13 @@ def simulate(
     """Estimate the expected walk statistic from independent trials.
 
     Identical (spec, gens, measure, t, trials, seed) give a bit-identical
-    result for any number of workers.
+    result for any number of workers.  A seed outside [0, 2^64) raises
+    InvalidSeed.
     """
     if trials < 2:
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
     check_step_count(t)
+    _check_seed(seed)
     descriptors = (
         simple_reflection_descriptors(spec)
         if gens == Gens.SIMPLE
@@ -132,42 +281,27 @@ def simulate(
     )
     if not descriptors:
         raise InvalidRank(f"{spec} has no generators to walk on")
-    statistic = make_statistic(spec, measure)
-    moves, fresh, convert = _moves_and_state(spec, descriptors)
-    n_gens = len(descriptors)
+    statistic = _block_statistic(spec, measure)
+    n, n_gens = spec.n, len(descriptors)
+    if spec.family == Family.I2:
+        rots = np.array([d[1] for d in descriptors], dtype=np.intp)
 
-    def run_block(lo: int, hi: int) -> list[float]:
-        # Per-trial stream keyed by (seed, k), exactly as trial_choices, but
-        # rekeying one Philox per block instead of constructing 10^5 of them.
-        bg = np.random.Philox(key=(0, 0))
-        rng = np.random.Generator(bg)
-        vals = []
-        for k in range(lo, hi):
-            state = fresh()
-            if t:
-                st = bg.state
-                st["state"]["key"][0] = seed & _MASK64
-                st["state"]["key"][1] = k & _MASK64
-                st["state"]["counter"][:] = 0
-                st["buffer_pos"] = 4
-                st["has_uint32"] = 0
-                st["uinteger"] = 0
-                bg.state = st
-                for c in rng.integers(0, n_gens, size=t):
-                    moves[c](state)
-            vals.append(float(statistic(convert(state))))
-        return vals
-
-    if workers <= 1:
-        values = run_block(0, trials)
+        def walk(choices):
+            return _walk_dihedral(choices, rots, n)
     else:
-        bounds = [trials * w // workers for w in range(workers + 1)]
-        blocks = [(bounds[w], bounds[w + 1]) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda b: run_block(*b), blocks))
-        values = [v for chunk in chunks for v in chunk]
+        moves = _move_arrays(descriptors)
+
+        def walk(choices):
+            return _walk_windows(choices, moves, n)
+
+    values: list[float] = []
+    for lo, hi in _blocks(trials, workers, max(1, _BLOCK_WORDS // max(t, n))):
+        choices = _draws(seed, lo, hi, n_gens, t)
+        values += statistic(walk(choices)).astype(float).tolist()
 
     mean = fsum(values) / trials
-    var = fsum((v - mean) ** 2 for v in values) / (trials - 1)
+    # the values are few distinct integers: square each deviation once
+    square = {v: (v - mean) ** 2 for v in set(values)}
+    var = fsum(map(square.__getitem__, values)) / (trials - 1)
     stderr = sqrt(var / trials)
     return SimResult(mean, stderr, trials, seed, spec, gens, measure, t)

@@ -199,3 +199,14 @@ def test_unparsable_guard_exit_2(capsys, monkeypatch):
                          "--engine", "exact-full")
     _assert_usage_error(code, out, err)
     assert "COXWALK_GUARD_LIMIT" in err
+
+
+def test_mc_seed_outside_key_range_exit_2(capsys):
+    for argv in (
+        ["eval", "--family", "A", "--n", "4", "--t", "2", "--engine", "mc", "--seed", "-1"],
+        ["table", "--family", "A", "--n", "3", "--t-max", "2", "--trials", "10",
+         "--seed", "-1"],
+        ["eval", "--family", "B", "--n", "3", "--t", "2", "--engine", "mc",
+         "--seed", str(2**64)],
+    ):
+        _assert_usage_error(*run(capsys, *argv))

@@ -6,14 +6,20 @@ from coxwalk import (
     Family,
     Gens,
     GroupSpec,
+    InvalidSeed,
     Measure,
+    RankedGroup,
+    enumerate_group,
     expected_abslength_I2_T,
     expected_length_A_T,
     expected_length_I2_S_troili,
+    make_statistic,
     reflections_of,
     simulate,
     trial_choices,
 )
+from coxwalk.montecarlo import _block_statistic, _draws
+from coxwalk.verify import MC_BASE_SEED, MC_GRID
 
 A10 = GroupSpec(Family.A, 10)
 
@@ -92,3 +98,102 @@ def test_result_fields():
 def test_trials_validation():
     with pytest.raises(ValueError):
         simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 1, trials=1, seed=0)
+
+
+def numpy_choices(seed, k, n, steps):
+    """numpy's own bounded draws from the Philox stream keyed by (seed, k)."""
+    key = np.array([seed, k], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 45, 780, 2**31 + 11, 3 * 2**30 + 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**63, 2**64 - 1])
+def test_block_draws_match_numpy(seed, n):
+    # n = 2^31 + 11 and 3 * 2^30 + 1 reject about half and a quarter of the
+    # words, so most rows there take the redraw path
+    for steps in (0, 1, 7, 8, 9, 17, 64):
+        lo = 3 * steps
+        got = _draws(seed, lo, lo + 6, n, steps)
+        assert got.shape == (6, steps)
+        for row, k in enumerate(range(lo, lo + 6)):
+            assert (got[row] == numpy_choices(seed, k, n, steps)).all(), (seed, n, steps, k)
+
+
+# (mean, stderr) of simulate before it was vectorized, as exact float
+# literals: the 20 calibration grid points at 2000 trials, then a long walk,
+# seeds at and above 2^63, and one cell of every family/measure kind
+PINNED_GRID = (
+    ('A', 6, 'reflections', 'length', 3, 2000, 7000, 6.275, 0.06480962616634901),
+    ('A', 10, 'reflections', 'length', 5, 2000, 7001, 17.585, 0.138692123974746),
+    ('A', 7, 'simple', 'length', 6, 2000, 7002, 3.377, 0.0336675251707868),
+    ('A', 5, 'simple', 'length', 9, 2000, 7003, 3.38, 0.03811202255367151),
+    ('A', 8, 'reflections', 'abslength', 4, 2000, 7004, 3.477, 0.02006082546554801),
+    ('A', 12, 'reflections', 'abslength', 6, 2000, 7005, 5.333, 0.022689488898016776),
+    ('B', 3, 'reflections', 'length', 2, 2000, 7006, 4.048, 0.04990083212255344),
+    ('B', 5, 'reflections', 'length', 6, 2000, 7007, 11.798, 0.09814486337605015),
+    ('B', 4, 'reflections', 'length', 10, 2000, 7008, 7.911, 0.07086289773314078),
+    ('B', 3, 'reflections', 'abslength', 3, 2000, 7009, 2.147, 0.022123295869061983),
+    ('D', 3, 'reflections', 'length', 3, 2000, 7010, 2.892, 0.032135406363870446),
+    ('D', 4, 'reflections', 'length', 5, 2000, 7011, 5.804, 0.05323729054480775),
+    ('D', 6, 'reflections', 'length', 8, 2000, 7012, 14.518, 0.1039675075266819),
+    ('I2', 5, 'reflections', 'length', 3, 2000, 7013, 2.604, 0.03286536270959164),
+    ('I2', 6, 'reflections', 'length', 2, 2000, 7014, 2.996, 0.042625115251751666),
+    ('I2', 7, 'reflections', 'abslength', 4, 2000, 7015, 1.725, 0.015404744498904818),
+    ('I2', 6, 'simple', 'abslength', 6, 2000, 7016, 1.387, 0.020623485740340817),
+    ('I2', 4, 'simple', 'abslength', 4, 2000, 7017, 1.195, 0.021936912135873374),
+    ('I2', 5, 'simple', 'length', 7, 2000, 7018, 2.115, 0.030097182928143045),
+    ('I2', 9, 'simple', 'length', 12, 2000, 7019, 2.649, 0.04742914991997079),
+)
+PINNED_EXTRA = (
+    ('A', 30, 'reflections', 'length', 300, 300, 31, 214.27333333333334, 1.670991890518657),
+    ('B', 6, 'reflections', 'abslength', 5, 500, 2**63 + 12345, 3.936, 0.04911856335982422),
+    ('D', 5, 'reflections', 'descents', 7, 500, 2**64 - 1, 2.46, 0.03537375588215677),
+    ('A', 9, 'simple', 'descents', 11, 500, 5, 2.934, 0.04018105317270985),
+    ('B', 4, 'simple', 'descents', 8, 500, 6, 1.574, 0.030772420830469854),
+    ('B', 5, 'reflections', 'descents', 4, 500, 2**63, 2.354, 0.0318023706909269),
+    ('I2', 8, 'reflections', 'descents', 5, 500, 7, 1.0, 0.0),
+    ('I2', 3, 'simple', 'descents', 3, 500, 0, 1.234, 0.018952741564893752),
+    ('D', 4, 'simple', 'abslength', 6, 500, 8, 2.08, 0.0433469481720647),
+    ('D', 2, 'simple', 'length', 3, 100, 1, 1.0, 0.0),
+    ('A', 7, 'simple', 'abslength', 10, 500, 9, 3.328, 0.05305149311606307),
+    ('B', 1, 'simple', 'descents', 3, 50, 10, 1.0, 0.0),
+    ('A', 2, 'reflections', 'descents', 3, 50, 11, 1.0, 0.0),
+)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pinned_results(workers):
+    assert [row[:5] for row in PINNED_GRID] == [
+        (f.value, n, g.value, m.value, t) for f, n, g, m, t in MC_GRID
+    ]
+    assert [row[6] for row in PINNED_GRID] == [MC_BASE_SEED + i for i in range(20)]
+    for f, n, g, m, t, trials, seed, mean, stderr in PINNED_GRID + PINNED_EXTRA:
+        r = simulate(GroupSpec(Family(f), n), Gens(g), Measure(m), t,
+                     trials=trials, seed=seed, workers=workers)
+        assert (r.mean, r.stderr) == (mean, stderr), (f, n, g, m, t, seed)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(Family.A, 5), GroupSpec(Family.B, 4),
+                                  GroupSpec(Family.D, 4), GroupSpec(Family.I2, 7)])
+@pytest.mark.parametrize("measure", list(Measure))
+def test_block_statistic_matches_make_statistic(spec, measure):
+    group = RankedGroup(spec)
+    states = (np.arange(group.order) if spec.family == Family.I2
+              else group.windows.astype(np.intp))
+    got = _block_statistic(spec, measure)(states)
+    statistic = make_statistic(spec, measure)
+    assert got.tolist() == [statistic(w) for w in enumerate_group(spec)]
+
+
+def test_seeds_above_2_63_are_distinct_streams():
+    a = trial_choices(2**63 + 1, 0, 1000, 5)
+    assert not (a == trial_choices(2**63 + 1000, 0, 1000, 5)).all()
+    assert (a == numpy_choices(2**63 + 1, 0, 1000, 5)).all()
+
+
+@pytest.mark.parametrize("seed", [-1, -2**63, 2**64, 2**70])
+def test_seed_outside_key_range_rejected(seed):
+    with pytest.raises(InvalidSeed):
+        trial_choices(seed, 0, 10, 5)
+    with pytest.raises(InvalidSeed):
+        simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 3, trials=10, seed=seed)
