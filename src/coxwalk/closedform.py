@@ -209,41 +209,42 @@ def expected_length_I2_S_troili(m, t: int) -> Fraction:
     """Expected length after t uniform generator steps in the dihedral group
     of order 2m (m may be math.inf), by the binomial double sum of Troili
     (2002): a central-binomial main sum with period-m side terms, minus a
-    parity-dependent boundary correction."""
+    parity-dependent boundary correction.
+
+    Each image sum is one entry of a Pascal row folded mod m, F_r[c] = sum
+    of C(r, i) over i = c (mod m): the main term of row 2j is F_2j[j]; the
+    even-m boundary is F_2j[j + m/2]; the odd-m boundary is 2 F_(2j-1)[c]
+    with c = (2j - 1 - m)/2.  Pascal's rule advances a folded row in m
+    additions.  For m >= t no image reaches the walk and the sum is the
+    infinite group's, whose central binomials follow their own recurrence.
+    The numerator is accumulated over 4^(t//2) in Horner form, and one
+    Fraction is built at the end.
+    """
     check_step_count(t)
     if not _is_inf(m) and m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
-    total = Fraction(0)
-    for j in range((t - 1) // 2 + 1):
-        inner = comb(2 * j, j)
-        if not _is_inf(m):
-            k = 1
-            while j - k * m >= 0:
-                inner += 2 * comb(2 * j, j - k * m)
-                k += 1
-        total += Fraction(inner, 4**j)
-    if _is_inf(m):
-        return total
-    if m % 2 == 0:
-        for j in range(1, (t - 1) // 2 + 1):
-            acc = 0
-            k = 0
-            while j - m // 2 - k * m >= 0:
-                acc += comb(2 * j, j - m // 2 - k * m)
-                k += 1
-            total -= Fraction(2 * acc, 4**j)
-    else:
-        # odd m: the boundary term lives on odd rows 2j-1; the two-sided
-        # image sum folds onto k >= 0 with multiplicity 2, giving 4/4^j
-        for j in range(1, t // 2 + 1):
-            top = (2 * j - 1 - m) // 2  # integral: 2j-1-m is even for odd m
-            acc = 0
-            k = 0
-            while top - k * m >= 0:
-                acc += comb(2 * j - 1, top - k * m)
-                k += 1
-            total -= Fraction(4 * acc, 4**j)
-    return total
+    last = (t - 1) // 2  # the main sum runs over rows 2j, j <= last
+    num = 0
+    if _is_inf(m) or m >= t:
+        central = 1  # C(2j, j)
+        for j in range(last + 1):
+            num = 4 * num + central
+            central = central * 2 * (2 * j + 1) // (j + 1)
+        return Fraction(num, 4 ** max(last, 0))
+    row = [1] + [0] * (m - 1)  # row 0, folded
+    for j in range(t // 2 + 1):
+        term = 0
+        if j:
+            row = [row[c - 1] + row[c] for c in range(m)]  # row 2j - 1
+            if m % 2:
+                term -= 2 * row[(2 * j - 1 - m) // 2 % m]
+            row = [row[c - 1] + row[c] for c in range(m)]  # row 2j
+        if j <= last:
+            term += row[j % m]
+            if m % 2 == 0:
+                term -= row[(j + m // 2) % m]
+        num = 4 * num + term
+    return Fraction(num, 4 ** (t // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,12 @@ def expected_length_I2_S_troili(m, t: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# entries per Eriksen cache: enough that one generator count evaluated over
+# t = 0..1023, as `table` does, reuses every coefficient of the smaller t
+_ERIKSEN_CACHE = 1024
+
+
+@lru_cache(maxsize=_ERIKSEN_CACHE)
 def _eriksen_g(s: int, n: int) -> int:
     """Inner coefficient of the lattice-walk expansion, for n generators.
 
@@ -279,7 +285,7 @@ def _eriksen_g(s: int, n: int) -> int:
     return first * second
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ERIKSEN_CACHE)
 def _eriksen_h(r: int, n: int) -> int:
     return sum(
         comb(r - 1, s - 1) * (-4) ** (r - s) * _eriksen_g(s, n) for s in range(1, r + 1)

@@ -21,6 +21,11 @@ class InvalidSeed(CoxwalkError, ValueError):
     """Monte Carlo seed outside [0, 2^64), the key range of its streams."""
 
 
+class InvalidTrialIndex(CoxwalkError, ValueError):
+    """Monte Carlo trial index outside [0, 2^64), the key range of its
+    streams."""
+
+
 class InvalidGuardLimit(CoxwalkError, ValueError):
     """COXWALK_GUARD_LIMIT is set but is not a decimal integer."""
 

@@ -34,10 +34,17 @@ from .elements import (
     GroupSpec,
     Measure,
     RankedGroup,
+    check_order,
     reflection_descriptors,
     simple_reflection_descriptors,
 )
-from .errors import InvalidRank, InvalidSeed, InvalidTrialCount, check_step_count
+from .errors import (
+    InvalidRank,
+    InvalidSeed,
+    InvalidTrialCount,
+    InvalidTrialIndex,
+    check_step_count,
+)
 from .exactengine import make_statistic
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
@@ -72,8 +79,11 @@ class SimResult:
 def trial_choices(seed: int, trial: int, n_choices: int, steps: int) -> np.ndarray:
     """The generator indices used by the given trial: steps draws from the
     Philox stream keyed by (seed, trial).  This is the stream contract's
-    reference; a seed outside [0, 2^64) raises InvalidSeed."""
+    reference; a seed outside [0, 2^64) raises InvalidSeed, and a trial
+    outside it InvalidTrialIndex."""
     _check_seed(seed)
+    if not 0 <= trial < 2**64:
+        raise InvalidTrialIndex(f"trial must be in [0, 2**64), got {trial}")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).integers(0, n_choices, size=steps)
 
@@ -224,7 +234,8 @@ def _block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray]
 
     Inversion-type statistics are broadcast compares over the windows.  I2,
     and absolute length in B and D, read a table indexed by rank that is
-    filled from ``make_statistic`` (same guard) where the walks land.
+    filled from ``make_statistic`` where the walks land; the table has one
+    entry per element, so the group order must be within the guard.
     """
     f, n = spec.family, spec.n
     if measure == Measure.LENGTH and f != Family.I2:
@@ -242,6 +253,7 @@ def _block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray]
     if measure == Measure.ABSLENGTH and f == Family.A:
         return lambda w: n - _cycles(w)
 
+    check_order(spec)
     statistic = make_statistic(spec, measure)
     group = RankedGroup(spec)
     table = np.full(group.order, -1, dtype=np.int64)

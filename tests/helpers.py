@@ -1,9 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the package's engines: expectations are computed by
-enumerating every generator tuple, and word lengths by a fresh breadth-first
-search, so that engine bugs cannot mask each other.
+enumerating every generator tuple, word lengths by a fresh breadth-first
+search, and Troili's dihedral sum term by term with math.comb, so that engine
+bugs cannot mask each other.
 """
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -52,3 +54,41 @@ def bfs_word_length(identity, generators):
                     nxt.append(wg)
         frontier = nxt
     return dist
+
+
+def troili_double_sums(m, t_max):
+    """Troili's (2002) expected length after t = 0..t_max generator steps in
+    I2(m) (m may be math.inf), summed image by image with one binomial
+    each.  Row j's terms carry the denominator 4^j and enter every t whose
+    sum reaches row j, so the values are prefix sums over j."""
+    comb = math.comb
+    rows = range(t_max // 2 + 1)
+
+    def images(r, c):
+        """C(r, c) + C(r, c - m) + C(r, c - 2m) + ... over c - km >= 0."""
+        return 0 if c < 0 else sum(comb(r, c - k * m) for k in range(c // m + 1))
+
+    odd = m != math.inf and m % 2 == 1
+    if m == math.inf:
+        main = [comb(2 * j, j) for j in rows]
+        boundary = [0] * len(rows)
+    else:
+        main = [2 * images(2 * j, j) - comb(2 * j, j) for j in rows]
+        if odd:
+            boundary = [4 * images(2 * j - 1, (2 * j - 1 - m) // 2) if j else 0 for j in rows]
+        else:
+            boundary = [2 * images(2 * j, j - m // 2) if j else 0 for j in rows]
+
+    def prefix(terms):
+        out = [Fraction(0)]
+        for j, x in enumerate(terms):
+            out.append(out[-1] + Fraction(x, 4**j))
+        return out
+
+    main, boundary = prefix(main), prefix(boundary)
+    # the main sum and the even-m boundary run to row j = (t-1)//2, the odd-m
+    # boundary to j = t//2
+    return [
+        main[(t - 1) // 2 + 1] - boundary[(t // 2 if odd else (t - 1) // 2) + 1]
+        for t in range(t_max + 1)
+    ]

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxwalk import expected_length_A_T, expected_length_B_T
 from coxwalk.cli import main
@@ -210,3 +214,65 @@ def test_mc_seed_outside_key_range_exit_2(capsys):
          "--seed", str(2**64)],
     ):
         _assert_usage_error(*run(capsys, *argv))
+
+
+def test_mc_group_beyond_guard_exit_2(capsys):
+    # I2 length is read from a table with one entry per element: the order
+    # 2 * 10**12 must be refused before anything of that size is allocated
+    for argv in (
+        ["eval", "--family", "I2", "--m", str(10**12), "--gens", "simple", "--t", "4",
+         "--engine", "mc", "--trials", "10"],
+        ["table", "--family", "I2", "--m", str(10**12), "--gens", "simple",
+         "--t-max", "2", "--trials", "10"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "exceeds guard" in err and "Traceback" not in err
+
+
+def _rarely(draw, value, other):
+    """other one time in ten, else value."""
+    return other if draw(st.integers(0, 9)) == 0 else value
+
+
+@st.composite
+def cli_argv(draw):
+    """Command lines over every subcommand, formula and engine, with small
+    groups and walks, and now and then a value outside its domain."""
+    command = draw(st.sampled_from(["eval", "table", "verify"]))
+    if command == "verify":
+        names = ["dihedral", "known-formulas", _rarely(draw, "dihedral", "nosuch")]
+        suites = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+        return ["verify"] + [a for name in suites for a in ("--suite", name)]
+    family = draw(st.sampled_from(["A", "B", "D", "I2", "G"]))
+    argv = [command, "--family", family]
+    n = draw(st.integers(-1, 12 if family == "I2" else 5))
+    argv += _rarely(draw, ["--m" if family == "I2" else "--n", str(n)], [])
+    r = [] if family != "G" else ["--r", str(draw(st.integers(1, 4)))]
+    argv += _rarely(draw, r, ["--r", str(draw(st.integers(-1, 4)))])
+    argv += ["--gens", draw(st.sampled_from(["simple", "reflections"]))]
+    argv += ["--measure", draw(st.sampled_from(["length", "abslength", "descents"]))]
+    argv += ["--t" if command == "eval" else "--t-max", str(draw(st.integers(-2, 40)))]
+    argv += ["--formula", draw(st.sampled_from(["auto", "eriksen", "bm", "troili", "eh",
+                                                "paper"]))]
+    if command == "eval":
+        argv += ["--engine", draw(st.sampled_from(["closed", "exact-full", "exact-pair",
+                                                   "mc"]))]
+    argv += ["--trials", str(draw(st.integers(-1, 200)))]
+    seed = draw(st.sampled_from([0, 1, 2**63, 2**64 - 1]))
+    argv += ["--seed", str(_rarely(draw, seed, draw(st.sampled_from([-1, 2**64]))))]
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv + _rarely(draw, [], draw(st.sampled_from([["--t", "x"], ["--bogus"]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    assert "Traceback" not in err.getvalue()

@@ -29,7 +29,7 @@ from coxwalk import (
     pair_prob_B,
     pair_prob_D,
 )
-from helpers import brute_force_expectation
+from helpers import brute_force_expectation, troili_double_sums
 
 INF = math.inf
 
@@ -204,6 +204,26 @@ class TestDihedral:
         for t in range(0, 14):
             assert expected_length_I2_S_troili(INF, t) == expected_length_I2_S_troili(t + 2, t)
 
+    @pytest.mark.parametrize("m", [*range(2, 14), INF])
+    def test_troili_equals_image_by_image_double_sum(self, m):
+        expected = troili_double_sums(m, 200)
+        assert [expected_length_I2_S_troili(m, t) for t in range(201)] == expected
+
+    def test_troili_equals_exact_chain(self):
+        for m in range(2, 13):
+            spec = GroupSpec(Family.I2, m)
+            stat = cw.make_statistic(spec, Measure.LENGTH)
+            for t, dist in enumerate(cw.iterate_distributions(spec, Gens.SIMPLE, 300)):
+                assert expected_length_I2_S_troili(m, t) == cw.expectation(dist, stat), (m, t)
+
+    def test_troili_infinite_central_binomial_identity(self):
+        # sum_{j <= J} C(2j, j) / 4^j = (2J + 1) C(2J, J) / 4^J; the sum
+        # runs to J = (t - 1) // 2, so t = 2J + 1 and 2J + 2 share it
+        for big_j in range(300):
+            closed = Fraction((2 * big_j + 1) * math.comb(2 * big_j, big_j), 4**big_j)
+            assert expected_length_I2_S_troili(INF, 2 * big_j + 1) == closed
+            assert expected_length_I2_S_troili(INF, 2 * big_j + 2) == closed
+
     def test_against_brute_force(self):
         spec = GroupSpec(Family.I2, 5)
         table = cw.dihedral_length_table(5)
@@ -232,6 +252,22 @@ class TestAdjacentWalk:
 
     def test_bm_large_t_limit(self):
         assert abs(expected_length_A_S_bm(16, 10**6) - 68.0) < 1e-9
+
+    def test_eriksen_caches_bounded_and_reused(self):
+        from coxwalk.closedform import _eriksen_g, _eriksen_h
+
+        caches = (_eriksen_g, _eriksen_h)
+        for cache in caches:
+            cache.cache_clear()
+        before = [expected_length_A_S_eriksen(4, t) for t in range(121)]
+        # a t-grid computes each coefficient once: the later t reuse the earlier
+        assert [c.cache_info().misses for c in caches] == [120, 120]
+        for n in range(1, 13):
+            expected_length_A_S_eriksen(n, 100)  # 1200 (r, n) pairs per cache
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize < 1200
+        assert [expected_length_A_S_eriksen(4, t) for t in range(121)] == before
 
 
 class TestColoredGroups:

@@ -3,10 +3,12 @@ import pytest
 import scipy.stats
 
 from coxwalk import (
+    CoxwalkError,
     Family,
     Gens,
     GroupSpec,
     InvalidSeed,
+    InvalidTrialIndex,
     Measure,
     RankedGroup,
     enumerate_group,
@@ -71,9 +73,9 @@ def test_generator_frequencies_uniform_chi_square():
     spec = GroupSpec(Family.A, 5)
     n_gens = len(reflections_of(spec))
     trials = 10**5
-    counts = np.zeros(n_gens, dtype=int)
-    for k in range(trials):
-        counts[trial_choices(1234, k, n_gens, 1)[0]] += 1
+    first = _draws(1234, 0, trials, n_gens, 1)[:, 0]
+    assert first[:300].tolist() == [trial_choices(1234, k, n_gens, 1)[0] for k in range(300)]
+    counts = np.bincount(first, minlength=n_gens)
     expected = trials / n_gens
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     threshold = scipy.stats.chi2.ppf(1 - 1e-3, df=n_gens - 1)
@@ -197,3 +199,10 @@ def test_seed_outside_key_range_rejected(seed):
         trial_choices(seed, 0, 10, 5)
     with pytest.raises(InvalidSeed):
         simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 3, trials=10, seed=seed)
+
+
+@pytest.mark.parametrize("trial", [-1, 2**64])
+def test_trial_outside_key_range_rejected(trial):
+    with pytest.raises(InvalidTrialIndex) as info:
+        trial_choices(1, trial, 10, 3)
+    assert isinstance(info.value, CoxwalkError) and isinstance(info.value, ValueError)
