@@ -28,7 +28,7 @@ for t in range(0, 7):
     assert formula == chain
     print(f"  t={t}: {str(formula):>12} = {float(formula):.6f}")
 
-print("\nsigned permutations of rank 3 (r = 2): formula vs breadth-first table")
+print("\nsigned permutations of rank 3 (r = 2): formula vs exact chain (cycle count)")
 spec_b = GroupSpec(Family.B, 3)
 stat_b = make_statistic(spec_b, Measure.ABSLENGTH)
 for t in range(0, 7):

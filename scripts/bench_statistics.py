@@ -1,0 +1,111 @@
+"""Wall times of the statistic routes that no perfbench workload covers,
+for one or more source trees, written to BENCH_statistics.json.
+
+    python3 scripts/bench_statistics.py --tree before=/path/to/old/src --tree after=src
+
+Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
+a fresh interpreter with the tree on PYTHONPATH; the time is the median of
+--repeats runs of ``cli.main`` alone (interpreter start and imports
+excluded).  A route a tree refuses is recorded as "refused (exit 2)" with
+its error line.  Where two trees both run a route, their printed values
+must agree exactly, or the script exits 1.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ROUTES = {
+    "exact A8 t=6 descents": ["--family", "A", "--n", "8", "--measure", "descents",
+                              "--t", "6", "--engine", "exact-full"],
+    "exact B6 t=6 abslength": ["--family", "B", "--n", "6", "--measure", "abslength",
+                               "--t", "6", "--engine", "exact-full"],
+    "mc B11 t=20 abslength": ["--family", "B", "--n", "11", "--measure", "abslength",
+                              "--t", "20", "--engine", "mc", "--trials", "10000"],
+    "mc D12 t=20 abslength": ["--family", "D", "--n", "12", "--measure", "abslength",
+                              "--t", "20", "--engine", "mc", "--trials", "10000"],
+    "mc I2(10^7) simple t=100 length": ["--family", "I2", "--m", str(10**7), "--gens",
+                                        "simple", "--t", "100", "--engine", "mc",
+                                        "--trials", "10000"],
+}
+
+# runs in the child: times cli.main on argv and prints one JSON line
+CHILD = """
+import contextlib, io, json, sys, time
+from coxwalk.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    t0 = time.perf_counter()
+    code = main(sys.argv[1:])
+    seconds = time.perf_counter() - t0
+print(json.dumps({"code": code, "seconds": seconds, "out": out.getvalue(),
+                  "err": err.getvalue()}))
+"""
+
+
+def run_once(src: str, argv: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", CHILD, "eval", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"child failed on {argv}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def measure(src: str, argv: list[str], repeats: int) -> dict:
+    runs = [run_once(src, argv) for _ in range(repeats)]
+    first = runs[0]
+    if first["code"] != 0:
+        return {"result": f"refused (exit {first['code']})", "error": first["err"].strip()}
+    if any(r["out"] != first["out"] for r in runs):
+        raise RuntimeError(f"{argv} printed different values across reruns")
+    return {"seconds": statistics.median(r["seconds"] for r in runs),
+            "runs": [r["seconds"] for r in runs], "value": json.loads(first["out"])}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
+                    help="a source tree (the directory holding coxwalk/); repeatable")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--out", default=str(ROOT / "BENCH_statistics.json"))
+    args = ap.parse_args()
+    trees = dict(t.split("=", 1) for t in args.tree)
+
+    import numpy
+
+    report = {
+        "host": {"machine": platform.machine(), "processor": platform.processor(),
+                 "cpus": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": numpy.__version__},
+        "timing": f"median of {args.repeats} runs of cli.main in a fresh interpreter, "
+                  "imports excluded",
+        "routes": {},
+    }
+    mismatch = False
+    for name, argv in ROUTES.items():
+        row = {"argv": ["eval", *argv]}
+        for label, src in trees.items():
+            row[label] = measure(str(Path(src).resolve()), argv, args.repeats)
+            shown = row[label].get("seconds", row[label].get("result"))
+            print(f"{name:34s} {label:8s} {shown}", flush=True)
+        values = [r["value"] for label, r in row.items() if label != "argv" and "value" in r]
+        if any(v != values[0] for v in values):
+            mismatch = True
+            print(f"  values differ between trees on {name}", file=sys.stderr)
+        report["routes"][name] = row
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    print(f"written to {args.out}")
+    return 1 if mismatch else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .closedform import closed_form, formula_for
 from .elements import Family, Gens, GroupSpec, Measure
@@ -219,7 +220,10 @@ def _cmd_verify(args, parser) -> int:
     return 0 if failures == 0 else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="coxwalk",
         description="Expected length of products of random reflections: "

@@ -9,9 +9,8 @@ half of the domain implicit through w(-i) = -w(i), dihedral elements as a
 ``RankedGroup`` numbers every element of a group 0..|W|-1, the identity 0:
 the Lehmer rank of the window in A, perm-rank * 2^n + sign bits in B,
 perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
-and 2 * rot + flip in I2.  Enumeration, generator action tables, the exact
-full-distribution engine and the breadth-first length tables all work on
-these ranks.
+and 2 * rot + flip in I2.  Enumeration, generator action tables and the
+exact full-distribution engine all work on these ranks.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -112,6 +111,15 @@ class GroupSpec:
         if f != Family.G and r != 1:
             raise InvalidRank(f"parameter r is only meaningful for family G, got r={r}")
 
+    def __str__(self) -> str:
+        """The group's usual name: A4, B3, D1, I2(5), G(3,1,4)."""
+        f, n = self.family, self.n
+        if f == Family.I2:
+            return f"I2({n})"
+        if f == Family.G:
+            return f"G({self.r},1,{n})"
+        return f"{f.value}{n}"
+
     @property
     def m(self) -> int:
         """Alias for n under family I2."""
@@ -183,20 +191,6 @@ class Permutation:
         for i, x in enumerate(self.window):
             inv[x - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def cycle_count(self) -> int:
-        """Number of cycles, fixed points included."""
-        seen = [False] * self.n
-        cycles = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cycles += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.window[x] - 1
-        return cycles
 
 
 @dataclass(frozen=True)
@@ -456,7 +450,8 @@ class RankedGroup:
     ``windows`` holds every element's window as one int8 (|W|, n) array in
     rank order (None for I2), stored column by column.  Element objects are
     built on demand and kept.  ``memo`` maps a statistic to its values by
-    rank, filled only where the statistic was asked for.
+    rank: at every rank for a ``make_statistic`` statistic, and only on the
+    supports asked about for any other callable.
     """
 
     def __init__(self, spec: GroupSpec):

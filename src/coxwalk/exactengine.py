@@ -153,14 +153,27 @@ def evolve_distribution(
 def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fraction:
     """Exact expected value of an integer statistic under the distribution.
 
-    The statistic's values are memoized by rank on the walk's group, so each
-    support element is evaluated once per walk and statistic object.
+    A ``make_statistic`` statistic is evaluated once per walk over every
+    window of the group, and each call is then one integer sum of counts
+    times values.  Any other callable is evaluated on the support elements
+    and memoized by rank, so each element is evaluated once per walk and
+    statistic object.  Both are memoized on the walk's group.
     """
-    group = dist.group
+    group, counts = dist.group, dist.counts
+    if isinstance(statistic, lengths.Statistic):
+        if statistic not in group.memo:
+            values = statistic.values(group)
+            group.memo[statistic] = values, int(values.max())
+        values, top = group.memo[statistic]
+        if counts.dtype != object and dist.den * top < _INT64_LIMIT:
+            return Fraction(int(counts @ values), dist.den)
+        # per-value subtotals: each is at most den, so int64 counts stay exact
+        total = sum(v * int(counts[values == v].sum()) for v in range(1, top + 1))
+        return Fraction(total, dist.den)
     memo = group.memo.setdefault(statistic, {})
-    support = np.flatnonzero(dist.counts)
+    support = np.flatnonzero(counts)
     total = 0
-    for k, c in zip(support.tolist(), dist.counts[support].tolist()):
+    for k, c in zip(support.tolist(), counts[support].tolist()):
         v = memo.get(k)
         if v is None:
             v = memo[k] = statistic(group.element(k))
@@ -180,28 +193,12 @@ def pair_probability(dist: ExactDist, i: int, j: int) -> Fraction:
     return Fraction(int(dist.counts[value(i) < value(j)].sum()), dist.den)
 
 
-def make_statistic(
-    spec: GroupSpec, measure: Measure, limit: int | None = None
-) -> Callable[[GroupElement], int]:
-    """Statistic function for the measure on this group's elements.
-
-    Absolute length in families B and D is backed by the breadth-first table
-    over the full reflection set, so the group must be within the guard.
-    """
-    f = spec.family
-    if measure == Measure.LENGTH:
-        return lambda w: lengths.coxeter_length(spec, w)
-    if measure == Measure.ABSLENGTH:
-        if f == Family.A:
-            return lengths.abs_length_A
-        if f == Family.I2:
-            m = spec.n
-            return lambda w: lengths.abs_length_dihedral(m, w)
-        table = lengths.abs_length_table(spec, limit)
-        return table.__getitem__
-    if measure == Measure.DESCENTS:
-        return lambda w: lengths.descent_count(spec, w)
-    raise ValueError(f"unknown measure {measure!r}")
+def make_statistic(spec: GroupSpec, measure: Measure) -> lengths.Statistic:
+    """Statistic for the measure on this group's elements: called on one
+    element it returns that element's value, and ``expectation`` evaluates
+    it over the whole group at once.  Every measure is a closed expression in
+    the window (or the rank in I2), so no group is enumerated to build it."""
+    return lengths.Statistic(spec, measure)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,31 @@
-"""Length statistics: inversion counts, word lengths from the Cayley graph,
-and minimal reflection factorizations.
+"""Length statistics: word length over the simple generators, absolute
+(minimal reflection) length and descents, each as one vectorized function of
+a block of elements.
 
-Word length over the simple generators equals the inversion count in type A,
-the count over pairs with j >= |i| in type B, and the count over pairs with
-j > |i| in type D; the two signed variants differ exactly in whether the
-pairs (-i, i) participate.
+A block is a (k, n) array of windows in A, B and D, row r holding
+w(1)..w(n), and a length-k array of ranks 2 * rot + flip in I2.  The exact
+full-distribution engine evaluates a statistic once over every window of the
+group and Monte Carlo over its final walk states; an element-level call is a
+one-row block.
+
+* Word length equals the inversion count in type A, the count over pairs
+  with j >= |i| in type B and over pairs with j > |i| in type D: inversions
+  plus the pairs i < j with w(i) + w(j) < 0, plus in B the negative entries.
+* Absolute length is n minus the number of cycles of w with an even number
+  of sign changes, the codimension of its fixed space (Carter 1972).  Such a
+  cycle lifts to two cycles on -n..n and an odd one to one, so the count is
+  the lift's cycles less those of |w|; A has no signs, and the count is all
+  cycles.
+* Descents are the positions i with w(i) > w(i + 1), plus w(1) < 0 in B and
+  w(1) + w(2) < 0 in D (the generator acting on positions 1 and 2).
+* In I2(m), with x = rank - 2 * flip, the word length is min(|x|, 2m - x);
+  the absolute length is 0, 1 on reflections and 2 on the other rotations;
+  every element but the identity and the longest one has one descent.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -17,35 +34,143 @@ from .elements import (
     Family,
     GroupElement,
     GroupSpec,
+    Measure,
     Permutation,
     RankedGroup,
     SignedPermutation,
-    check_order,
-    reflections_of,
-    simple_reflections_of,
 )
-from .errors import DParityViolation, UnsupportedFamily
+from .errors import DParityViolation, SpecMismatch, UnsupportedFamily
+
+# rows of windows per block when a statistic runs over a whole group
+_ROWS = 2**10
+
+
+def _inversions(w: np.ndarray) -> np.ndarray:
+    """Pairs i < j with w(i) > w(j), per row."""
+    start = np.zeros(len(w), dtype=np.intp)
+    return sum(((w[:, :-d] > w[:, d:]).sum(axis=1) for d in range(1, w.shape[1])), start)
+
+
+def _negative_sum_pairs(w: np.ndarray) -> np.ndarray:
+    """Pairs i < j with w(i) + w(j) < 0, per row."""
+    start = np.zeros(len(w), dtype=np.intp)
+    return sum(((w[:, :-d] + w[:, d:] < 0).sum(axis=1) for d in range(1, w.shape[1])), start)
+
+
+def _descents(w: np.ndarray) -> np.ndarray:
+    """Positions i with w(i) > w(i + 1), per row."""
+    return (w[:, :-1] > w[:, 1:]).sum(axis=1)
+
+
+def _cycles(w: np.ndarray) -> np.ndarray:
+    """Cycles of each row's permutation of 1..n, fixed points included: the
+    positions that are the least of their orbit, found by pointer doubling."""
+    k, n = w.shape
+    # on the flattened block, step holds the flat index of the reach-th
+    # image of each point, and least the least position among its first
+    # ``reach`` points
+    step = (w - 1 + np.arange(0, k * n, n)[:, None]).ravel()
+    least, reach = np.tile(np.arange(n), k), 1
+    while reach < n:
+        least = np.minimum(least, least[step])
+        step = step[step]
+        reach *= 2
+    return (least.reshape(k, n) == np.arange(n)).sum(axis=1)
+
+
+def _even_cycles(w: np.ndarray) -> np.ndarray:
+    """Cycles of each signed row with an even number of sign changes: the
+    cycles of its lift, a permutation of the points 1..n (+i) and n+1..2n
+    (-i), less the cycles of |w|."""
+    n = w.shape[1]
+    w = w.astype(np.intp)
+    lift = np.concatenate([np.where(w > 0, w, n - w), np.where(w > 0, n + w, -w)], axis=1)
+    return _cycles(lift) - _cycles(np.abs(w))
+
+
+def _dihedral_length(k: np.ndarray, m: int) -> np.ndarray:
+    x = k - 2 * (k & 1)
+    return np.minimum(np.abs(x), 2 * m - x)
+
+
+def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray], np.ndarray]:
+    """The measure on a block of elements of this group: (k, n) windows in
+    A, B and D, ranks 2 * rot + flip in I2.  Needs no enumeration, so it
+    applies to groups of any order."""
+    f, n = spec.family, spec.n
+    if f == Family.G:
+        raise UnsupportedFamily("no element-level statistics for family G")
+    if f == Family.I2:
+        if measure == Measure.LENGTH:
+            return lambda k: _dihedral_length(k, n)
+        if measure == Measure.ABSLENGTH:
+            return lambda k: np.where(k & 1, 1, np.where(k == 0, 0, 2))
+        return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)
+    if measure == Measure.LENGTH:
+        if f == Family.A:
+            return _inversions
+        if f == Family.B:
+            return lambda w: _inversions(w) + _negative_sum_pairs(w) + (w < 0).sum(axis=1)
+        return lambda w: _inversions(w) + _negative_sum_pairs(w)
+    if measure == Measure.DESCENTS:
+        if f == Family.B:
+            return lambda w: _descents(w) + (w[:, 0] < 0)
+        if f == Family.D and n > 1:  # D1 is trivial and has no generators
+            return lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
+        return _descents
+    if measure == Measure.ABSLENGTH:
+        if f == Family.A:
+            return lambda w: n - _cycles(w)
+        return lambda w: n - _even_cycles(w)
+    raise ValueError(f"unknown measure {measure!r}")
+
+
+def _row(spec: GroupSpec, w: GroupElement) -> np.ndarray:
+    """One element of the group as a one-row block."""
+    if spec.family == Family.I2:
+        return np.array([2 * w.rot + w.flip])
+    if spec.family == Family.D and not w.in_type_d:
+        raise DParityViolation(f"odd number of sign changes in {w.window}")
+    return np.array([w.window])
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """A measure on the elements of one group.
+
+    Called on one element it returns that element's value, as a one-row
+    block; ``values`` gives the value at every rank of a ranked group of the
+    same spec, evaluated block by block over its windows (its ranks in I2).
+    """
+
+    spec: GroupSpec
+    measure: Measure
+    block: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "block", block_statistic(self.spec, self.measure))
+
+    def __call__(self, w: GroupElement) -> int:
+        return int(self.block(_row(self.spec, w))[0])
+
+    def values(self, group: RankedGroup) -> np.ndarray:
+        """int64 values of the statistic in rank order."""
+        if group.spec != self.spec:
+            raise SpecMismatch(f"statistic on {self.spec} applied to {group.spec}")
+        rows = np.arange(group.order) if group.windows is None else group.windows
+        return np.concatenate([
+            self.block(rows[lo:lo + _ROWS]) for lo in range(0, group.order, _ROWS)
+        ]).astype(np.int64)
 
 
 def inversion_count(p: Permutation) -> int:
     """Number of pairs i < j with p(i) > p(j)."""
-    w = p.window
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return int(_inversions(np.array([p.window]))[0])
 
 
 def b_inversion_count(w: SignedPermutation) -> int:
     """Count of pairs (i, j), j >= |i|, i != j, with w(i) > w(j)."""
-    n = w.n
-    count = 0
-    for j in range(1, n + 1):
-        wj = w.window[j - 1]
-        for i in range(-j, j):
-            if i == 0:
-                continue
-            if w.value(i) > wj:
-                count += 1
-    return count
+    return Statistic(GroupSpec(Family.B, w.n), Measure.LENGTH)(w)
 
 
 def d_inversion_count(w: SignedPermutation) -> int:
@@ -54,93 +179,31 @@ def d_inversion_count(w: SignedPermutation) -> int:
     Raises DParityViolation unless the window has an even number of negative
     entries.
     """
-    if not w.in_type_d:
-        raise DParityViolation(f"odd number of sign changes in {w.window}")
-    n = w.n
-    count = 0
-    for j in range(1, n + 1):
-        wj = w.window[j - 1]
-        for i in range(-(j - 1), j):
-            if i == 0:
-                continue
-            if w.value(i) > wj:
-                count += 1
-    return count
-
-
-def _bfs_lengths(spec: GroupSpec, gens: list[GroupElement]) -> dict:
-    """Word length over ``gens`` of every group element, by one breadth-first
-    search over the ranked group's action tables."""
-    group = RankedGroup(spec)
-    actions = [group.action(g) for g in gens]
-    dist = np.full(group.order, -1, dtype=np.int32)
-    dist[0] = 0
-    frontier, d = np.zeros(1, dtype=np.int32), 0
-    while frontier.size:
-        d += 1
-        reached = np.zeros(group.order, dtype=bool)
-        for act in actions:
-            reached[act[frontier]] = True
-        reached &= dist < 0
-        dist[reached] = d
-        frontier = np.flatnonzero(reached)
-    return dict(zip(group.elements(), dist.tolist()))
-
-
-@lru_cache(maxsize=8)
-def dihedral_length_table(m: int) -> dict:
-    """Word length of every element of the dihedral group of order 2m over
-    its two standard generators."""
-    spec = GroupSpec(Family.I2, m)
-    return _bfs_lengths(spec, simple_reflections_of(spec))
+    return Statistic(GroupSpec(Family.D, w.n), Measure.LENGTH)(w)
 
 
 def coxeter_length(spec: GroupSpec, w: GroupElement) -> int:
-    """Word length over the simple generators, by the family's inversion
-    statistic (type I2 uses the cached breadth-first table)."""
-    f = spec.family
-    if f == Family.A:
-        return inversion_count(w)
-    if f == Family.B:
-        return b_inversion_count(w)
-    if f == Family.D:
-        return d_inversion_count(w)
-    if f == Family.I2:
-        return dihedral_length_table(spec.n)[w]
-    raise UnsupportedFamily("no element-level length for family G")
+    """Word length over the simple generators."""
+    return Statistic(spec, Measure.LENGTH)(w)
 
 
 def abs_length_A(p: Permutation) -> int:
     """Minimal number of transpositions multiplying to p: n minus the number
     of cycles (fixed points count as cycles)."""
-    return p.n - p.cycle_count()
+    return p.n - int(_cycles(np.array([p.window]))[0])
 
 
-@lru_cache(maxsize=4)
-def _abs_length_table_cached(spec: GroupSpec) -> dict:
-    return _bfs_lengths(spec, reflections_of(spec))
-
-
-def abs_length_table(spec: GroupSpec, limit: int | None = None) -> dict:
-    """Minimal reflection-word length of every group element, breadth-first
-    over the full reflection set.  Subject to the group-order guard."""
-    check_order(spec, limit)
-    return _abs_length_table_cached(spec)
-
-
-def abs_length_bfs(spec: GroupSpec, w: GroupElement, limit: int | None = None) -> int:
-    """Exact minimal number of reflections multiplying to w."""
-    return abs_length_table(spec, limit)[w]
+def abs_length_bfs(spec: GroupSpec, w: GroupElement) -> int:
+    """Exact minimal number of reflections multiplying to w, by the cycle
+    expression (the name is kept from the breadth-first search it replaced)."""
+    return Statistic(spec, Measure.ABSLENGTH)(w)
 
 
 def abs_length_dihedral(m: int, w: DihedralElement) -> int:
     """0 for the identity, 1 for reflections, 2 for nontrivial rotations."""
-    if w.flip:
-        return 1
-    return 0 if w.rot == 0 else 2
+    return Statistic(GroupSpec(Family.I2, m), Measure.ABSLENGTH)(w)
 
 
 def descent_count(spec: GroupSpec, w: GroupElement) -> int:
     """Number of simple generators s with length(w*s) < length(w)."""
-    lw = coxeter_length(spec, w)
-    return sum(1 for s in simple_reflections_of(spec) if coxeter_length(spec, w * s) < lw)
+    return Statistic(spec, Measure.DESCENTS)(w)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -33,8 +32,6 @@ from .elements import (
     Gens,
     GroupSpec,
     Measure,
-    RankedGroup,
-    check_order,
     reflection_descriptors,
     simple_reflection_descriptors,
 )
@@ -45,7 +42,7 @@ from .errors import (
     InvalidTrialIndex,
     check_step_count,
 )
-from .exactengine import make_statistic
+from .lengths import block_statistic
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -128,7 +125,7 @@ def _draws(seed: int, lo: int, hi: int, n_choices: int, steps: int) -> np.ndarra
     """``trial_choices(seed, k, n_choices, steps)`` for every trial k in
     lo..hi-1, as one (hi - lo, steps) array."""
     if n_choices > 2**32:
-        raise ValueError(f"at most 2**32 choices per draw, got {n_choices}")
+        raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")
     m = _philox_words(seed, lo, hi, steps) * np.uint64(n_choices)
     choices = (m >> _32).astype(np.intp)
     threshold = (2**32 - n_choices) % n_choices
@@ -189,82 +186,12 @@ def _walk_windows(choices: np.ndarray, moves, n: int) -> np.ndarray:
     return state.reshape(rows, n)
 
 
-def _walk_dihedral(choices: np.ndarray, rots: np.ndarray, m: int) -> np.ndarray:
-    """Final ranks 2 * rot + flip of I2(m) walks over the reflections with
-    the given rotation parts.  Before step s the flip is s mod 2, so step s
-    adds (-1)^s times its rotation part."""
-    r = rots[choices]
-    rot = (r[:, ::2].sum(axis=1) - r[:, 1::2].sum(axis=1)) % m
+def _walk_dihedral(choices: np.ndarray, m: int) -> np.ndarray:
+    """Final ranks 2 * rot + flip of I2(m) walks over reflections chosen by
+    index; reflection k, simple or not, has rotation part k.  Before step s
+    the flip is s mod 2, so step s adds (-1)^s times its rotation part."""
+    rot = (choices[:, ::2].sum(axis=1) - choices[:, 1::2].sum(axis=1)) % m
     return 2 * rot + choices.shape[1] % 2
-
-
-def _inversions(w: np.ndarray) -> np.ndarray:
-    """Pairs i < j with w(i) > w(j), per row."""
-    return sum((w[:, :-d] > w[:, d:]).sum(axis=1) for d in range(1, w.shape[1]))
-
-
-def _negative_sum_pairs(w: np.ndarray) -> np.ndarray:
-    """Pairs i < j with w(i) + w(j) < 0, per row."""
-    return sum((w[:, :-d] + w[:, d:] < 0).sum(axis=1) for d in range(1, w.shape[1]))
-
-
-def _descents(w: np.ndarray) -> np.ndarray:
-    """Positions i with w(i) > w(i + 1), per row."""
-    return (w[:, :-1] > w[:, 1:]).sum(axis=1)
-
-
-def _cycles(w: np.ndarray) -> np.ndarray:
-    """Cycles of each row's permutation of 1..n, fixed points included: the
-    positions that are the least of their orbit, found by pointer doubling."""
-    n = w.shape[1]
-    # least[k, i] is the least of the first ``reach`` points of the orbit of
-    # i, and step[k] the reach-th power of row k's permutation
-    least, step, reach = np.broadcast_to(np.arange(n), w.shape), w - 1, 1
-    while reach < n:
-        least = np.minimum(least, np.take_along_axis(least, step, axis=1))
-        step = np.take_along_axis(step, step, axis=1)
-        reach *= 2
-    return (least == np.arange(n)).sum(axis=1)
-
-
-def _block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray], np.ndarray]:
-    """The measure on a block of walk states: (trials, n) windows in A, B
-    and D, ranks 2 * rot + flip in I2.  Equal to ``make_statistic`` on
-    every element.
-
-    Inversion-type statistics are broadcast compares over the windows.  I2,
-    and absolute length in B and D, read a table indexed by rank that is
-    filled from ``make_statistic`` where the walks land; the table has one
-    entry per element, so the group order must be within the guard.
-    """
-    f, n = spec.family, spec.n
-    if measure == Measure.LENGTH and f != Family.I2:
-        if f == Family.A:
-            return _inversions
-        if f == Family.B:
-            return lambda w: _inversions(w) + _negative_sum_pairs(w) + (w < 0).sum(axis=1)
-        return lambda w: _inversions(w) + _negative_sum_pairs(w)
-    if measure == Measure.DESCENTS and f != Family.I2:
-        if f == Family.A:
-            return _descents
-        if f == Family.B:
-            return lambda w: _descents(w) + (w[:, 0] < 0)
-        return lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
-    if measure == Measure.ABSLENGTH and f == Family.A:
-        return lambda w: n - _cycles(w)
-
-    check_order(spec)
-    statistic = make_statistic(spec, measure)
-    group = RankedGroup(spec)
-    table = np.full(group.order, -1, dtype=np.int64)
-
-    def by_rank(state: np.ndarray) -> np.ndarray:
-        ranks = state if f == Family.I2 else group.ranks(state.T)
-        missing = np.unique(ranks[table[ranks] < 0])
-        table[missing] = [statistic(group.element(k)) for k in missing.tolist()]
-        return table[ranks]
-
-    return by_rank
 
 
 def simulate(
@@ -286,28 +213,30 @@ def simulate(
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
     check_step_count(t)
     _check_seed(seed)
-    descriptors = (
-        simple_reflection_descriptors(spec)
-        if gens == Gens.SIMPLE
-        else reflection_descriptors(spec)
-    )
-    if not descriptors:
-        raise InvalidRank(f"{spec} has no generators to walk on")
-    statistic = _block_statistic(spec, measure)
-    n, n_gens = spec.n, len(descriptors)
+    n = width = spec.n
     if spec.family == Family.I2:
-        rots = np.array([d[1] for d in descriptors], dtype=np.intp)
+        if n >= 2**62:
+            raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
+        n_gens, width = (2 if gens == Gens.SIMPLE else n), 1
 
         def walk(choices):
-            return _walk_dihedral(choices, rots, n)
+            return _walk_dihedral(choices, n)
     else:
-        moves = _move_arrays(descriptors)
+        descriptors = (
+            simple_reflection_descriptors(spec)
+            if gens == Gens.SIMPLE
+            else reflection_descriptors(spec)
+        )
+        if not descriptors:
+            raise InvalidRank(f"{spec} has no generators to walk on")
+        moves, n_gens = _move_arrays(descriptors), len(descriptors)
 
         def walk(choices):
             return _walk_windows(choices, moves, n)
 
+    statistic = block_statistic(spec, measure)
     values: list[float] = []
-    for lo, hi in _blocks(trials, workers, max(1, _BLOCK_WORDS // max(t, n))):
+    for lo, hi in _blocks(trials, workers, max(1, _BLOCK_WORDS // max(t, width))):
         choices = _draws(seed, lo, hi, n_gens, t)
         values += statistic(walk(choices)).astype(float).tolist()
 

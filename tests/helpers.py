@@ -38,12 +38,13 @@ def brute_force_distribution(spec, generators, t):
     return {w: Fraction(c, total) for w, c in counts.items()}
 
 
-def bfs_word_length(identity, generators):
-    """Word length of every reachable element over the generators."""
+def bfs_word_length(identity, generators, order=None):
+    """Word length of every reachable element over the generators; with the
+    group order given, the search stops once every element is reached."""
     dist = {identity: 0}
     frontier = [identity]
     d = 0
-    while frontier:
+    while frontier and len(dist) != order:
         d += 1
         nxt = []
         for w in frontier:

@@ -216,9 +216,10 @@ def test_mc_seed_outside_key_range_exit_2(capsys):
         _assert_usage_error(*run(capsys, *argv))
 
 
-def test_mc_group_beyond_guard_exit_2(capsys):
-    # I2 length is read from a table with one entry per element: the order
-    # 2 * 10**12 must be refused before anything of that size is allocated
+def test_mc_dihedral_beyond_enumeration(capsys):
+    # the I2 walk and its statistics are closed in the rank 2 * rot + flip,
+    # so an order of 2 * 10**12 allocates nothing of that size; reflections
+    # beyond the 2**32 choices of one draw, and ranks beyond int64, exit 2
     for argv in (
         ["eval", "--family", "I2", "--m", str(10**12), "--gens", "simple", "--t", "4",
          "--engine", "mc", "--trials", "10"],
@@ -226,7 +227,40 @@ def test_mc_group_beyond_guard_exit_2(capsys):
          "--t-max", "2", "--trials", "10"],
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2 and "exceeds guard" in err and "Traceback" not in err
+        assert code == 0 and out and "Traceback" not in err
+    for m in (2**32 + 1, 10**12):
+        _assert_usage_error(*run(capsys, "eval", "--family", "I2", "--m", str(m), "--t", "4",
+                                 "--engine", "mc", "--trials", "10"))
+    _assert_usage_error(*run(capsys, "eval", "--family", "I2", "--m", str(2**62), "--gens",
+                             "simple", "--t", "4", "--engine", "mc", "--trials", "10"))
+
+
+def test_mc_runs_beyond_enumeration(capsys):
+    # absolute length in B11 and D12 and length in I2(10^7) have no
+    # per-element table to fill
+    for argv in (
+        ["--family", "B", "--n", "11", "--measure", "abslength"],
+        ["--family", "D", "--n", "12", "--measure", "abslength"],
+        ["--family", "I2", "--m", str(10**7), "--gens", "simple"],
+    ):
+        code, out, err = run(capsys, "eval", *argv, "--t", "6", "--engine", "mc",
+                             "--trials", "200")
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["method"] == "mc"
+
+
+def test_no_generators_names_the_group(capsys):
+    for engine in ("exact-full", "mc"):
+        code, out, err = run(capsys, "eval", "--family", "D", "--n", "1", "--t", "2",
+                             "--engine", engine)
+        _assert_usage_error(code, out, err)
+        assert "D1 has no generators" in err and "GroupSpec(" not in err
+
+
+def test_parser_built_once():
+    from coxwalk import cli
+
+    assert cli.build_parser() is cli.build_parser()
 
 
 def _rarely(draw, value, other):

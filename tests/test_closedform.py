@@ -29,7 +29,7 @@ from coxwalk import (
     pair_prob_B,
     pair_prob_D,
 )
-from helpers import brute_force_expectation, troili_double_sums
+from helpers import bfs_word_length, brute_force_expectation, troili_double_sums
 
 INF = math.inf
 
@@ -226,8 +226,8 @@ class TestDihedral:
 
     def test_against_brute_force(self):
         spec = GroupSpec(Family.I2, 5)
-        table = cw.dihedral_length_table(5)
         gens = cw.simple_reflections_of(spec)
+        table = bfs_word_length(spec.identity(), gens)
         for t in range(0, 5):
             assert expected_length_I2_S_troili(5, t) == brute_force_expectation(
                 spec, gens, table.__getitem__, t

@@ -14,6 +14,7 @@ from coxwalk import (
     InvalidStepCount,
     Measure,
     OrderLimitExceeded,
+    SpecMismatch,
     apply_Q_A,
     apply_Q_BD,
     abs_length_dihedral,
@@ -126,9 +127,22 @@ class TestStatistics:
         assert stat(Permutation((3, 2, 1))) == 2
         assert stat(spec.identity()) == 0
 
-    def test_abslength_statistic_guard(self):
-        with pytest.raises(OrderLimitExceeded):
-            make_statistic(GroupSpec(Family.B, 9), Measure.ABSLENGTH, limit=100)
+    def test_abslength_statistic_needs_no_enumeration(self):
+        # B11 has 2^11 * 11! elements; the statistic is a closed expression
+        spec = GroupSpec(Family.B, 11)
+        stat = make_statistic(spec, Measure.ABSLENGTH)
+        from coxwalk import SignedPermutation
+
+        assert stat(spec.identity()) == 0
+        assert stat(SignedPermutation(tuple(range(-1, -12, -1)))) == 11
+        assert all(stat(r) == 1 for r in reflections_of(spec))
+        with pytest.raises(TypeError):
+            make_statistic(spec, Measure.ABSLENGTH, limit=100)  # no guard knob
+
+    def test_statistic_of_another_group_rejected(self):
+        dist = evolve_distribution(GroupSpec(Family.A, 4), Gens.REFLECTIONS, 2)
+        with pytest.raises(SpecMismatch):
+            expectation(dist, make_statistic(GroupSpec(Family.A, 5), Measure.LENGTH))
 
 
 class TestPairTables:
@@ -301,6 +315,8 @@ class TestRankedEngine:
         dtypes = set()
         for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, 30)):
             dtypes.add(dist.counts.dtype)
+            if t == 24:  # int64 counts, yet an int64 counts . values sum could wrap
+                assert dist.counts.dtype == np.int64 and dist.den * 6 >= 2**63
             assert dist.den == 6**t
             assert dist.total() == 1
             assert expectation(dist, stat) == expected_length_A_T(4, t)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coxwalk import (
@@ -7,19 +8,21 @@ from coxwalk import (
     DParityViolation,
     Family,
     GroupSpec,
+    Measure,
     Permutation,
+    RankedGroup,
     SignedPermutation,
     abs_length_A,
     abs_length_bfs,
     abs_length_dihedral,
-    abs_length_table,
     b_inversion_count,
     coxeter_length,
     d_inversion_count,
     descent_count,
-    dihedral_length_table,
     enumerate_group,
     inversion_count,
+    make_statistic,
+    multiply,
     reflections_of,
     simple_reflections_of,
 )
@@ -80,6 +83,12 @@ class TestAgainstWordLength:
                 assert d_inversion_count(w) == d
 
 
+def dihedral_length_table(m):
+    """Word length of every element of I2(m), by the closed expression."""
+    spec = GroupSpec(Family.I2, m)
+    return {w: coxeter_length(spec, w) for w in enumerate_group(spec)}
+
+
 class TestDihedralTable:
     def test_m3_multiset(self):
         assert sorted(dihedral_length_table(3).values()) == [0, 1, 1, 2, 2, 3]
@@ -113,8 +122,9 @@ class TestAbsLength:
     def test_cycle_formula_equals_bfs(self):
         for n in range(2, 6):
             spec = GroupSpec(Family.A, n)
+            table = bfs_word_length(spec.identity(), reflections_of(spec))
             for w in enumerate_group(spec):
-                assert abs_length_A(w) == abs_length_bfs(spec, w)
+                assert abs_length_A(w) == abs_length_bfs(spec, w) == table[w]
 
     def test_reflections_have_abs_length_one(self):
         for spec in (GroupSpec(Family.B, 3), GroupSpec(Family.D, 3), GroupSpec(Family.I2, 6)):
@@ -129,9 +139,8 @@ class TestAbsLength:
     def test_abs_at_most_length_same_parity(self):
         for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),
                      GroupSpec(Family.D, 3), GroupSpec(Family.I2, 7)):
-            table = abs_length_table(spec)
-            for w, a in table.items():
-                l = coxeter_length(spec, w)
+            for w in enumerate_group(spec):
+                a, l = abs_length_bfs(spec, w), coxeter_length(spec, w)
                 assert a <= l
                 assert a % 2 == l % 2
 
@@ -146,8 +155,9 @@ class TestAbsLength:
     def test_dihedral_rule_equals_bfs(self):
         for m in (2, 3, 6):
             spec = GroupSpec(Family.I2, m)
+            table = bfs_word_length(spec.identity(), reflections_of(spec))
             for w in enumerate_group(spec):
-                assert abs_length_dihedral(m, w) == abs_length_bfs(spec, w)
+                assert abs_length_dihedral(m, w) == abs_length_bfs(spec, w) == table[w]
 
 
 class TestDescents:
@@ -158,3 +168,67 @@ class TestDescents:
     def test_longest_element_has_all(self):
         assert descent_count(GroupSpec(Family.A, 3), Permutation((3, 2, 1))) == 2
         assert descent_count(GroupSpec(Family.B, 2), SignedPermutation((-1, -2))) == 2
+
+
+# every element of these groups is checked against the breadth-first oracle
+ORACLE_GROUPS = (
+    [GroupSpec(Family.A, n) for n in range(2, 8)]
+    + [GroupSpec(Family.B, n) for n in range(1, 6)]
+    + [GroupSpec(Family.D, n) for n in range(2, 7)]
+    + [GroupSpec(Family.I2, m) for m in range(2, 41)]
+)
+
+
+def rank_bfs(group, generators):
+    """Word length over the generators by rank, breadth-first over the
+    group's right-action tables."""
+    actions = [group.action(g) for g in generators]
+    dist = np.full(group.order, -1)
+    dist[0], frontier, d = 0, np.zeros(1, dtype=np.intp), 0
+    while frontier.size:
+        d += 1
+        reached = np.unique(np.concatenate([act[frontier] for act in actions]))
+        frontier = reached[dist[reached] < 0]
+        dist[frontier] = d
+    return dist
+
+
+def bfs_statistics(spec):
+    """Word length, absolute length and descents of every element, from
+    breadth-first searches built on ``multiply`` alone; the search over all
+    reflections of D6 (550 000 products, seconds) runs over the rank action
+    tables instead."""
+    simple, refl, order = simple_reflections_of(spec), reflections_of(spec), spec.order()
+    length = bfs_word_length(spec.identity(), simple, order)
+    # w and w * s differ in length by one: s is a descent of the longer one
+    descents = dict.fromkeys(length, 0)
+    for s in simple:
+        seen = set()
+        for w in length:
+            if w not in seen:
+                ws = multiply(w, s)
+                seen.add(ws)
+                descents[w if length[w] > length[ws] else ws] += 1
+    if order * len(refl) > 200_000:
+        group = RankedGroup(spec)
+        absolute = dict(zip(group.elements(), rank_bfs(group, refl).tolist()))
+    else:
+        absolute = bfs_word_length(spec.identity(), refl, order)
+    return {Measure.LENGTH: length, Measure.ABSLENGTH: absolute, Measure.DESCENTS: descents}
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS, ids=str)
+def test_closed_expressions_equal_bfs_oracle(spec):
+    oracle = bfs_statistics(spec)
+    group = RankedGroup(spec)
+    elements = group.elements()
+    for measure, table in oracle.items():
+        assert len(table) == group.order
+        stat = make_statistic(spec, measure)
+        expected = [table[w] for w in elements]
+        # the block path over all windows (ranks in I2), as the exact engine
+        # and Monte Carlo use it
+        assert stat.values(group).tolist() == expected, measure
+        # the one-row path on a spread of elements
+        step = 1 if group.order <= 400 else 13
+        assert [stat(w) for w in elements[::step]] == expected[::step], measure

@@ -20,7 +20,8 @@ from coxwalk import (
     simulate,
     trial_choices,
 )
-from coxwalk.montecarlo import _block_statistic, _draws
+from coxwalk.lengths import block_statistic
+from coxwalk.montecarlo import _draws
 from coxwalk.verify import MC_BASE_SEED, MC_GRID
 
 A10 = GroupSpec(Family.A, 10)
@@ -182,7 +183,7 @@ def test_block_statistic_matches_make_statistic(spec, measure):
     group = RankedGroup(spec)
     states = (np.arange(group.order) if spec.family == Family.I2
               else group.windows.astype(np.intp))
-    got = _block_statistic(spec, measure)(states)
+    got = block_statistic(spec, measure)(states)
     statistic = make_statistic(spec, measure)
     assert got.tolist() == [statistic(w) for w in enumerate_group(spec)]
 
