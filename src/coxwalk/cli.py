@@ -279,9 +279,6 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args, parser)
         return _cmd_verify(args, parser)
-    except OrderLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CoxwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,11 @@ perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
 and 2 * rot + flip in I2.  Enumeration, generator action tables and the
 exact full-distribution engine all work on these ranks.
 
+``generator_moves`` is the one list of a walk's generators: integer moves
+(a, b, s) on window positions in A/B/D and rotation parts in I2.  The
+element lists ``reflections_of`` / ``simple_reflections_of`` and the Monte
+Carlo move arrays are both built from it.
+
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
 distribution level, but every element-level test assumes this one.
@@ -51,9 +56,9 @@ def guard_limit() -> int:
         ) from None
 
 
-def check_order(spec: "GroupSpec", limit: int | None = None) -> None:
+def check_order(spec: "GroupSpec") -> None:
     """Raise OrderLimitExceeded when the group order exceeds the guard."""
-    cap = guard_limit() if limit is None else limit
+    cap = guard_limit()
     order = spec.order()
     if order > cap:
         raise OrderLimitExceeded(f"group order {order} exceeds guard {cap}")
@@ -306,80 +311,52 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Reflection sets.  Descriptors are the single source of the canonical order;
-# both the element constructors and the Monte Carlo fast paths consume them.
-#
-# Descriptor kinds:
-#   ("swap", i, j)        transposition (i, j) on 1..n                (A)
-#   ("sswap", a, j, s)    the signed pair map sending a -> s*j and
-#                         j -> s*a, i.e. (i,j)(-i,-j) with i = s*a    (B, D)
-#   ("neg", i)            sign change at i, i.e. (i, -i)              (B)
-#   ("dih", rot)          the reflection with the given rotation part (I2)
+# Generators.  ``generator_moves`` alone fixes them and their order, so a
+# walk's choice index k names the same generator in every route.
 # ---------------------------------------------------------------------------
 
-Descriptor = tuple
 
+def generator_moves(spec: GroupSpec, gens: Gens):
+    """The walk's generators as moves, in their fixed order.
 
-def reflection_descriptors(spec: GroupSpec) -> list[Descriptor]:
+    An A/B/D generator g is a move (a, b, s) on positions 1..n: w * g maps
+    the window entries w(a), w(b) to s * w(b), s * w(a).  So (a, b, 1) is a
+    transposition, (a, b, -1) the signed pair map a -> -b, b -> -a, and
+    (a, a, -1) the sign change at a.  An I2(m) generator is its rotation
+    part: range(2) or range(m), so no list of m entries is built.
+    """
     f, n = spec.family, spec.n
-    if f == Family.A:
-        return [("swap", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if f == Family.B:
-        out: list[Descriptor] = []
-        for a in range(1, n + 1):
-            for j in range(a + 1, n + 1):
-                out.append(("sswap", a, j, 1))
-                out.append(("sswap", a, j, -1))
-        out.extend(("neg", i) for i in range(1, n + 1))
-        return out
-    if f == Family.D:
-        out = []
-        for a in range(1, n + 1):
-            for j in range(a + 1, n + 1):
-                out.append(("sswap", a, j, 1))
-                out.append(("sswap", a, j, -1))
-        return out
     if f == Family.I2:
-        return [("dih", r) for r in range(n)]
-    raise UnsupportedFamily(
-        "no element-level reflections for family G; use the A/B model for r in {1, 2}"
-    )
-
-
-def simple_reflection_descriptors(spec: GroupSpec) -> list[Descriptor]:
-    f, n = spec.family, spec.n
+        return range(2) if gens == Gens.SIMPLE else range(n)
+    if f == Family.G:
+        raise UnsupportedFamily(
+            "no element-level generators for family G; use the A/B model for r in {1, 2}"
+        )
+    if gens == Gens.SIMPLE:
+        adjacent = [(i, i + 1, 1) for i in range(1, n)]
+        if f == Family.A:
+            return adjacent
+        if f == Family.B:
+            return [(1, 1, -1)] + adjacent
+        return [(1, 2, -1)] + adjacent if n > 1 else []  # D1 is trivial
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     if f == Family.A:
-        return [("swap", i, i + 1) for i in range(1, n)]
+        return [(a, b, 1) for a, b in pairs]
+    moves = [(a, b, s) for a, b in pairs for s in (1, -1)]
     if f == Family.B:
-        return [("neg", 1)] + [("swap", i, i + 1) for i in range(1, n)]
-    if f == Family.D:
-        if n == 1:
-            return []  # trivial group
-        return [("sswap", 1, 2, -1)] + [("swap", i, i + 1) for i in range(1, n)]
-    if f == Family.I2:
-        return [("dih", 0), ("dih", 1)]
-    raise UnsupportedFamily("no element-level generators for family G")
+        moves += [(a, a, -1) for a in range(1, n + 1)]
+    return moves
 
 
-def element_from_descriptor(spec: GroupSpec, desc: Descriptor) -> GroupElement:
-    n = spec.n
-    kind = desc[0]
-    if kind == "dih":
-        return DihedralElement(n, desc[1], 1)
-    w = list(range(1, n + 1))
-    if kind == "swap":
-        _, i, j = desc
-        w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    elif kind == "sswap":
-        _, a, j, s = desc
-        w[a - 1], w[j - 1] = s * j, s * a
-    elif kind == "neg":
-        w[desc[1] - 1] = -desc[1]
-    else:
-        raise ValueError(f"unknown descriptor {desc!r}")
-    if spec.family == Family.A:
-        return Permutation(tuple(w))
-    return SignedPermutation(tuple(w))
+def _generator(spec: GroupSpec, move) -> GroupElement:
+    """The element of one move: the identity's window moved, or the I2
+    reflection with the given rotation part."""
+    if spec.family == Family.I2:
+        return DihedralElement(spec.n, move, 1)
+    a, b, s = move
+    w = list(range(1, spec.n + 1))
+    w[a - 1], w[b - 1] = s * b, s * a
+    return (Permutation if spec.family == Family.A else SignedPermutation)(tuple(w))
 
 
 def reflections_of(spec: GroupSpec) -> list[GroupElement]:
@@ -390,7 +367,7 @@ def reflections_of(spec: GroupSpec) -> list[GroupElement]:
     sign changes by position.  D_n: the signed pair maps only.  I2(m): the m
     reflections ordered by rotation part.
     """
-    return [element_from_descriptor(spec, d) for d in reflection_descriptors(spec)]
+    return [_generator(spec, g) for g in generator_moves(spec, Gens.REFLECTIONS)]
 
 
 def simple_reflections_of(spec: GroupSpec) -> list[GroupElement]:
@@ -401,15 +378,15 @@ def simple_reflections_of(spec: GroupSpec) -> list[GroupElement]:
     adjacents (empty for n = 1, where the group is trivial).  I2: the two
     reflections with rotation part 0 and 1.
     """
-    return [element_from_descriptor(spec, d) for d in simple_reflection_descriptors(spec)]
+    return [_generator(spec, g) for g in generator_moves(spec, Gens.SIMPLE)]
 
 
-def enumerate_group(spec: GroupSpec, limit: int | None = None) -> list[GroupElement]:
+def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
     """Every group element exactly once, in rank order (identity first).
 
     Raises OrderLimitExceeded when the group order exceeds the guard.
     """
-    check_order(spec, limit)
+    check_order(spec)
     return RankedGroup(spec).elements()
 
 

@@ -17,9 +17,11 @@ beyond; a step gathers the counts through each generator's action table.
 The pairwise state scales as O(n^2) and therefore reaches ranks far beyond
 full enumeration.
 
-Also here: the row-plus-column summation operators on antisymmetric matrices
-and on the doubly symmetric signed-pair space, with their projection
-identities Q.Q = n.Q and Q.Q = (2n-2).Q used by the pairwise closed forms.
+Also here: the row-plus-column summation operator Q of the pairwise step.
+``apply_Q_A`` and ``apply_Q_BD`` apply that same Q to pair-table arrays, on
+which it satisfies the projection identities Q.Q = n.Q (antisymmetric
+tables) and Q.Q = (2n-2).Q (doubly symmetric signed-pair tables) used by the
+pairwise closed forms.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from .elements import (
     RankedGroup,
     check_order,
     guard_limit,
-    index_pairs,
     reflections_of,
     simple_reflections_of,
 )
@@ -99,9 +100,7 @@ class ExactDist:
         return Fraction(int(self.counts.sum()), self.den)
 
 
-def iterate_distributions(
-    spec: GroupSpec, gens: Gens, t_max: int, limit: int | None = None
-):
+def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     """Yield the walk distribution at t = 0, 1, ..., t_max in order.
 
     Work is t_max * |W| * |R| index operations after a one-time setup that
@@ -110,8 +109,7 @@ def iterate_distributions(
     counts at w * g, summed over g.
     """
     check_step_count(t_max)
-    cap = guard_limit() if limit is None else limit
-    check_order(spec, cap)
+    check_order(spec)
     gen_list = (
         simple_reflections_of(spec) if gens == Gens.SIMPLE else reflections_of(spec)
     )
@@ -119,6 +117,7 @@ def iterate_distributions(
         raise InvalidRank(f"{spec} has no generators to walk on")
     n_gens = len(gen_list)
     work = spec.order() * n_gens * max(t_max, 1)
+    cap = guard_limit()
     if work > cap:
         raise OrderLimitExceeded(f"walk work estimate {work} exceeds guard {cap}")
 
@@ -140,12 +139,10 @@ def iterate_distributions(
         yield ExactDist(group, counts, den)
 
 
-def evolve_distribution(
-    spec: GroupSpec, gens: Gens, t: int, limit: int | None = None
-) -> ExactDist:
+def evolve_distribution(spec: GroupSpec, gens: Gens, t: int) -> ExactDist:
     """Distribution of a product of t generators drawn uniformly with
     replacement, starting from the identity."""
-    for dist in iterate_distributions(spec, gens, t, limit):
+    for dist in iterate_distributions(spec, gens, t):
         pass
     return dist
 
@@ -221,12 +218,6 @@ def _cell(family: Family, n: int, i: int) -> int:
     return i - 1 if family == Family.A else i + n - (i > 0)
 
 
-def _unpack(family: Family, n: int, arr: np.ndarray, mask: np.ndarray) -> dict:
-    """(i, j) -> arr cell over the cells of mask, in row-major order."""
-    lab, vals = _support(family, n).tolist(), arr.tolist()
-    return {(lab[a], lab[b]): vals[a][b] for a, b in np.argwhere(mask).tolist()}
-
-
 def _num_reflections(family: Family, n: int) -> int:
     if family == Family.A:
         return n * (n - 1) // 2
@@ -257,10 +248,12 @@ class PairTable:
 
     @cached_property
     def entries(self) -> dict:
-        """(i, j) -> reduced Fraction over the domain, built on first access."""
+        """(i, j) -> reduced Fraction over the domain in row-major order,
+        built on first access."""
+        lab, num = _support(self.family, self.n).tolist(), self.num.tolist()
         return {
-            ij: Fraction(x, self.den)
-            for ij, x in _unpack(self.family, self.n, self.num, self.mask).items()
+            (lab[a], lab[b]): Fraction(num[a][b], self.den)
+            for a, b in np.argwhere(self.mask).tolist()
         }
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -268,9 +261,6 @@ class PairTable:
         if not self.mask[a, b]:
             raise KeyError((i, j))
         return Fraction(self.num[a, b], self.den)
-
-    def num_generators(self) -> int:
-        return _num_reflections(self.family, self.n)
 
     def to_v(self) -> "PairTable":
         """Antisymmetrized table v(i,j) = p(i,j) - p(j,i)."""
@@ -352,49 +342,6 @@ def evolve_pairtable(family: Family, n: int, t: int) -> PairTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AntisymMatrix:
-    """Exact antisymmetric n x n matrix (zero diagonal)."""
-
-    n: int
-    rows: tuple
-
-    def __post_init__(self):
-        r = self.rows
-        if len(r) != self.n or any(len(row) != self.n for row in r):
-            raise ValueError("shape mismatch")
-        for i in range(self.n):
-            if r[i][i] != 0:
-                raise ValueError("nonzero diagonal")
-            for j in range(i + 1, self.n):
-                if r[j][i] != -r[i][j]:
-                    raise ValueError("not antisymmetric")
-
-    @classmethod
-    def from_rows(cls, rows) -> "AntisymMatrix":
-        tup = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        return cls(len(tup), tup)
-
-    @classmethod
-    def upper_ones(cls, n: int) -> "AntisymMatrix":
-        """The start table of the pairwise recurrence: +1 above the diagonal,
-        -1 below."""
-        return cls.from_rows(
-            [[(0 if i == j else (1 if j > i else -1)) for j in range(n)] for i in range(n)]
-        )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based access."""
-        return self.rows[i - 1][j - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, AntisymMatrix) and self.rows == other.rows
-
-    def scale(self, c) -> "AntisymMatrix":
-        c = Fraction(c)
-        return AntisymMatrix(self.n, tuple(tuple(c * x for x in row) for row in self.rows))
-
-
 def _q(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row sum plus column sum at every cell of mask, both sums taken over
     the cells of mask; zero off mask.  The one Q of the pair engine and of
@@ -403,58 +350,17 @@ def _q(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, m.sum(axis=1)[:, None] + m.sum(axis=0)[None, :], 0)
 
 
-def apply_Q_A(v: AntisymMatrix) -> AntisymMatrix:
-    """Row sum plus column sum at every entry; satisfies Q.Q = n.Q on
-    antisymmetric matrices."""
-    q = _q(np.array(v.rows, dtype=object), ~np.eye(v.n, dtype=bool))
-    return AntisymMatrix(v.n, tuple(map(tuple, q.tolist())))
+def apply_Q_A(v: np.ndarray) -> np.ndarray:
+    """Q on an (n, n) table in the family-A pair-table layout (cell
+    (i-1, j-1) holds v(i, j)): row sum plus column sum off the diagonal.
+    Satisfies Q.Q = n.Q on antisymmetric tables."""
+    return _q(v, ~np.eye(len(v), dtype=bool))
 
 
-@dataclass(frozen=True, eq=False)
-class DSpaceFunction:
-    """Function on the admissible signed pairs (i, j), |i| != |j|, with
+def apply_Q_BD(v: np.ndarray) -> np.ndarray:
+    """Q on a (2n, 2n) table in the B/D pair-table layout (axes labelled
+    -n..-1, 1..n): row sum over |j'| != |i| plus column sum over |i'| != |j|
+    at every cell with |i| != |j|.  Satisfies Q.Q = (2n-2).Q on tables with
     v(j,i) = -v(i,j) and v(-j,-i) = v(i,j)."""
-
-    n: int
-    entries: dict
-
-    def __post_init__(self):
-        domain = set(index_pairs(self.n))
-        if set(self.entries) != domain:
-            raise ValueError("domain must be exactly the admissible pairs")
-        for (i, j), val in self.entries.items():
-            if self.entries[(j, i)] != -val:
-                raise ValueError("not antisymmetric")
-            if self.entries[(-j, -i)] != val:
-                raise ValueError("missing negation symmetry")
-
-    @classmethod
-    def from_entries(cls, n: int, entries: dict) -> "DSpaceFunction":
-        return cls(n, {ij: Fraction(x) for ij, x in entries.items()})
-
-    @classmethod
-    def sign_start(cls, n: int) -> "DSpaceFunction":
-        """The start table v(i,j) = sign(j - i)."""
-        return cls(n, {(i, j): Fraction(1 if j > i else -1) for i, j in index_pairs(n)})
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[(i, j)]
-
-    def __eq__(self, other):
-        return isinstance(other, DSpaceFunction) and self.entries == other.entries
-
-    def scale(self, c) -> "DSpaceFunction":
-        c = Fraction(c)
-        return DSpaceFunction(self.n, {ij: c * x for ij, x in self.entries.items()})
-
-
-def apply_Q_BD(v: DSpaceFunction) -> DSpaceFunction:
-    """Column sum over |i'| != |j| plus row sum over |j'| != |i|; satisfies
-    Q.Q = (2n-2).Q on the doubly symmetric pair space."""
-    n = v.n
-    arr = np.zeros((2 * n, 2 * n), dtype=object)
-    for (i, j), x in v.entries.items():
-        arr[_cell(Family.D, n, i), _cell(Family.D, n, j)] = x
-    lab = abs(_support(Family.D, n))
-    mask = lab[:, None] != lab[None, :]
-    return DSpaceFunction(n, _unpack(Family.D, n, _q(arr, mask), mask))
+    lab = abs(_support(Family.D, len(v) // 2))
+    return _q(v, lab[:, None] != lab[None, :])

@@ -12,13 +12,16 @@ does for n <= 2^32 generators (``trial_choices``):
   unless m mod 2^32 < (2^32 - n) mod n, in which case the word is rejected
   and the next one tried (Lemire's bounded draw).  For n = 1 every draw is 0.
 
+Choice index k is generator k of ``elements.generator_moves``, the list
+that also orders ``reflections_of`` and ``simple_reflections_of``.
+
 ``simulate`` computes these words for a block of trials at once; the rare
 trial whose row hits a rejection is redrawn by ``trial_choices``.  It then
-applies the walk as gathers and scatters on a (trials, n) state array and
-evaluates the statistic over the block.  The per-trial values are summed
-with exactly rounded summation in trial order.  ``workers`` only splits the
-trial range into contiguous blocks, processed in order, so the result is
-bit-identical for any number of workers.
+applies each move (a, b, s) as a gather and a scatter on a (trials, n)
+state array and evaluates the statistic over the block.  The per-trial
+values are summed with exactly rounded summation in trial order.
+``workers`` only splits the trial range into contiguous blocks, processed
+in order, so the result is bit-identical for any number of workers.
 """
 from __future__ import annotations
 
@@ -27,14 +30,7 @@ from math import fsum, sqrt
 
 import numpy as np
 
-from .elements import (
-    Family,
-    Gens,
-    GroupSpec,
-    Measure,
-    reflection_descriptors,
-    simple_reflection_descriptors,
-)
+from .elements import Family, Gens, GroupSpec, Measure, generator_moves
 from .errors import (
     InvalidRank,
     InvalidSeed,
@@ -145,28 +141,11 @@ def _blocks(trials: int, workers: int, rows: int):
             yield lo, min(lo + rows, stop)
 
 
-def _move_arrays(descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each A/B/D generator as (a, b, s), 0-based positions: it maps the
-    window entries w(a), w(b) to s * w(b), s * w(a).  A sign change at a is
-    (a, a, -1)."""
-    moves = []
-    for desc in descriptors:
-        kind = desc[0]
-        if kind == "swap":
-            moves.append((desc[1] - 1, desc[2] - 1, 1))
-        elif kind == "sswap":
-            moves.append((desc[1] - 1, desc[2] - 1, desc[3]))
-        elif kind == "neg":
-            moves.append((desc[1] - 1, desc[1] - 1, -1))
-        else:
-            raise ValueError(f"unknown descriptor {desc!r}")
-    a, b, s = np.array(moves, dtype=np.intp).T
-    return a, b, s
-
-
 def _walk_windows(choices: np.ndarray, moves, n: int) -> np.ndarray:
     """Final windows, (trials, n), of the walks that apply generator
-    choices[k, s] at step s of trial k, starting from the identity."""
+    choices[k, s] at step s of trial k, starting from the identity.  moves
+    holds the generators' (a - 1, b - 1, s) as three arrays, from the moves
+    (a, b, s) of ``generator_moves``."""
     rows, steps = choices.shape
     a, b, s = moves
     # one contiguous row of flat state indices per step
@@ -188,8 +167,9 @@ def _walk_windows(choices: np.ndarray, moves, n: int) -> np.ndarray:
 
 def _walk_dihedral(choices: np.ndarray, m: int) -> np.ndarray:
     """Final ranks 2 * rot + flip of I2(m) walks over reflections chosen by
-    index; reflection k, simple or not, has rotation part k.  Before step s
-    the flip is s mod 2, so step s adds (-1)^s times its rotation part."""
+    index; by ``generator_moves``, reflection k, simple or not, has rotation
+    part k.  Before step s the flip is s mod 2, so step s adds (-1)^s times
+    its rotation part."""
     rot = (choices[:, ::2].sum(axis=1) - choices[:, 1::2].sum(axis=1)) % m
     return 2 * rot + choices.shape[1] % 2
 
@@ -214,22 +194,19 @@ def simulate(
     check_step_count(t)
     _check_seed(seed)
     n = width = spec.n
+    if spec.family == Family.I2 and n >= 2**62:
+        raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
+    gen_moves = generator_moves(spec, gens)
+    if not gen_moves:
+        raise InvalidRank(f"{spec} has no generators to walk on")
     if spec.family == Family.I2:
-        if n >= 2**62:
-            raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
-        n_gens, width = (2 if gens == Gens.SIMPLE else n), 1
+        width = 1
 
         def walk(choices):
             return _walk_dihedral(choices, n)
     else:
-        descriptors = (
-            simple_reflection_descriptors(spec)
-            if gens == Gens.SIMPLE
-            else reflection_descriptors(spec)
-        )
-        if not descriptors:
-            raise InvalidRank(f"{spec} has no generators to walk on")
-        moves, n_gens = _move_arrays(descriptors), len(descriptors)
+        a, b, s = np.array(gen_moves, dtype=np.intp).T
+        moves = a - 1, b - 1, s
 
         def walk(choices):
             return _walk_windows(choices, moves, n)
@@ -237,7 +214,7 @@ def simulate(
     statistic = block_statistic(spec, measure)
     values: list[float] = []
     for lo, hi in _blocks(trials, workers, max(1, _BLOCK_WORDS // max(t, width))):
-        choices = _draws(seed, lo, hi, n_gens, t)
+        choices = _draws(seed, lo, hi, len(gen_moves), t)
         values += statistic(walk(choices)).astype(float).tolist()
 
     mean = fsum(values) / trials

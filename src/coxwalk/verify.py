@@ -12,11 +12,12 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
+
 from . import closedform as cf
 from .elements import Family, Gens, GroupSpec, Measure, index_pairs
 from .exactengine import (
-    AntisymMatrix,
-    DSpaceFunction,
+    _cell,
     apply_Q_A,
     apply_Q_BD,
     expectation,
@@ -35,6 +36,7 @@ CHAIN_A_TMAX = 10
 PAIR_NS = (2, 3, 4, 6, 12, 25, 40)
 PAIR_TMAX = 30
 MARGINAL_TMAX = 8
+Q_SAMPLES = 100  # random inputs per rank in the operator identities
 
 
 class _Tally:
@@ -228,39 +230,42 @@ def check_eriksen_hultman() -> CheckResult:
     return tally.result("eriksen-hultman: formula == chain, E(0)=0, E(1)=1")
 
 
-def _random_antisym(n: int, rng: random.Random) -> AntisymMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _random_antisym(n: int, rng: random.Random) -> np.ndarray:
+    """A random antisymmetric (n, n) table in the family-A pair layout."""
+    v = np.zeros((n, n), dtype=object)
     for i in range(n):
         for j in range(i + 1, n):
             x = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-            rows[i][j], rows[j][i] = x, -x
-    return AntisymMatrix(n, tuple(tuple(r) for r in rows))
+            v[i, j], v[j, i] = x, -x
+    return v
 
 
-def _random_dspace(n: int, rng: random.Random) -> DSpaceFunction:
-    entries = {}
+def _random_dspace(n: int, rng: random.Random) -> np.ndarray:
+    """A random (2n, 2n) table in the B/D pair layout with v(j,i) = -v(i,j)
+    and v(-j,-i) = v(i,j) on the pairs |i| != |j|, zero elsewhere."""
+    v = np.zeros((2 * n, 2 * n), dtype=object)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for (a, b) in ((i, j), (-i, j)):
                 x = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
                 for (c, d, val) in ((a, b, x), (b, a, -x), (-b, -a, x), (-a, -b, -x)):
-                    entries[(c, d)] = val
-    return DSpaceFunction(n, entries)
+                    v[_cell(Family.D, n, c), _cell(Family.D, n, d)] = val
+    return v
 
 
-def check_operator_identities(samples: int = 100) -> CheckResult:
-    """Q.Q = n.Q on random antisymmetric matrices and Q.Q = (2n-2).Q on
-    random doubly symmetric pair functions, exact equality."""
+def check_operator_identities() -> CheckResult:
+    """Q.Q = n.Q on random antisymmetric tables and Q.Q = (2n-2).Q on
+    random doubly symmetric signed-pair tables, exact equality."""
     rng = random.Random(20101123)
     tally = _Tally()
     for n in range(2, 9):
-        for _ in range(samples):
+        for _ in range(Q_SAMPLES):
             qv = apply_Q_A(_random_antisym(n, rng))
-            tally.eq(apply_Q_A(qv), qv.scale(n), f"Q^2=nQ n={n}")
+            tally.eq(apply_Q_A(qv).tolist(), (n * qv).tolist(), f"Q^2=nQ n={n}")
     for n in range(2, 7):
-        for _ in range(samples):
+        for _ in range(Q_SAMPLES):
             qv = apply_Q_BD(_random_dspace(n, rng))
-            tally.eq(apply_Q_BD(qv), qv.scale(2 * n - 2), f"Q^2=(2n-2)Q n={n}")
+            tally.eq(apply_Q_BD(qv).tolist(), ((2 * n - 2) * qv).tolist(), f"Q^2=(2n-2)Q n={n}")
     return tally.result("operator identities: Q.Q = n.Q and Q.Q = (2n-2).Q")
 
 
@@ -307,14 +312,14 @@ MC_TRIALS = 10**5
 MC_BASE_SEED = 7000
 
 
-def check_montecarlo_calibration(trials: int = MC_TRIALS) -> CheckResult:
+def check_montecarlo_calibration() -> CheckResult:
     """Every grid point within 4 standard errors of its closed form, and
     bit-identical reruns under a different worker count."""
     tally = _Tally()
     for idx, (family, n, gens, measure, t) in enumerate(MC_GRID):
         spec = GroupSpec(family, n)
         target = float(cf.closed_form(spec, gens, measure, t).value)
-        sim = simulate(spec, gens, measure, t, trials=trials, seed=MC_BASE_SEED + idx)
+        sim = simulate(spec, gens, measure, t, trials=MC_TRIALS, seed=MC_BASE_SEED + idx)
         tally.ok(
             abs(sim.mean - target) < 4 * sim.stderr,
             f"point {idx} {family.value} n={n} {gens.value}/{measure.value} t={t}: "
@@ -323,9 +328,9 @@ def check_montecarlo_calibration(trials: int = MC_TRIALS) -> CheckResult:
     for idx in (0, 6):
         family, n, gens, measure, t = MC_GRID[idx]
         spec = GroupSpec(family, n)
-        one = simulate(spec, gens, measure, t, trials=trials, seed=MC_BASE_SEED + idx)
+        one = simulate(spec, gens, measure, t, trials=MC_TRIALS, seed=MC_BASE_SEED + idx)
         par = simulate(
-            spec, gens, measure, t, trials=trials, seed=MC_BASE_SEED + idx, workers=3
+            spec, gens, measure, t, trials=MC_TRIALS, seed=MC_BASE_SEED + idx, workers=3
         )
         tally.ok(
             (one.mean, one.stderr) == (par.mean, par.stderr),

@@ -215,9 +215,10 @@ class TestEnumerate:
             group = set(enumerate_group(spec))
             assert set(reflections_of(spec)) <= group
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("COXWALK_GUARD_LIMIT", "1000")
         with pytest.raises(OrderLimitExceeded):
-            enumerate_group(GroupSpec(Family.A, 12), limit=1000)
+            enumerate_group(GroupSpec(Family.A, 12))
 
     def test_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("COXWALK_GUARD_LIMIT", "5")

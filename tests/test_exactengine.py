@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from coxwalk import (
-    AntisymMatrix,
     DihedralElement,
-    DSpaceFunction,
     Family,
     Gens,
     GroupSpec,
@@ -89,9 +87,10 @@ class TestEvolveDistribution:
                 dist = evolve_distribution(spec, gens, t)
                 assert dist.probs == brute_force_distribution(spec, generators, t)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("COXWALK_GUARD_LIMIT", str(10**4))
         with pytest.raises(OrderLimitExceeded):
-            evolve_distribution(GroupSpec(Family.A, 10), Gens.REFLECTIONS, 3, limit=10**4)
+            evolve_distribution(GroupSpec(Family.A, 10), Gens.REFLECTIONS, 3)
 
 
 class TestExpectation:
@@ -245,56 +244,63 @@ class TestPairTables:
             evolve_pairtable(Family.A, 4, 1).entry(-1, 2)
 
 
+def _pos(n, i):
+    """Position of label i along a B/D pair-layout axis."""
+    return i + n - (i > 0)
+
+
 class TestOperators:
     def test_zero_fixed(self):
-        z = AntisymMatrix.from_rows([[0] * 4 for _ in range(4)])
-        assert apply_Q_A(z) == z
-        zd = DSpaceFunction.from_entries(3, {ij: 0 for ij in index_pairs(3)})
-        assert apply_Q_BD(zd) == zd
+        z = np.zeros((4, 4), dtype=object)
+        assert apply_Q_A(z).tolist() == z.tolist()
+        zd = np.zeros((6, 6), dtype=object)
+        assert apply_Q_BD(zd).tolist() == zd.tolist()
 
     def test_start_table_images(self):
         n = 5
-        qv = apply_Q_A(AntisymMatrix.upper_ones(n))
+        lab = np.arange(1, n + 1)
+        qv = apply_Q_A(np.sign(lab[None, :] - lab[:, None]).astype(object))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                if i != j:
-                    assert qv.entry(i, j) == 2 * (j - i)
-        qd = apply_Q_BD(DSpaceFunction.sign_start(4))
+                assert qv[i - 1, j - 1] == (2 * (j - i) if i != j else 0)
+        lab = np.array([-4, -3, -2, -1, 1, 2, 3, 4])  # the B/D axis labels
+        i, j = lab[:, None], lab[None, :]
+        start = np.where(abs(i) != abs(j), np.sign(j - i), 0).astype(object)
+        qd = apply_Q_BD(start)
         sgn = lambda x: (x > 0) - (x < 0)
-        for (i, j), val in qd.entries.items():
-            assert val == 2 * (j - i - sgn(j) + sgn(i))
+        for a, b in index_pairs(4):
+            assert qd[_pos(4, a), _pos(4, b)] == 2 * (b - a - sgn(b) + sgn(a))
+        off = abs(i) == abs(j)
+        assert not qd[off].any()  # the pairs (i, +-i) stay zero
 
     def test_projection_identities_random(self):
         rng = random.Random(12)
         for n in (3, 6):
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            v = np.zeros((n, n), dtype=object)
             for i in range(n):
                 for j in range(i + 1, n):
                     x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                    rows[i][j], rows[j][i] = x, -x
-            qv = apply_Q_A(AntisymMatrix(n, tuple(tuple(r) for r in rows)))
-            assert apply_Q_A(qv) == qv.scale(n)
+                    v[i, j], v[j, i] = x, -x
+            qv = apply_Q_A(v)
+            assert apply_Q_A(qv).tolist() == (n * qv).tolist()
         for n in (2, 4):
-            entries = {}
+            v = np.zeros((2 * n, 2 * n), dtype=object)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     for (a, b) in ((i, j), (-i, j)):
                         x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                        for c, d, v in ((a, b, x), (b, a, -x), (-b, -a, x), (-a, -b, -x)):
-                            entries[(c, d)] = v
-            qv = apply_Q_BD(DSpaceFunction(n, entries))
-            assert apply_Q_BD(qv) == qv.scale(2 * n - 2)
+                        for c, d, val in ((a, b, x), (b, a, -x), (-b, -a, x), (-a, -b, -x)):
+                            v[_pos(n, c), _pos(n, d)] = val
+            qv = apply_Q_BD(v)
+            assert apply_Q_BD(qv).tolist() == ((2 * n - 2) * qv).tolist()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AntisymMatrix.from_rows([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            AntisymMatrix.from_rows([[1, 0], [0, 1]])
-        bad = {ij: Fraction(1) for ij in index_pairs(2)}
-        with pytest.raises(ValueError):
-            DSpaceFunction(2, bad)  # constant 1 is not antisymmetric
-        with pytest.raises(ValueError):
-            DSpaceFunction(2, {(1, 2): Fraction(1)})  # wrong domain
+    def test_pair_engine_step_uses_the_same_q(self):
+        # one type A step of the pair engine: U' = c*U + U^T + Q(U) on the
+        # off-diagonal cells, with c = C(n-2, 2) - 2
+        n = 6
+        u0, u1 = (t.num for t in iterate_pairtables(Family.A, n, 1))
+        c = (n - 2) * (n - 3) // 2 - 2
+        assert u1.tolist() == (c * u0 + u0.T + apply_Q_A(u0)).tolist()
 
 
 def test_dihedral_walk_statistic_lookup():

@@ -16,12 +16,15 @@ from coxwalk import (
     expected_length_A_T,
     expected_length_I2_S_troili,
     make_statistic,
+    multiply,
     reflections_of,
+    simple_reflections_of,
     simulate,
     trial_choices,
 )
 from coxwalk.lengths import block_statistic
-from coxwalk.montecarlo import _draws
+from coxwalk.elements import generator_moves
+from coxwalk.montecarlo import _draws, _walk_dihedral, _walk_windows
 from coxwalk.verify import MC_BASE_SEED, MC_GRID
 
 A10 = GroupSpec(Family.A, 10)
@@ -186,6 +189,32 @@ def test_block_statistic_matches_make_statistic(spec, measure):
     got = block_statistic(spec, measure)(states)
     statistic = make_statistic(spec, measure)
     assert got.tolist() == [statistic(w) for w in enumerate_group(spec)]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),
+                                  GroupSpec(Family.D, 4), GroupSpec(Family.D, 1),
+                                  GroupSpec(Family.B, 1), GroupSpec(Family.I2, 5)])
+@pytest.mark.parametrize("gens", list(Gens))
+def test_walk_moves_are_the_element_generators(spec, gens):
+    # the Monte Carlo walk and the element model read one generator list:
+    # choice index k applies the k-th element of reflections_of /
+    # simple_reflections_of
+    g = simple_reflections_of(spec) if gens == Gens.SIMPLE else reflections_of(spec)
+    moves = generator_moves(spec, gens)
+    assert len(moves) == len(g)
+    if spec.family != Family.I2 and moves:
+        a, b, s = np.array(moves, dtype=np.intp).T
+        arrays = a - 1, b - 1, s
+    for k1 in range(len(g)):
+        for k2 in range(len(g)):
+            product = multiply(g[k1], g[k2])
+            choices = np.array([[k1, k2]])
+            if spec.family == Family.I2:
+                got = _walk_dihedral(choices, spec.n).tolist()
+                assert got == [2 * product.rot + product.flip]
+            else:
+                got = _walk_windows(choices, arrays, spec.n).tolist()
+                assert got == [list(product.window)]
 
 
 def test_seeds_above_2_63_are_distinct_streams():
