@@ -1,14 +1,17 @@
-"""Wall times of the statistic routes that no perfbench workload covers,
-for one or more source trees, written to BENCH_statistics.json.
+"""Wall times of the routes that no perfbench workload covers, for one or
+more source trees, written to BENCH_statistics.json (or --out).
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src --tree after=src
 
 Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
-a fresh interpreter with the tree on PYTHONPATH; the time is the median of
---repeats runs of ``cli.main`` alone (interpreter start and imports
-excluded).  A route a tree refuses is recorded as "refused (exit 2)" with
-its error line.  Where two trees both run a route, their printed values
-must agree exactly, or the script exits 1.
+a fresh interpreter with the tree on PYTHONPATH (and the route's entry in
+ROUTE_ENV, if any); the time is the median of --repeats runs of ``cli.main``
+alone (interpreter start and imports excluded).  A route a tree refuses is
+recorded as "refused (exit 2)" with its error line.  Where two trees both
+run a route, their printed values must agree exactly, or the script exits 1.
+
+The exact-pair routes walk past the step where the pair engine's numerators
+leave int64, which perfbench's pair-sweep (t <= 12) never reaches.
 """
 from __future__ import annotations
 
@@ -35,7 +38,18 @@ ROUTES = {
     "mc I2(10^7) simple t=100 length": ["--family", "I2", "--m", str(10**7), "--gens",
                                         "simple", "--t", "100", "--engine", "mc",
                                         "--trials", "10000"],
+    "exact-pair A60 t=60 length": ["--family", "A", "--n", "60", "--t", "60",
+                                   "--engine", "exact-pair"],
+    "exact-pair B60 t=60 length": ["--family", "B", "--n", "60", "--t", "60",
+                                   "--engine", "exact-pair"],
+    "exact-pair D40 t=60 length": ["--family", "D", "--n", "40", "--t", "60",
+                                   "--engine", "exact-pair"],
+    "exact-pair B150 t=150 length": ["--family", "B", "--n", "150", "--t", "150",
+                                     "--engine", "exact-pair"],
 }
+
+# B150 t=150 is 4 n^2 t = 1.35e7 pair-table work, past the default guard
+ROUTE_ENV = {"exact-pair B150 t=150 length": {"COXWALK_GUARD_LIMIT": str(2 * 10**7)}}
 
 # runs in the child: times cli.main on argv and prints one JSON line
 CHILD = """
@@ -51,8 +65,8 @@ print(json.dumps({"code": code, "seconds": seconds, "out": out.getvalue(),
 """
 
 
-def run_once(src: str, argv: list[str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
+def run_once(src: str, argv: list[str], extra_env: dict) -> dict:
+    env = dict(os.environ, PYTHONPATH=src, **extra_env)
     proc = subprocess.run([sys.executable, "-c", CHILD, "eval", *argv], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
@@ -60,8 +74,8 @@ def run_once(src: str, argv: list[str]) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def measure(src: str, argv: list[str], repeats: int) -> dict:
-    runs = [run_once(src, argv) for _ in range(repeats)]
+def measure(src: str, argv: list[str], extra_env: dict, repeats: int) -> dict:
+    runs = [run_once(src, argv, extra_env) for _ in range(repeats)]
     first = runs[0]
     if first["code"] != 0:
         return {"result": f"refused (exit {first['code']})", "error": first["err"].strip()}
@@ -92,12 +106,13 @@ def main() -> int:
     }
     mismatch = False
     for name, argv in ROUTES.items():
-        row = {"argv": ["eval", *argv]}
+        extra_env = ROUTE_ENV.get(name, {})
+        row = {"argv": ["eval", *argv], "env": extra_env}
         for label, src in trees.items():
-            row[label] = measure(str(Path(src).resolve()), argv, args.repeats)
+            row[label] = measure(str(Path(src).resolve()), argv, extra_env, args.repeats)
             shown = row[label].get("seconds", row[label].get("result"))
             print(f"{name:34s} {label:8s} {shown}", flush=True)
-        values = [r["value"] for label, r in row.items() if label != "argv" and "value" in r]
+        values = [row[label]["value"] for label in trees if "value" in row[label]]
         if any(v != values[0] for v in values):
             mismatch = True
             print(f"  values differ between trees on {name}", file=sys.stderr)

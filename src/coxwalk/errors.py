@@ -40,8 +40,9 @@ class DParityViolation(CoxwalkError, ValueError):
 
 
 class UnsupportedFamily(CoxwalkError, ValueError):
-    """Element-level operation requested for a family without an element
-    model (G(r,1,n) with r >= 3; use the A/B models for r in {1, 2})."""
+    """Operation requested for a family that lacks it: an element-level
+    operation without an element model (G(r,1,n) with r >= 3; use the A/B
+    models for r in {1, 2}), or pair tables outside families A, B, D."""
 
 
 class OrderLimitExceeded(CoxwalkError, RuntimeError):

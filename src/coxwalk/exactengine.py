@@ -15,7 +15,10 @@ entries are read.  The full engine indexes the group by the integer ranks of
 numpy vector in rank order, int64 while |R|^(t+1) < 2^63 and Python ints
 beyond; a step gathers the counts through each generator's action table.
 The pairwise state scales as O(n^2) and therefore reaches ranks far beyond
-full enumeration.
+full enumeration.  It holds U = |R|^t * P in one numpy table, int64 while a
+proven bound keeps every intermediate of the next step below 2^63 and
+Python ints beyond, as the full engine does.  Every yielded numerator array
+is read-only, because it is the engine's state for the next step.
 
 Also here: the row-plus-column summation operator Q of the pairwise step.
 ``apply_Q_A`` and ``apply_Q_BD`` apply that same Q to pair-table arrays, on
@@ -28,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -211,11 +214,23 @@ def _support(family: Family, n: int) -> np.ndarray:
     return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
 
 
-def _cell(family: Family, n: int, i: int) -> int:
-    """Array position of index label i; KeyError off the support."""
-    if not 0 < abs(i) <= n or (family == Family.A and i < 0):
-        raise KeyError(i)
-    return i - 1 if family == Family.A else i + n - (i > 0)
+@lru_cache(maxsize=128)
+def _positions(family: Family, n: int) -> dict:
+    """Index label -> array position along each axis of a pair table, in
+    axis order; indexing it off the support raises KeyError."""
+    return {x: p for p, x in enumerate(_support(family, n).tolist())}
+
+
+@lru_cache(maxsize=128)
+def _inversions(family: Family, n: int) -> np.ndarray:
+    """Flat positions of the family's inversion pairs (i, j) with j > |i|,
+    plus (-i, i) in B, in a pair table's numerator array."""
+    lab = _support(family, n)
+    i, j = lab[:, None], lab[None, :]
+    inv = j > abs(i)
+    if family == Family.B:
+        inv |= (i == -j) & (j > 0)
+    return np.flatnonzero(inv)
 
 
 def _num_reflections(family: Family, n: int) -> int:
@@ -236,6 +251,8 @@ class PairTable:
     Family A indexes ordered pairs (i, j) with 1 <= i != j <= n; families B
     and D index signed pairs, with the pairs (i, -i) present for B only.
     ``mask`` marks the domain cells of ``num``; every other cell is zero.
+    ``num`` is read-only; its dtype is int64 while the engine's step bound
+    holds (see ``iterate_pairtables``) and object (Python ints) beyond it.
     """
 
     family: Family
@@ -250,23 +267,26 @@ class PairTable:
     def entries(self) -> dict:
         """(i, j) -> reduced Fraction over the domain in row-major order,
         built on first access."""
-        lab, num = _support(self.family, self.n).tolist(), self.num.tolist()
+        lab, num = list(_positions(self.family, self.n)), self.num.tolist()
         return {
             (lab[a], lab[b]): Fraction(num[a][b], self.den)
             for a, b in np.argwhere(self.mask).tolist()
         }
 
     def entry(self, i: int, j: int) -> Fraction:
-        a, b = _cell(self.family, self.n, i), _cell(self.family, self.n, j)
+        pos = _positions(self.family, self.n)
+        a, b = pos[i], pos[j]
         if not self.mask[a, b]:
             raise KeyError((i, j))
-        return Fraction(self.num[a, b], self.den)
+        return Fraction(int(self.num[a, b]), self.den)
 
     def to_v(self) -> "PairTable":
         """Antisymmetrized table v(i,j) = p(i,j) - p(j,i)."""
         if self.kind != "P":
             raise ValueError("to_v expects a P table")
-        return replace(self, kind="V", num=self.num - self.num.T)
+        v = self.num - self.num.T
+        v.flags.writeable = False
+        return replace(self, kind="V", num=v)
 
     def to_u(self) -> "PairTable":
         """Unnormalized table u = |R|^t * p."""
@@ -279,12 +299,12 @@ class PairTable:
         the family's inversion pairs (i, j) with j > |i|, plus (-i, i) in B."""
         if self.kind != "P":
             raise ValueError("expected_length expects a P table")
-        lab = _support(self.family, self.n)
-        i, j = lab[:, None], lab[None, :]
-        inv = j > abs(i)
-        if self.family == Family.B:
-            inv |= (i == -j) & (j > 0)
-        return Fraction(int(inv.sum()) * self.den - self.num[inv].sum(), self.den)
+        inv = _inversions(self.family, self.n)
+        top, cells = inv.size * self.den, self.num.take(inv)
+        # cells lie in [0, den], so an int64 sum stays exact below 2^63
+        if cells.dtype != object and top >= _INT64_LIMIT:
+            cells = cells.astype(object)
+        return Fraction(top - int(cells.sum()), self.den)
 
 
 def iterate_pairtables(family: Family, n: int, t_max: int):
@@ -294,9 +314,17 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     c*U + U^T (+ U[-j,-i] for B and D) + Q(U), less U[-i,j] + U[i,-j] in D;
     the sign pairs (-i, i) of B follow their own rule.  Off-domain cells stay
     zero, and no step divides or takes a gcd.
+
+    U is int64 while den * (|c| + |c_sign| + 4n + 4) < 2^63 before a step,
+    and Python ints from the first step where that fails.  Every cell of U
+    lies in [0, den], so in that step |c*U| <= |c|*den; each masked sum in
+    Q(U) runs over at most 2n cells, so Q(U) <= 4n*den; U^T, U[-j,-i] and
+    the two cells D subtracts add at most 4*den; and B's sign pairs
+    c_sign*U + sum(U[-i, i]) stay within (|c_sign| + 2n)*den.  So neither
+    an intermediate nor a new cell reaches 2^63.
     """
     if family not in (Family.A, Family.B, Family.D):
-        raise ValueError(f"pairwise engine supports families A, B, D, not {family}")
+        raise UnsupportedFamily(f"pairwise engine supports families A, B, D, not {family}")
     if family == Family.D and n < 2:
         raise InvalidRank("family D needs n >= 2")
     if n < 1 or (family == Family.A and n < 2):
@@ -315,10 +343,14 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
     # less the copy inside the sum over the sign pairs
     c, c_sign = _num_reflections(family, n - 2) - 2, _num_reflections(family, n - 1) - 1
+    growth = abs(c) + abs(c_sign) + 4 * n + 4
     anti = (np.arange(2 * n), np.arange(2 * n)[::-1])
-    u, den = np.where(mask & (i < j), 1, 0).astype(object), 1
+    u, den = (mask & (i < j)).astype(np.int64), 1
+    u.flags.writeable = False
     yield PairTable(family, n, 0, "P", u, den, mask)
     for t in range(1, t_max + 1):
+        if u.dtype != object and den * growth >= _INT64_LIMIT:
+            u = u.astype(object)
         new = c * u + u.T + _q(u, q_mask)
         if family != Family.A:
             new += u[::-1, ::-1].T  # U[-j, -i]
@@ -326,6 +358,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
             new -= u[::-1, :] + u[:, ::-1]  # U[-i, j] and U[i, -j]
         if family == Family.B:
             new[anti] = c_sign * u[anti] + u[anti].sum()
+        new.flags.writeable = False
         u, den = new, den * nrefl
         yield PairTable(family, n, t, "P", u, den, mask)
 

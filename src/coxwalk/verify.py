@@ -17,7 +17,7 @@ import numpy as np
 from . import closedform as cf
 from .elements import Family, Gens, GroupSpec, Measure, index_pairs
 from .exactengine import (
-    _cell,
+    _positions,
     apply_Q_A,
     apply_Q_BD,
     expectation,
@@ -244,12 +244,13 @@ def _random_dspace(n: int, rng: random.Random) -> np.ndarray:
     """A random (2n, 2n) table in the B/D pair layout with v(j,i) = -v(i,j)
     and v(-j,-i) = v(i,j) on the pairs |i| != |j|, zero elsewhere."""
     v = np.zeros((2 * n, 2 * n), dtype=object)
+    pos = _positions(Family.D, n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for (a, b) in ((i, j), (-i, j)):
                 x = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
                 for (c, d, val) in ((a, b, x), (b, a, -x), (-b, -a, x), (-a, -b, -x)):
-                    v[_cell(Family.D, n, c), _cell(Family.D, n, d)] = val
+                    v[pos[c], pos[d]] = val
     return v
 
 

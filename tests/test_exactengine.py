@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coxwalk import (
+    CoxwalkError,
     DihedralElement,
     Family,
     Gens,
@@ -13,6 +14,7 @@ from coxwalk import (
     Measure,
     OrderLimitExceeded,
     SpecMismatch,
+    UnsupportedFamily,
     apply_Q_A,
     apply_Q_BD,
     abs_length_dihedral,
@@ -20,11 +22,17 @@ from coxwalk import (
     evolve_distribution,
     evolve_pairtable,
     expectation,
+    expected_length_A_T,
+    expected_length_B_T,
+    expected_length_D_T,
     index_pairs,
     inversion_count,
     iterate_distributions,
     iterate_pairtables,
     make_statistic,
+    pair_prob_A,
+    pair_prob_B,
+    pair_prob_D,
     pair_probability,
     reflections_of,
     simple_reflections_of,
@@ -218,6 +226,56 @@ class TestPairTables:
             for t, table in enumerate(tables):
                 assert table.entries == evolve_pairtable(family, n, t).entries
 
+    def test_yielded_tables_are_read_only(self):
+        # a yielded table's numerators are the engine's state for the next
+        # step; B5 crosses to object numerators at t = 14
+        for family, n, t_max in ((Family.A, 5, 6), (Family.B, 3, 6), (Family.D, 4, 6),
+                                 (Family.B, 5, 16)):
+            for t, table in enumerate(iterate_pairtables(family, n, t_max)):
+                assert table.entries == evolve_pairtable(family, n, t).entries
+                for num in (table.num, table.to_u().num, table.to_v().num):
+                    with pytest.raises(ValueError):
+                        num[0, 1] = 7
+
+    def test_unsupported_family_is_a_coxwalk_error(self):
+        for family in (Family.I2, Family.G):
+            with pytest.raises(UnsupportedFamily):
+                next(iterate_pairtables(family, 5, 3))
+            with pytest.raises(UnsupportedFamily):
+                evolve_pairtable(family, 5, 3)
+        assert issubclass(UnsupportedFamily, CoxwalkError)
+        assert issubclass(UnsupportedFamily, ValueError)
+
+    def test_int64_to_object_crossover_is_exact(self):
+        # (family, n, |R|, c, c_sign): a step from den = |R|^t runs on int64
+        # numerators while den * (|c| + |c_sign| + 4n + 4) < 2^63
+        walks = ((Family.A, 7, 21, 8, 14), (Family.B, 5, 25, 7, 15), (Family.D, 5, 20, 4, 11))
+        closed = {Family.A: expected_length_A_T, Family.B: expected_length_B_T,
+                  Family.D: expected_length_D_T}
+        for family, n, nrefl, c, c_sign in walks:
+            growth = abs(c) + abs(c_sign) + 4 * n + 4
+            wide = []
+            for table in iterate_pairtables(family, n, 60):
+                t = table.t
+                assert table.den == nrefl**t
+                int64 = t == 0 or nrefl ** (t - 1) * growth < 2**63
+                assert table.num.dtype == (np.int64 if int64 else object)
+                length = table.expected_length()
+                assert length == closed[family](n, t)
+                assert type(length.numerator) is int
+                inv = sum(1 for i, j in table.entries
+                          if j > abs(i) or (family == Family.B and i == -j and j > 0))
+                if int64 and inv * table.den >= 2**63:
+                    # the int64 numerators over the inversion cells sum past
+                    # 2^63 here, so an int64 sum would wrap
+                    assert (inv - length) * table.den >= 2**63
+                    wide.append(t)
+                for (i, j), p in table.entries.items():
+                    entry = table.entry(i, j)
+                    assert entry == p == _pair_lt(family, n, i, j, t)
+                    assert type(entry.numerator) is int
+            assert wide and table.num.dtype == object
+
     def test_expected_length_is_sum_over_inversion_pairs(self):
         for family, n in ((Family.A, 5), (Family.B, 3), (Family.D, 4)):
             for table in iterate_pairtables(family, n, 5):
@@ -242,6 +300,21 @@ class TestPairTables:
                     d.entry(a, b)
         with pytest.raises(KeyError):
             evolve_pairtable(Family.A, 4, 1).entry(-1, 2)
+
+
+def _pair_lt(family, n, i, j, t):
+    """Prob(w(i) < w(j)) from the pairwise closed forms, which give
+    Prob(w(a) > w(b)) for a < b (A), b > |a| or the pair (-b, b) (B, D)."""
+    if family == Family.A:
+        return 1 - pair_prob_A(n, i, j, t) if i < j else pair_prob_A(n, j, i, t)
+    pp = pair_prob_B if family == Family.B else pair_prob_D
+    if abs(i) == abs(j):  # (k, -k): w(k) < w(-k) iff w(-k) > w(k)
+        p = pp(n, -abs(i), abs(i), t)
+        return p if i > 0 else 1 - p
+    if abs(i) > abs(j):
+        return 1 - _pair_lt(family, n, j, i, t)
+    # for j < 0, w(i) < w(j) iff w(-j) < w(-i), and -j > |i|
+    return 1 - pp(n, i, j, t) if j > 0 else pp(n, -i, -j, t)
 
 
 def _pos(n, i):
