@@ -4,14 +4,17 @@ more source trees, written to BENCH_statistics.json (or --out).
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src --tree after=src
 
 Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
-a fresh interpreter with the tree on PYTHONPATH (and the route's entry in
-ROUTE_ENV, if any); the time is the median of --repeats runs of ``cli.main``
-alone (interpreter start and imports excluded).  A route a tree refuses is
-recorded as "refused (exit 2)" with its error line.  Where two trees both
-run a route, their printed values must agree exactly, or the script exits 1.
+a fresh interpreter with the tree on PYTHONPATH; the time is the median of
+--repeats runs of ``cli.main`` alone (interpreter start and imports
+excluded).  A route a tree refuses is recorded as "refused (exit 2)" with
+its error line.  Where two trees both run a route, their printed values
+must agree exactly, or the script exits 1.
 
-The exact-pair routes walk past the step where the pair engine's numerators
-leave int64, which perfbench's pair-sweep (t <= 12) never reaches.
+The exact-pair routes run most of their steps on Python-int numerators: the
+pair engine's last int64 table is t = 5 in A60, B60 and D40 and t = 4 in
+B120.  perfbench's pair-sweep crosses too, but only in A12 (t >= 11) and A16
+(t >= 9): 4 of its 158 steps and about 6 % of its step time, so a slower
+Python-int step barely moves its work_per_s.
 """
 from __future__ import annotations
 
@@ -44,12 +47,9 @@ ROUTES = {
                                    "--engine", "exact-pair"],
     "exact-pair D40 t=60 length": ["--family", "D", "--n", "40", "--t", "60",
                                    "--engine", "exact-pair"],
-    "exact-pair B150 t=150 length": ["--family", "B", "--n", "150", "--t", "150",
+    "exact-pair B120 t=150 length": ["--family", "B", "--n", "120", "--t", "150",
                                      "--engine", "exact-pair"],
 }
-
-# B150 t=150 is 4 n^2 t = 1.35e7 pair-table work, past the default guard
-ROUTE_ENV = {"exact-pair B150 t=150 length": {"COXWALK_GUARD_LIMIT": str(2 * 10**7)}}
 
 # runs in the child: times cli.main on argv and prints one JSON line
 CHILD = """
@@ -65,8 +65,8 @@ print(json.dumps({"code": code, "seconds": seconds, "out": out.getvalue(),
 """
 
 
-def run_once(src: str, argv: list[str], extra_env: dict) -> dict:
-    env = dict(os.environ, PYTHONPATH=src, **extra_env)
+def run_once(src: str, argv: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", CHILD, "eval", *argv], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
@@ -74,8 +74,8 @@ def run_once(src: str, argv: list[str], extra_env: dict) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def measure(src: str, argv: list[str], extra_env: dict, repeats: int) -> dict:
-    runs = [run_once(src, argv, extra_env) for _ in range(repeats)]
+def measure(src: str, argv: list[str], repeats: int) -> dict:
+    runs = [run_once(src, argv) for _ in range(repeats)]
     first = runs[0]
     if first["code"] != 0:
         return {"result": f"refused (exit {first['code']})", "error": first["err"].strip()}
@@ -106,13 +106,12 @@ def main() -> int:
     }
     mismatch = False
     for name, argv in ROUTES.items():
-        extra_env = ROUTE_ENV.get(name, {})
-        row = {"argv": ["eval", *argv], "env": extra_env}
+        row = {"argv": ["eval", *argv]}
         for label, src in trees.items():
-            row[label] = measure(str(Path(src).resolve()), argv, extra_env, args.repeats)
+            row[label] = measure(str(Path(src).resolve()), argv, args.repeats)
             shown = row[label].get("seconds", row[label].get("result"))
             print(f"{name:34s} {label:8s} {shown}", flush=True)
-        values = [row[label]["value"] for label in trees if "value" in row[label]]
+        values = [r["value"] for label, r in row.items() if label != "argv" and "value" in r]
         if any(v != values[0] for v in values):
             mismatch = True
             print(f"  values differ between trees on {name}", file=sys.stderr)

@@ -32,6 +32,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -215,22 +216,24 @@ def _support(family: Family, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _positions(family: Family, n: int) -> dict:
-    """Index label -> array position along each axis of a pair table, in
-    axis order; indexing it off the support raises KeyError."""
-    return {x: p for p, x in enumerate(_support(family, n).tolist())}
+def _positions(family: Family, n: int) -> Mapping:
+    """Read-only index label -> array position along each axis of a pair
+    table, in axis order; indexing it off the support raises KeyError."""
+    return MappingProxyType({x: p for p, x in enumerate(_support(family, n).tolist())})
 
 
 @lru_cache(maxsize=128)
 def _inversions(family: Family, n: int) -> np.ndarray:
-    """Flat positions of the family's inversion pairs (i, j) with j > |i|,
-    plus (-i, i) in B, in a pair table's numerator array."""
+    """Read-only flat positions of the family's inversion pairs (i, j) with
+    j > |i|, plus (-i, i) in B, in a pair table's numerator array."""
     lab = _support(family, n)
     i, j = lab[:, None], lab[None, :]
     inv = j > abs(i)
     if family == Family.B:
         inv |= (i == -j) & (j > 0)
-    return np.flatnonzero(inv)
+    idx = np.flatnonzero(inv)
+    idx.flags.writeable = False
+    return idx
 
 
 def _num_reflections(family: Family, n: int) -> int:

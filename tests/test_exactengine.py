@@ -37,6 +37,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
+from coxwalk.exactengine import _inversions, _positions
 from helpers import brute_force_distribution, brute_force_expectation
 
 
@@ -228,7 +229,8 @@ class TestPairTables:
 
     def test_yielded_tables_are_read_only(self):
         # a yielded table's numerators are the engine's state for the next
-        # step; B5 crosses to object numerators at t = 14
+        # step, and every table of one (family, n) reads through the same
+        # cached indices; B5 crosses to object numerators at t = 14
         for family, n, t_max in ((Family.A, 5, 6), (Family.B, 3, 6), (Family.D, 4, 6),
                                  (Family.B, 5, 16)):
             for t, table in enumerate(iterate_pairtables(family, n, t_max)):
@@ -236,6 +238,10 @@ class TestPairTables:
                 for num in (table.num, table.to_u().num, table.to_v().num):
                     with pytest.raises(ValueError):
                         num[0, 1] = 7
+            with pytest.raises(ValueError):
+                _inversions(family, n)[0] = 0
+            with pytest.raises(TypeError):
+                _positions(family, n)[1] = 0
 
     def test_unsupported_family_is_a_coxwalk_error(self):
         for family in (Family.I2, Family.G):
