@@ -14,7 +14,9 @@ The exact-pair routes run most of their steps on Python-int numerators: the
 pair engine's last int64 table is t = 5 in A60, B60 and D40 and t = 4 in
 B120.  perfbench's pair-sweep crosses too, but only in A12 (t >= 11) and A16
 (t >= 9): 4 of its 158 steps and about 6 % of its step time, so a slower
-Python-int step barely moves its work_per_s.
+Python-int step barely moves its work_per_s.  The exact A7, B5 and D5 walks
+time the full engine's Python-int steps (its last int64 table is t = 14, 13
+and 14), which perfbench's full-table, held in int64, never reaches.
 """
 from __future__ import annotations
 
@@ -34,6 +36,12 @@ ROUTES = {
                               "--t", "6", "--engine", "exact-full"],
     "exact B6 t=6 abslength": ["--family", "B", "--n", "6", "--measure", "abslength",
                                "--t", "6", "--engine", "exact-full"],
+    "exact A7 t=90 length": ["--family", "A", "--n", "7", "--measure", "length",
+                             "--t", "90", "--engine", "exact-full"],
+    "exact B5 t=60 abslength": ["--family", "B", "--n", "5", "--measure", "abslength",
+                                "--t", "60", "--engine", "exact-full"],
+    "exact D5 t=100 length": ["--family", "D", "--n", "5", "--measure", "length",
+                              "--t", "100", "--engine", "exact-full"],
     "mc B11 t=20 abslength": ["--family", "B", "--n", "11", "--measure", "abslength",
                               "--t", "20", "--engine", "mc", "--trials", "10000"],
     "mc D12 t=20 abslength": ["--family", "D", "--n", "12", "--measure", "abslength",

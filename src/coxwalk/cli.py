@@ -28,6 +28,7 @@ from .exactengine import (
     evolve_distribution,
     evolve_pairtable,
     expectation,
+    iterate_distributions,
     make_statistic,
 )
 from .montecarlo import simulate
@@ -148,8 +149,6 @@ def _cmd_table(args, parser) -> int:
     have_formula = formula_for(spec, gens, measure, args.formula) is not None
     if not have_formula:
         _warn("no closed form for this cell; closed_form column left empty")
-    from .exactengine import iterate_distributions
-
     stat = None
     try:
         stat = make_statistic(model, measure)

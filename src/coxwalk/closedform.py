@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Union
 
-from .elements import Family, Gens, GroupSpec, Measure
-from .errors import InvalidRank, check_step_count
+from .elements import Family, Gens, GroupSpec, Measure, in_index_domain
+from .errors import InvalidRank, UnsupportedFamily, check_step_count
 
 Rational = Fraction
 Value = Union[Fraction, float]
@@ -383,8 +383,6 @@ def lemma_bd_v(n: int, x, t: int, i: int, j: int) -> Fraction:
     from v(i,j) = sign(j - i): a two-eigenvalue combination of (2n - 2 + x)^t
     and x^t."""
     check_step_count(t)
-    from .elements import in_index_domain
-
     if n < 2:
         raise InvalidRank(f"need n >= 2, got {n}")
     if not in_index_domain(n, i, j):
@@ -470,12 +468,12 @@ def formula_for(
 def closed_form(
     spec: GroupSpec, gens: Gens, measure: Measure, t: int, formula: str = "auto"
 ) -> ExpectationResult:
-    """Evaluate the closed form for this cell, raising ValueError when the
-    cell has none."""
+    """Evaluate the closed form for this cell, raising UnsupportedFamily when
+    the cell has none or formula names no formula of the cell."""
     check_step_count(t)
     found = formula_for(spec, gens, measure, formula)
     if found is None:
-        raise ValueError(
+        raise UnsupportedFamily(
             f"no closed form for family={spec.family.value}, gens={gens.value}, "
             f"measure={measure.value} (formula={formula!r})"
         )

@@ -10,12 +10,13 @@ half of the domain implicit through w(-i) = -w(i), dihedral elements as a
 the Lehmer rank of the window in A, perm-rank * 2^n + sign bits in B,
 perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
 and 2 * rot + flip in I2.  Enumeration, generator action tables and the
-exact full-distribution engine all work on these ranks.
+exact full-distribution engine all work on these ranks; element objects are
+built from a rank on demand.
 
 ``generator_moves`` is the one list of a walk's generators: integer moves
-(a, b, s) on window positions in A/B/D and rotation parts in I2.  The
-element lists ``reflections_of`` / ``simple_reflections_of`` and the Monte
-Carlo move arrays are both built from it.
+(a, b, s) on window positions in A/B/D and rotation parts in I2.  The element
+lists ``reflections_of`` / ``simple_reflections_of``, Monte Carlo's moves and
+the full engine's action tables (``RankedGroup.action``) all read it.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -56,12 +57,16 @@ def guard_limit() -> int:
         ) from None
 
 
+def check_work(work: int, what: str) -> None:
+    """Raise OrderLimitExceeded when work, the estimate named what, exceeds the guard."""
+    cap = guard_limit()
+    if work > cap:
+        raise OrderLimitExceeded(f"{what} {work} exceeds guard {cap}")
+
+
 def check_order(spec: "GroupSpec") -> None:
     """Raise OrderLimitExceeded when the group order exceeds the guard."""
-    cap = guard_limit()
-    order = spec.order()
-    if order > cap:
-        raise OrderLimitExceeded(f"group order {order} exceeds guard {cap}")
+    check_work(spec.order(), "group order")
 
 
 class Family(str, Enum):
@@ -426,7 +431,7 @@ class RankedGroup:
 
     ``windows`` holds every element's window as one int8 (|W|, n) array in
     rank order (None for I2), stored column by column.  Element objects are
-    built on demand and kept.  ``memo`` maps a statistic to its values by
+    built on demand.  ``memo`` maps a statistic to its values by
     rank: at every rank for a ``make_statistic`` statistic, and only on the
     supports asked about for any other callable.
     """
@@ -448,7 +453,6 @@ class RankedGroup:
             signs = (1 - 2 * s).astype(np.int8)
             full = np.repeat(perms, len(signs), axis=0) * np.tile(signs, (len(perms), 1))
             self.windows = np.ascontiguousarray(full.T).T
-        self._elements: dict[int, GroupElement] = {}
         self.memo: dict = {}
 
     def ranks(self, cols: np.ndarray) -> np.ndarray:
@@ -477,12 +481,6 @@ class RankedGroup:
 
     def element(self, k: int) -> GroupElement:
         """The element of rank k."""
-        w = self._elements.get(k)
-        if w is None:
-            w = self._elements[k] = self._build(k)
-        return w
-
-    def _build(self, k: int) -> GroupElement:
         f = self.spec.family
         if f == Family.I2:
             return DihedralElement(self.spec.n, k >> 1, k & 1)
@@ -491,17 +489,19 @@ class RankedGroup:
 
     def elements(self) -> list[GroupElement]:
         """Every element, in rank order."""
-        return [self._build(k) for k in range(self.order)]
+        return [self.element(k) for k in range(self.order)]
 
-    def action(self, g: GroupElement) -> np.ndarray:
-        """Right multiplication by g as an int32 rank table: the rank of w * g
-        at the rank of w.  For an involution g the table is its own inverse."""
+    def action(self, move) -> np.ndarray:
+        """Right multiplication by the generator g of one ``generator_moves``
+        entry, as an int32 table of the rank of w * g at the rank of w (its
+        own inverse).  A move (a, b, s) maps the window columns as Monte
+        Carlo does; an I2 rotation part r is the reflection rho^r * sigma."""
         if self.spec.family == Family.I2:
             k = np.arange(self.order)
             rot, flip = k >> 1, k & 1
-            rot = (rot + np.where(flip, -g.rot, g.rot)) % self.spec.n
-            return (2 * rot + (flip ^ g.flip)).astype(np.int32)
-        # (w * g)(i) = w(g(i)) = sign(g(i)) * w(|g(i)|)
-        gw = np.array(g.window)
-        cols = self.windows.T[np.abs(gw) - 1] * np.sign(gw).astype(np.int8)[:, None]
+            rot = (rot + np.where(flip, -move, move)) % self.spec.n
+            return (2 * rot + (flip ^ 1)).astype(np.int32)
+        a, b, s = move
+        cols = self.windows.T.copy()
+        cols[[b - 1, a - 1]] = self.windows.T[[a - 1, b - 1]] * s
         return self.ranks(cols).astype(np.int32)

@@ -40,9 +40,10 @@ class DParityViolation(CoxwalkError, ValueError):
 
 
 class UnsupportedFamily(CoxwalkError, ValueError):
-    """Operation requested for a family that lacks it: an element-level
-    operation without an element model (G(r,1,n) with r >= 3; use the A/B
-    models for r in {1, 2}), or pair tables outside families A, B, D."""
+    """Operation requested where it does not exist: an element-level operation
+    without an element model (G(r,1,n) with r >= 3; use the A/B models for r
+    in {1, 2}), pair tables outside families A, B, D, or a closed form that a
+    (family, gens, measure) cell lacks."""
 
 
 class OrderLimitExceeded(CoxwalkError, RuntimeError):

@@ -10,15 +10,14 @@ Two complementary engines:
 
 Both engines are exact and hold integer numerators over |R|^t, so a step is
 integer arithmetic without a gcd, and reduced fractions are formed only when
-entries are read.  The full engine indexes the group by the integer ranks of
-``elements.RankedGroup`` (identity 0) and keeps counts = |R|^t * P in one
-numpy vector in rank order, int64 while |R|^(t+1) < 2^63 and Python ints
-beyond; a step gathers the counts through each generator's action table.
-The pairwise state scales as O(n^2) and therefore reaches ranks far beyond
-full enumeration.  It holds U = |R|^t * P in one numpy table, int64 while a
-proven bound keeps every intermediate of the next step below 2^63 and
-Python ints beyond, as the full engine does.  Every yielded numerator array
-is read-only, because it is the engine's state for the next step.
+entries are read.  Each engine is a setup plus a step function run by one
+walk loop, ``_walk``, which holds the numerators in int64 while the engine's
+growth bound keeps the next step below 2^63 and in Python ints beyond, and
+yields them read-only, as they are the state for the next step.  The full
+engine keeps counts = |R|^t * P over the ranks of ``elements.RankedGroup``
+(identity 0) and gathers them through the action table of each
+``generator_moves`` entry.  The pairwise state, U = |R|^t * P in one numpy
+table, scales as O(n^2) and so reaches ranks far beyond full enumeration.
 
 Also here: the row-plus-column summation operator Q of the pairwise step.
 ``apply_Q_A`` and ``apply_Q_BD`` apply that same Q to pair-table arrays, on
@@ -29,7 +28,7 @@ pairwise closed forms.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -45,14 +44,36 @@ from .elements import (
     Measure,
     RankedGroup,
     check_order,
-    guard_limit,
-    reflections_of,
-    simple_reflections_of,
+    check_work,
+    generator_moves,
 )
-from .errors import InvalidRank, OrderLimitExceeded, UnsupportedFamily, check_step_count
+from .errors import InvalidRank, UnsupportedFamily, check_step_count
 from . import lengths
 
 _INT64_LIMIT = 2**63
+
+
+def _exact(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as it is while it is int64 and bound < 2^63, else num as Python
+    ints (object dtype).  bound caps every value the caller's next operation
+    on num can produce, so int64 arithmetic under it is exact."""
+    if num.dtype != object and bound < _INT64_LIMIT:
+        return num
+    return num.astype(object, copy=False)
+
+
+def _walk(start: np.ndarray, step: Callable, n_gens: int, growth: int, t_max: int):
+    """Yield read-only (num, den) for t = 0..t_max: num = start, then step(num)
+    per step, over den = n_gens^t.  A step from cells in [0, den] computes no
+    value beyond growth * den in magnitude."""
+    num, den = start, 1
+    num.flags.writeable = False
+    yield num, den
+    for _ in range(t_max):
+        num = step(_exact(num, den * growth))
+        num.flags.writeable = False
+        den *= n_gens
+        yield num, den
 
 
 class _Probs(Mapping):
@@ -110,36 +131,27 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     Work is t_max * |W| * |R| index operations after a one-time setup that
     ranks the group and tabulates right multiplication by each generator.
     Every generator is an involution, so the counts arriving at w are the
-    counts at w * g, summed over g.
+    counts at w * g, summed over g; a new count is at most |R| * den.
     """
     check_step_count(t_max)
     check_order(spec)
-    gen_list = (
-        simple_reflections_of(spec) if gens == Gens.SIMPLE else reflections_of(spec)
-    )
-    if not gen_list:
+    moves = generator_moves(spec, gens)
+    if not moves:
         raise InvalidRank(f"{spec} has no generators to walk on")
-    n_gens = len(gen_list)
-    work = spec.order() * n_gens * max(t_max, 1)
-    cap = guard_limit()
-    if work > cap:
-        raise OrderLimitExceeded(f"walk work estimate {work} exceeds guard {cap}")
-
+    n_gens = len(moves)
+    check_work(spec.order() * n_gens * max(t_max, 1), "walk work estimate")
     group = RankedGroup(spec)
-    actions = [group.action(g) for g in gen_list]
-    counts = np.zeros(group.order, dtype=np.int64)
-    counts[0] = 1  # the identity
-    counts.flags.writeable = False
-    den = 1
-    yield ExactDist(group, counts, den)
-    for _ in range(t_max):
-        if counts.dtype != object and den * n_gens >= _INT64_LIMIT:
-            counts = counts.astype(object)  # an entry could reach 2^63
+    actions = [group.action(move) for move in moves]
+
+    def step(counts):
         new = counts[actions[0]]
         for act in actions[1:]:
             new += counts[act]
-        new.flags.writeable = False
-        counts, den = new, den * n_gens
+        return new
+
+    start = np.zeros(group.order, dtype=np.int64)
+    start[0] = 1  # the identity
+    for counts, den in _walk(start, step, n_gens, n_gens, t_max):
         yield ExactDist(group, counts, den)
 
 
@@ -183,10 +195,15 @@ def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fr
 
 
 def pair_probability(dist: ExactDist, i: int, j: int) -> Fraction:
-    """Prob(w(i) < w(j)) under the distribution, summed over the support."""
+    """Prob(w(i) < w(j)) under the distribution, summed over the support.
+    Raises KeyError off the pair-table domain, as ``PairTable.entry`` does."""
     win = dist.group.windows
     if win is None:
         raise UnsupportedFamily("pair probabilities need a permutation window")
+    family, n = dist.spec.family, dist.spec.n
+    pos = _positions(family, n)
+    if not _domain(family, n)[pos[i], pos[j]]:
+        raise KeyError((i, j))
 
     def value(x: int) -> np.ndarray:
         return win[:, x - 1] if x > 0 else -win[:, -x - 1]
@@ -223,6 +240,16 @@ def _positions(family: Family, n: int) -> Mapping:
 
 
 @lru_cache(maxsize=128)
+def _domain(family: Family, n: int) -> np.ndarray:
+    """Read-only mask of a pair table's domain: i != j, in D also i != -j."""
+    lab = _support(family, n)
+    i, j = lab[:, None], lab[None, :]
+    mask = abs(i) != abs(j) if family == Family.D else i != j
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=128)
 def _inversions(family: Family, n: int) -> np.ndarray:
     """Read-only flat positions of the family's inversion pairs (i, j) with
     j > |i|, plus (-i, i) in B, in a pair table's numerator array."""
@@ -244,24 +271,20 @@ def _num_reflections(family: Family, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PairTable:
-    """Pairwise quantities indexed by ordered index pairs, held as integer
-    numerators ``num`` over one common denominator ``den``.
-
-    kind "P": entries are Prob(w(i) < w(j)), with num = |R|^t * P over
-    den = |R|^t.  kind "U": the same numerators over 1.  kind "V": the
-    antisymmetrized differences p(i,j) - p(j,i).
+    """The probabilities Prob(w(i) < w(j)) of the walk after t steps, indexed
+    by ordered index pairs, held as integer numerators num = |R|^t * P over
+    one common denominator den = |R|^t.
 
     Family A indexes ordered pairs (i, j) with 1 <= i != j <= n; families B
     and D index signed pairs, with the pairs (i, -i) present for B only.
     ``mask`` marks the domain cells of ``num``; every other cell is zero.
-    ``num`` is read-only; its dtype is int64 while the engine's step bound
-    holds (see ``iterate_pairtables``) and object (Python ints) beyond it.
+    Both are read-only; ``num`` is int64 while the engine's step bound holds
+    (see ``iterate_pairtables``) and object (Python ints) beyond it.
     """
 
     family: Family
     n: int
     t: int
-    kind: str
     num: np.ndarray
     den: int
     mask: np.ndarray
@@ -283,35 +306,18 @@ class PairTable:
             raise KeyError((i, j))
         return Fraction(int(self.num[a, b]), self.den)
 
-    def to_v(self) -> "PairTable":
-        """Antisymmetrized table v(i,j) = p(i,j) - p(j,i)."""
-        if self.kind != "P":
-            raise ValueError("to_v expects a P table")
-        v = self.num - self.num.T
-        v.flags.writeable = False
-        return replace(self, kind="V", num=v)
-
-    def to_u(self) -> "PairTable":
-        """Unnormalized table u = |R|^t * p."""
-        if self.kind != "P":
-            raise ValueError("to_u expects a P table")
-        return replace(self, kind="U", den=1)
-
     def expected_length(self) -> Fraction:
         """Expected inversion-type length: the sum of Prob(w(i) > w(j)) over
         the family's inversion pairs (i, j) with j > |i|, plus (-i, i) in B."""
-        if self.kind != "P":
-            raise ValueError("expected_length expects a P table")
         inv = _inversions(self.family, self.n)
-        top, cells = inv.size * self.den, self.num.take(inv)
-        # cells lie in [0, den], so an int64 sum stays exact below 2^63
-        if cells.dtype != object and top >= _INT64_LIMIT:
-            cells = cells.astype(object)
+        top = inv.size * self.den
+        # cells lie in [0, den], so their sum is at most top
+        cells = _exact(self.num.take(inv), top)
         return Fraction(top - int(cells.sum()), self.den)
 
 
 def iterate_pairtables(family: Family, n: int, t_max: int):
-    """Yield the P-kind pair tables for t = 0, 1, ..., t_max in order.
+    """Yield the pair tables for t = 0, 1, ..., t_max in order.
 
     The state is the integer table U = |R|^t * P.  One step maps it to
     c*U + U^T (+ U[-j,-i] for B and D) + Q(U), less U[-i,j] + U[i,-j] in D;
@@ -333,14 +339,10 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     if n < 1 or (family == Family.A and n < 2):
         raise InvalidRank(f"invalid rank {n} for family {family.value}")
     check_step_count(t_max)
-    cap = guard_limit()
-    work = 4 * n * n * max(t_max, 1)
-    if work > cap:
-        raise OrderLimitExceeded(f"pair-table work estimate {work} exceeds guard {cap}")
+    check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
     lab = _support(family, n)
     i, j = lab[:, None], lab[None, :]
-    q_mask = abs(i) != abs(j)
-    mask = q_mask if family == Family.D else i != j
+    q_mask, mask = abs(i) != abs(j), _domain(family, n)
     nrefl = _num_reflections(family, n)
     # the reflections that fix i and j (those of rank n - 2), less the two
     # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
@@ -348,12 +350,8 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     c, c_sign = _num_reflections(family, n - 2) - 2, _num_reflections(family, n - 1) - 1
     growth = abs(c) + abs(c_sign) + 4 * n + 4
     anti = (np.arange(2 * n), np.arange(2 * n)[::-1])
-    u, den = (mask & (i < j)).astype(np.int64), 1
-    u.flags.writeable = False
-    yield PairTable(family, n, 0, "P", u, den, mask)
-    for t in range(1, t_max + 1):
-        if u.dtype != object and den * growth >= _INT64_LIMIT:
-            u = u.astype(object)
+
+    def step(u):
         new = c * u + u.T + _q(u, q_mask)
         if family != Family.A:
             new += u[::-1, ::-1].T  # U[-j, -i]
@@ -361,13 +359,15 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
             new -= u[::-1, :] + u[:, ::-1]  # U[-i, j] and U[i, -j]
         if family == Family.B:
             new[anti] = c_sign * u[anti] + u[anti].sum()
-        new.flags.writeable = False
-        u, den = new, den * nrefl
-        yield PairTable(family, n, t, "P", u, den, mask)
+        return new
+
+    start = (mask & (i < j)).astype(np.int64)
+    for t, (u, den) in enumerate(_walk(start, step, nrefl, growth, t_max)):
+        yield PairTable(family, n, t, u, den, mask)
 
 
 def evolve_pairtable(family: Family, n: int, t: int) -> PairTable:
-    """The P-kind pair table after t uniform reflection steps."""
+    """The pair table after t uniform reflection steps."""
     for table in iterate_pairtables(family, n, t):
         pass
     return table

@@ -363,6 +363,20 @@ class TestDispatch:
             is not None
         assert formula_for(GroupSpec(Family.A, 3), Gens.SIMPLE, Measure.LENGTH, "paper") is None
 
+    def test_closed_form_without_a_formula_raises_unsupported_family(self):
+        calls = [
+            # a cell with no closed form
+            lambda: closed_form(GroupSpec(Family.D, 3), Gens.REFLECTIONS, Measure.ABSLENGTH, 2),
+            # an unknown formula name on a cell that has one
+            lambda: closed_form(GroupSpec(Family.A, 3), Gens.REFLECTIONS, Measure.LENGTH, 2,
+                                "nope"),
+        ]
+        for call in calls:
+            with pytest.raises(cw.UnsupportedFamily, match="no closed form for family="):
+                call()
+        assert issubclass(cw.UnsupportedFamily, cw.CoxwalkError)
+        assert issubclass(cw.UnsupportedFamily, ValueError)
+
     def test_bm_variant_selectable(self):
         res = closed_form(GroupSpec(Family.A, 5), Gens.SIMPLE, Measure.LENGTH, 4, "bm")
         assert res.method == "bm" and isinstance(res.value, float)

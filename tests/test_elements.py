@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from coxwalk import (
     DihedralElement,
     Family,
+    Gens,
     GroupSpec,
     InvalidRank,
     OrderLimitExceeded,
     Permutation,
+    RankedGroup,
     SignedPermutation,
     SpecMismatch,
     UnsupportedFamily,
@@ -19,6 +21,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
+from coxwalk.elements import generator_moves
 
 A3 = GroupSpec(Family.A, 3)
 B2 = GroupSpec(Family.B, 2)
@@ -226,6 +229,28 @@ class TestEnumerate:
             enumerate_group(A3)
         monkeypatch.setenv("COXWALK_GUARD_LIMIT", "6")
         assert len(enumerate_group(A3)) == 6
+
+
+class TestActionTables:
+    def test_action_equals_multiply(self):
+        # every generator move's rank table, against the element product
+        specs = ([GroupSpec(Family.A, n) for n in range(2, 6)]
+                 + [GroupSpec(Family.B, n) for n in range(1, 5)]
+                 + [GroupSpec(Family.D, n) for n in range(1, 6)]
+                 + [GroupSpec(Family.I2, m) for m in (2, 3, 5, 8)])
+        for spec in specs:
+            group = RankedGroup(spec)
+            elements = group.elements()
+            # rank_of once per element; every product is one of them
+            rank_of = {w: group.rank_of(w) for w in elements}
+            for gens, gen_list in ((Gens.SIMPLE, simple_reflections_of(spec)),
+                                   (Gens.REFLECTIONS, reflections_of(spec))):
+                moves = list(generator_moves(spec, gens))
+                assert len(moves) == len(gen_list)
+                for move, g in zip(moves, gen_list):
+                    act = group.action(move).tolist()
+                    for k, w in enumerate(elements):
+                        assert rank_of[multiply(w, g)] == act[k], (spec, gens, move, w)
 
 
 class TestIndexPairs:

@@ -19,6 +19,7 @@ from coxwalk import (
     apply_Q_BD,
     abs_length_dihedral,
     coxeter_length,
+    enumerate_group,
     evolve_distribution,
     evolve_pairtable,
     expectation,
@@ -176,20 +177,22 @@ class TestPairTables:
                     assert p + table.entry(j, i) == 1
 
     def test_v_symmetries_conserved(self):
+        # v(i,j) = p(i,j) - p(j,i) is antisymmetric and invariant under
+        # (i,j) -> (-j,-i) exactly when p is
         for family, n in ((Family.B, 3), (Family.D, 3)):
             for table in iterate_pairtables(family, n, 6):
-                v = table.to_v()
-                for (i, j), val in v.entries.items():
-                    assert v.entry(j, i) == -val
-                    if (-j, -i) in v.entries:
-                        assert v.entry(-j, -i) == val
+                p = table.entries
+                for (i, j), val in p.items():
+                    assert p[(j, i)] == 1 - val
+                    if (-j, -i) in p:
+                        assert p[(-j, -i)] == val
 
     def test_u_tables_are_integral(self):
         # scaled by |R|^t the recurrence is integer valued
         for family, n in ((Family.A, 4), (Family.B, 2), (Family.D, 3)):
             for table in iterate_pairtables(family, n, 5):
-                for val in table.to_u().entries.values():
-                    assert val.denominator == 1
+                for val in table.num.ravel().tolist():
+                    assert isinstance(val, int)
 
     def test_matches_marginals(self):
         spec = GroupSpec(Family.B, 2)
@@ -235,9 +238,8 @@ class TestPairTables:
                                  (Family.B, 5, 16)):
             for t, table in enumerate(iterate_pairtables(family, n, t_max)):
                 assert table.entries == evolve_pairtable(family, n, t).entries
-                for num in (table.num, table.to_u().num, table.to_v().num):
-                    with pytest.raises(ValueError):
-                        num[0, 1] = 7
+                with pytest.raises(ValueError):
+                    table.num[0, 1] = 7
             with pytest.raises(ValueError):
                 _inversions(family, n)[0] = 0
             with pytest.raises(TypeError):
@@ -444,6 +446,27 @@ class TestRankedEngine:
             assert expectation(dist, counting) == _inversions_over_probs(dist)
         assert calls and set(calls.values()) == {1}
 
+    def test_pair_probability_raises_off_the_pair_table_domain(self):
+        # pair_probability and PairTable.entry share one domain: off it both
+        # raise KeyError, on it they agree.  The labels include 0 and +-(n+1),
+        # so A4 (0, 1), (-1, 2), (2, 2), (1, 5) and D3 (0, 1) are among them
+        for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3), GroupSpec(Family.D, 3)):
+            n = spec.n
+            dist = evolve_distribution(spec, Gens.REFLECTIONS, 3)
+            table = evolve_pairtable(spec.family, n, 3)
+            off = 0
+            for i in range(-n - 1, n + 2):
+                for j in range(-n - 1, n + 2):
+                    try:
+                        p = table.entry(i, j)
+                    except KeyError:
+                        off += 1
+                        with pytest.raises(KeyError):
+                            pair_probability(dist, i, j)
+                    else:
+                        assert pair_probability(dist, i, j) == p
+            assert off > 0
+
     def test_pair_probability_on_object_counts(self):
         spec = GroupSpec(Family.A, 3)
         dist = evolve_distribution(spec, Gens.REFLECTIONS, 41)  # 3^41 > 2^63
@@ -453,13 +476,28 @@ class TestRankedEngine:
             assert pair_probability(dist, i, j) == p
 
 
+@pytest.mark.parametrize("call, estimate, message", [
+    (lambda: enumerate_group(GroupSpec(Family.B, 3)), 48, "group order 48 exceeds guard 47"),
+    (lambda: list(iterate_distributions(GroupSpec(Family.A, 4), Gens.REFLECTIONS, 3)),
+     24 * 6 * 3, "walk work estimate 432 exceeds guard 431"),
+    (lambda: list(iterate_pairtables(Family.A, 5, 3)),
+     4 * 5 * 5 * 3, "pair-table work estimate 300 exceeds guard 299"),
+], ids=["enumerate_group", "iterate_distributions", "iterate_pairtables"])
+def test_guard_admits_its_estimate_and_refuses_one_less(monkeypatch, call, estimate, message):
+    monkeypatch.setenv("COXWALK_GUARD_LIMIT", str(estimate))
+    assert call()
+    monkeypatch.setenv("COXWALK_GUARD_LIMIT", str(estimate - 1))
+    with pytest.raises(OrderLimitExceeded) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def _inversions_over_probs(dist):
     """Expected inversion count summed straight over the probs view."""
     return sum((p * inversion_count(w) for w, p in dist.probs.items()), Fraction(0))
 
 
 def test_enumerate_group_matches_independent_bfs():
-    from coxwalk import enumerate_group
     from helpers import bfs_word_length
 
     for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),

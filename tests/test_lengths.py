@@ -7,6 +7,7 @@ from coxwalk import (
     DihedralElement,
     DParityViolation,
     Family,
+    Gens,
     GroupSpec,
     Measure,
     Permutation,
@@ -26,6 +27,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
+from coxwalk.elements import generator_moves
 from helpers import bfs_word_length
 
 
@@ -179,10 +181,10 @@ ORACLE_GROUPS = (
 )
 
 
-def rank_bfs(group, generators):
-    """Word length over the generators by rank, breadth-first over the
-    group's right-action tables."""
-    actions = [group.action(g) for g in generators]
+def rank_bfs(group, moves):
+    """Word length over the generators of the given ``generator_moves``
+    entries by rank, breadth-first over the group's right-action tables."""
+    actions = [group.action(move) for move in moves]
     dist = np.full(group.order, -1)
     dist[0], frontier, d = 0, np.zeros(1, dtype=np.intp), 0
     while frontier.size:
@@ -211,7 +213,8 @@ def bfs_statistics(spec):
                 descents[w if length[w] > length[ws] else ws] += 1
     if order * len(refl) > 200_000:
         group = RankedGroup(spec)
-        absolute = dict(zip(group.elements(), rank_bfs(group, refl).tolist()))
+        moves = generator_moves(spec, Gens.REFLECTIONS)
+        absolute = dict(zip(group.elements(), rank_bfs(group, moves).tolist()))
     else:
         absolute = bfs_word_length(spec.identity(), refl, order)
     return {Measure.LENGTH: length, Measure.ABSLENGTH: absolute, Measure.DESCENTS: descents}
