@@ -6,9 +6,10 @@ more source trees, written to BENCH_statistics.json (or --out).
 Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
 a fresh interpreter with the tree on PYTHONPATH; the time is the median of
 --repeats runs of ``cli.main`` alone (interpreter start and imports
-excluded).  A route a tree refuses is recorded as "refused (exit 2)" with
-its error line.  Where two trees both run a route, their printed values
-must agree exactly, or the script exits 1.
+excluded), and each run also records the child's peak RSS (``ru_maxrss``,
+interpreter and imports included).  A route a tree refuses is recorded as
+"refused (exit 2)" with its error line.  Where two trees both run a route,
+their printed values must agree exactly, or the script exits 1.
 
 The exact-pair routes run most of their steps on Python-int numerators: the
 pair engine's last int64 table is t = 5 in A60, B60 and D40 and t = 4 in
@@ -16,7 +17,10 @@ B120.  perfbench's pair-sweep crosses too, but only in A12 (t >= 11) and A16
 (t >= 9): 4 of its 158 steps and about 6 % of its step time, so a slower
 Python-int step barely moves its work_per_s.  The exact A7, B5 and D5 walks
 time the full engine's Python-int steps (its last int64 table is t = 14, 13
-and 14), which perfbench's full-table, held in int64, never reaches.
+and 14), which perfbench's full-table, held in int64, never reaches.  The
+exact A8 t=1, B6 t=1 and D6 t=2 walks are dominated by the full engine's
+set-up (ranking the group and building its action tables), and are the
+largest such walks the default guard admits in each family.
 """
 from __future__ import annotations
 
@@ -36,6 +40,12 @@ ROUTES = {
                               "--t", "6", "--engine", "exact-full"],
     "exact B6 t=6 abslength": ["--family", "B", "--n", "6", "--measure", "abslength",
                                "--t", "6", "--engine", "exact-full"],
+    "exact A8 t=1 length": ["--family", "A", "--n", "8", "--measure", "length",
+                            "--t", "1", "--engine", "exact-full"],
+    "exact B6 t=1 length": ["--family", "B", "--n", "6", "--measure", "length",
+                            "--t", "1", "--engine", "exact-full"],
+    "exact D6 t=2 length": ["--family", "D", "--n", "6", "--measure", "length",
+                            "--t", "2", "--engine", "exact-full"],
     "exact A7 t=90 length": ["--family", "A", "--n", "7", "--measure", "length",
                              "--t", "90", "--engine", "exact-full"],
     "exact B5 t=60 abslength": ["--family", "B", "--n", "5", "--measure", "abslength",
@@ -61,15 +71,16 @@ ROUTES = {
 
 # runs in the child: times cli.main on argv and prints one JSON line
 CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 from coxwalk.cli import main
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     t0 = time.perf_counter()
     code = main(sys.argv[1:])
     seconds = time.perf_counter() - t0
-print(json.dumps({"code": code, "seconds": seconds, "out": out.getvalue(),
-                  "err": err.getvalue()}))
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"code": code, "seconds": seconds, "peak_rss_mb": rss_mb,
+                  "out": out.getvalue(), "err": err.getvalue()}))
 """
 
 
@@ -90,7 +101,10 @@ def measure(src: str, argv: list[str], repeats: int) -> dict:
     if any(r["out"] != first["out"] for r in runs):
         raise RuntimeError(f"{argv} printed different values across reruns")
     return {"seconds": statistics.median(r["seconds"] for r in runs),
-            "runs": [r["seconds"] for r in runs], "value": json.loads(first["out"])}
+            "runs": [r["seconds"] for r in runs],
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "runs_peak_rss_mb": [r["peak_rss_mb"] for r in runs],
+            "value": json.loads(first["out"])}
 
 
 def main() -> int:
@@ -109,7 +123,8 @@ def main() -> int:
                  "cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__},
         "timing": f"median of {args.repeats} runs of cli.main in a fresh interpreter, "
-                  "imports excluded",
+                  "imports excluded; peak_rss_mb is the median of the children's "
+                  "ru_maxrss in MB, interpreter and imports included",
         "routes": {},
     }
     mismatch = False
@@ -118,7 +133,8 @@ def main() -> int:
         for label, src in trees.items():
             row[label] = measure(str(Path(src).resolve()), argv, args.repeats)
             shown = row[label].get("seconds", row[label].get("result"))
-            print(f"{name:34s} {label:8s} {shown}", flush=True)
+            rss = row[label].get("peak_rss_mb", "")
+            print(f"{name:34s} {label:8s} {shown} {rss}", flush=True)
         values = [r["value"] for label, r in row.items() if label != "argv" and "value" in r]
         if any(v != values[0] for v in values):
             mismatch = True

@@ -9,14 +9,14 @@ half of the domain implicit through w(-i) = -w(i), dihedral elements as a
 ``RankedGroup`` numbers every element of a group 0..|W|-1, the identity 0:
 the Lehmer rank of the window in A, perm-rank * 2^n + sign bits in B,
 perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
-and 2 * rot + flip in I2.  Enumeration, generator action tables and the
-exact full-distribution engine all work on these ranks; element objects are
-built from a rank on demand.
+and 2 * rot + flip in I2.  Enumeration, the action tables (only the base
+moves' tables are ranked, the rest conjugated from them) and the exact full
+engine work on these ranks; element objects are built from a rank on demand.
 
 ``generator_moves`` is the one list of a walk's generators: integer moves
 (a, b, s) on window positions in A/B/D and rotation parts in I2.  The element
 lists ``reflections_of`` / ``simple_reflections_of``, Monte Carlo's moves and
-the full engine's action tables (``RankedGroup.action``) all read it.
+the full engine's action tables (``RankedGroup.actions``) all read it.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -41,6 +41,8 @@ from .errors import (
 )
 
 DEFAULT_GUARD_LIMIT = 10**7
+# entries per ranking call of RankedGroup.actions and per gathered block of a full-engine step
+_BLOCK = 2**15
 GUARD_ENV_VAR = "COXWALK_GUARD_LIMIT"
 
 
@@ -406,10 +408,10 @@ def _perm_windows(n: int) -> np.ndarray:
     w = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, n + 1):
         # rows starting with v: v, then each (k-1)-permutation shifted past v
-        w = np.concatenate([
-            np.hstack([np.full((len(w), 1), v, np.int8), w + (w >= v)])
-            for v in range(1, k + 1)
-        ])
+        v = np.repeat(np.arange(1, k + 1, dtype=np.int8), len(w))[:, None]
+        rest = np.tile(w, (k, 1))
+        rest += rest >= v
+        w = np.hstack([v, rest])
     return w
 
 
@@ -430,10 +432,10 @@ class RankedGroup:
     """A group of family A, B, D or I2 with its elements ranked 0..|W|-1.
 
     ``windows`` holds every element's window as one int8 (|W|, n) array in
-    rank order (None for I2), stored column by column.  Element objects are
-    built on demand.  ``memo`` maps a statistic to its values by
-    rank: at every rank for a ``make_statistic`` statistic, and only on the
-    supports asked about for any other callable.
+    rank order (None for I2), stored column by column; element objects are
+    built on demand.  ``actions`` tabulates right multiplication by moves.
+    ``memo`` maps a statistic to its values by rank: at every rank for a
+    ``make_statistic`` statistic, on the supports asked about otherwise.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -480,7 +482,9 @@ class RankedGroup:
         raise KeyError(w)
 
     def element(self, k: int) -> GroupElement:
-        """The element of rank k."""
+        """The element of rank k; KeyError if k is not in [0, |W|)."""
+        if not 0 <= k < self.order:
+            raise KeyError(k)
         f = self.spec.family
         if f == Family.I2:
             return DihedralElement(self.spec.n, k >> 1, k & 1)
@@ -491,17 +495,51 @@ class RankedGroup:
         """Every element, in rank order."""
         return [self.element(k) for k in range(self.order)]
 
-    def action(self, move) -> np.ndarray:
-        """Right multiplication by the generator g of one ``generator_moves``
-        entry, as an int32 table of the rank of w * g at the rank of w (its
-        own inverse).  A move (a, b, s) maps the window columns as Monte
-        Carlo does; an I2 rotation part r is the reflection rho^r * sigma."""
+    def actions(self, moves) -> np.ndarray:
+        """Right multiplication by the generators of ``generator_moves``
+        entries, as one int32 (len(moves), |W|) array whose row k holds the
+        rank of w * g_k at the rank of w (an involution).  A move (a, b, s)
+        maps the window columns as Monte Carlo does; an I2 rotation part r is
+        the reflection rho^r * sigma, a closed expression in the rank.
+
+        Only the base moves (k, k+1, 1), (1, 1, -1) and (1, 2, -1) are ranked.
+        Any other move is tau * m' * tau for an adjacent transposition tau and
+        a move m' one step nearer the base: its table is act_tau[act_m'[act_tau]]."""
+        moves = list(moves)
+        out = np.empty((len(moves), self.order), dtype=np.int32)
         if self.spec.family == Family.I2:
-            k = np.arange(self.order)
-            rot, flip = k >> 1, k & 1
-            rot = (rot + np.where(flip, -move, move)) % self.spec.n
-            return (2 * rot + (flip ^ 1)).astype(np.int32)
-        a, b, s = move
-        cols = self.windows.T.copy()
-        cols[[b - 1, a - 1]] = self.windows.T[[a - 1, b - 1]] * s
-        return self.ranks(cols).astype(np.int32)
+            # rank 2*rot + flip goes to 2*((rot +- r) % m) + 1 - flip
+            m, r = self.spec.n, np.asarray(moves, dtype=np.int32)[:, None]
+            pairs, rot = out.reshape(len(moves), m, 2), np.arange(m, dtype=np.int32)
+            pairs[:, :, 0] = (rot + r) % m * 2 + 1
+            pairs[:, :, 1] = (rot - r) % m * 2
+            return out
+        # each table is its move's first output row, or scratch for a link no row asks for
+        tables, plan, todo = dict(zip(moves[::-1], out[::-1])), {}, list(moves)
+        while todo:
+            a, b, s = move = todo.pop()
+            if move not in plan:
+                plan[move] = None  # a base move
+                if a > 1 and (b, s) != (a + 1, 1):
+                    plan[move] = (a - 1, a, 1), (a - 1, b if b > a else a - 1, s)
+                elif a == 1 and b > 2:
+                    plan[move] = (b - 1, b, 1), (1, b - 1, s)
+                todo += plan[move] or ()
+                tables.setdefault(move, np.empty(self.order, dtype=np.int32))
+        base = [move for move, link in plan.items() if link is None]
+        wt, size, per = self.windows.T, self.order, max(1, _BLOCK // self.order)
+        for lo in range(0, len(base), per):
+            block = base[lo:lo + per]
+            cols = np.tile(wt, len(block))
+            for j, (a, b, s) in enumerate(block):
+                cols[[b - 1, a - 1], j * size:(j + 1) * size] = wt[[a - 1, b - 1]] * s
+            for move, rank in zip(block, self.ranks(cols).reshape(len(block), size)):
+                tables[move][:] = rank
+            del cols, rank  # freed before the next block is tiled
+        # tau is a base move, and m' has a smaller a + b than its move
+        for move in sorted(plan.keys() - base, key=lambda move: move[0] + move[1]):
+            tau, prev = (tables[link] for link in plan[move])
+            tables[move][:] = tau[prev[tau]]
+        for k, move in enumerate(moves):
+            out[k] = tables[move]  # copies only the later rows of a repeated move
+        return out

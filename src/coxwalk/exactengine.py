@@ -15,9 +15,9 @@ walk loop, ``_walk``, which holds the numerators in int64 while the engine's
 growth bound keeps the next step below 2^63 and in Python ints beyond, and
 yields them read-only, as they are the state for the next step.  The full
 engine keeps counts = |R|^t * P over the ranks of ``elements.RankedGroup``
-(identity 0) and gathers them through the action table of each
-``generator_moves`` entry.  The pairwise state, U = |R|^t * P in one numpy
-table, scales as O(n^2) and so reaches ranks far beyond full enumeration.
+(identity 0) and sums their gathers through ``RankedGroup.actions``, one
+block of generators at a time.  The pairwise state, U = |R|^t * P in one
+numpy table, scales as O(n^2) and so reaches ranks far beyond full enumeration.
 
 Also here: the row-plus-column summation operator Q of the pairwise step.
 ``apply_Q_A`` and ``apply_Q_BD`` apply that same Q to pair-table arrays, on
@@ -43,6 +43,7 @@ from .elements import (
     GroupSpec,
     Measure,
     RankedGroup,
+    _BLOCK,
     check_order,
     check_work,
     generator_moves,
@@ -129,7 +130,7 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     """Yield the walk distribution at t = 0, 1, ..., t_max in order.
 
     Work is t_max * |W| * |R| index operations after a one-time setup that
-    ranks the group and tabulates right multiplication by each generator.
+    ranks the group and builds its action tables (``RankedGroup.actions``).
     Every generator is an involution, so the counts arriving at w are the
     counts at w * g, summed over g; a new count is at most |R| * den.
     """
@@ -141,12 +142,13 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     n_gens = len(moves)
     check_work(spec.order() * n_gens * max(t_max, 1), "walk work estimate")
     group = RankedGroup(spec)
-    actions = [group.action(move) for move in moves]
+    actions = group.actions(moves)
+    rows = max(1, _BLOCK // group.order)
 
     def step(counts):
-        new = counts[actions[0]]
-        for act in actions[1:]:
-            new += counts[act]
+        new = counts[actions[:rows]].sum(axis=0)
+        for lo in range(rows, n_gens, rows):
+            new += counts[actions[lo:lo + rows]].sum(axis=0)
         return new
 
     start = np.zeros(group.order, dtype=np.int64)
@@ -174,10 +176,10 @@ def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fr
     """
     group, counts = dist.group, dist.counts
     if isinstance(statistic, lengths.Statistic):
-        if statistic not in group.memo:
+        if (entry := group.memo.get(statistic)) is None:
             values = statistic.values(group)
-            group.memo[statistic] = values, int(values.max())
-        values, top = group.memo[statistic]
+            entry = group.memo[statistic] = values, int(values.max())
+        values, top = entry
         if counts.dtype != object and dist.den * top < _INT64_LIMIT:
             return Fraction(int(counts @ values), dist.den)
         # per-value subtotals: each is at most den, so int64 counts stay exact

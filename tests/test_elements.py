@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,10 +234,11 @@ class TestEnumerate:
 
 class TestActionTables:
     def test_action_equals_multiply(self):
-        # every generator move's rank table, against the element product
-        specs = ([GroupSpec(Family.A, n) for n in range(2, 6)]
-                 + [GroupSpec(Family.B, n) for n in range(1, 5)]
-                 + [GroupSpec(Family.D, n) for n in range(1, 6)]
+        # every generator move's rank table, against the element product; the
+        # conjugation chains are longest in A6, B5 and D6
+        specs = ([GroupSpec(Family.A, n) for n in range(2, 7)]
+                 + [GroupSpec(Family.B, n) for n in range(1, 6)]
+                 + [GroupSpec(Family.D, n) for n in range(1, 7)]
                  + [GroupSpec(Family.I2, m) for m in (2, 3, 5, 8)])
         for spec in specs:
             group = RankedGroup(spec)
@@ -247,10 +249,31 @@ class TestActionTables:
                                    (Gens.REFLECTIONS, reflections_of(spec))):
                 moves = list(generator_moves(spec, gens))
                 assert len(moves) == len(gen_list)
-                for move, g in zip(moves, gen_list):
-                    act = group.action(move).tolist()
-                    for k, w in enumerate(elements):
-                        assert rank_of[multiply(w, g)] == act[k], (spec, gens, move, w)
+                actions = group.actions(moves)
+                assert actions.shape == (len(moves), group.order)
+                assert actions.dtype == np.int32
+                for move, g, row in zip(moves, gen_list, actions.tolist()):
+                    assert [rank_of[multiply(w, g)] for w in elements] == row, (spec, move)
+                    # alone, a move builds its links as scratch tables
+                    assert group.actions([move])[0].tolist() == row, (spec, move)
+
+    def test_repeated_moves_get_equal_rows(self):
+        group = RankedGroup(GroupSpec(Family.B, 3))
+        moves = [(2, 3, -1), (1, 1, -1), (2, 3, -1)]
+        rows = group.actions(moves)
+        for move, row in zip(moves, rows):
+            assert np.array_equal(row, group.actions([move])[0])
+
+
+class TestRanks:
+    @pytest.mark.parametrize("spec", [A3, B2, GroupSpec(Family.D, 3), I5], ids=str)
+    def test_element_rejects_ranks_outside_the_group(self, spec):
+        group = RankedGroup(spec)
+        for k in (-1, group.order):
+            with pytest.raises(KeyError):
+                group.element(k)
+        for k in range(group.order):
+            assert group.rank_of(group.element(k)) == k
 
 
 class TestIndexPairs:

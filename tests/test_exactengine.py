@@ -38,6 +38,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
+from coxwalk.elements import generator_moves
 from coxwalk.exactengine import _inversions, _positions
 from helpers import brute_force_distribution, brute_force_expectation
 
@@ -409,6 +410,20 @@ class TestRankedEngine:
             assert expectation(dist, stat) == expected_length_A_T(4, t)
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
         assert dist.counts.dtype == object
+
+    def test_blocked_step_sums_every_generator_row(self):
+        # B5 reflections: 25 rows of 3840 entries take more than one block;
+        # the counts leave int64 after t = 13
+        spec = GroupSpec(Family.B, 5)
+        moves = generator_moves(spec, Gens.REFLECTIONS)
+        dists = list(iterate_distributions(spec, Gens.REFLECTIONS, 15))
+        rows = dists[0].group.actions(moves)
+        for t, (prev, dist) in enumerate(zip(dists, dists[1:]), start=1):
+            expected = sum(prev.counts.astype(object)[row] for row in rows)
+            assert np.array_equal(dist.counts, expected), t
+            int64 = prev.counts.dtype == np.int64 and prev.den * len(moves) < 2**63
+            assert dist.counts.dtype == (np.int64 if int64 else object), t
+        assert dists[13].counts.dtype == np.int64 and dists[14].counts.dtype == object
 
     def test_probs_is_a_view_over_the_support(self):
         spec = GroupSpec(Family.A, 4)

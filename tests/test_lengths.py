@@ -184,12 +184,12 @@ ORACLE_GROUPS = (
 def rank_bfs(group, moves):
     """Word length over the generators of the given ``generator_moves``
     entries by rank, breadth-first over the group's right-action tables."""
-    actions = [group.action(move) for move in moves]
+    actions = group.actions(moves)
     dist = np.full(group.order, -1)
     dist[0], frontier, d = 0, np.zeros(1, dtype=np.intp), 0
     while frontier.size:
         d += 1
-        reached = np.unique(np.concatenate([act[frontier] for act in actions]))
+        reached = np.unique(actions[:, frontier])
         frontier = reached[dist[reached] < 0]
         dist[frontier] = d
     return dist
