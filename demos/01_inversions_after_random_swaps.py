@@ -16,8 +16,8 @@ from coxwalk import (
     evolve_pairtable,
     expectation,
     expected_length_A_T,
-    inversion_count,
     iterate_distributions,
+    make_statistic,
     pair_prob_A,
     simulate,
 )
@@ -25,6 +25,7 @@ from coxwalk import (
 N = 6
 T_MAX = 12
 spec = GroupSpec(Family.A, N)
+inversions = make_statistic(spec, Measure.LENGTH)
 
 print(f"deck of {N} cards, uniform random transpositions")
 print(f"stationary expectation n(n-1)/4 = {Fraction(N * (N - 1), 4)}\n")
@@ -32,7 +33,7 @@ print(f"stationary expectation n(n-1)/4 = {Fraction(N * (N - 1), 4)}\n")
 print(f"{'t':>3} {'closed form':>16} {'exact chain':>16} {'mc (1e4 trials)':>16}")
 for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, T_MAX)):
     closed = expected_length_A_T(N, t)
-    chain = expectation(dist, inversion_count)
+    chain = expectation(dist, inversions)
     assert closed == chain
     mc = simulate(spec, Gens.REFLECTIONS, Measure.LENGTH, t, trials=10**4, seed=100 + t)
     print(f"{t:>3} {str(closed):>16} {str(chain):>16} {mc.mean:>16.3f}")

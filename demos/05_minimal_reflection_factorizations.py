@@ -13,7 +13,6 @@ from coxwalk import (
     Gens,
     GroupSpec,
     Measure,
-    abs_length_A,
     evolve_distribution,
     expectation,
     expected_abslength_G_EH,
@@ -22,9 +21,10 @@ from coxwalk import (
 
 print("symmetric group on 5 letters (r = 1): formula vs exact chain")
 spec = GroupSpec(Family.A, 5)
+stat = make_statistic(spec, Measure.ABSLENGTH)
 for t in range(0, 7):
     formula = expected_abslength_G_EH(1, 5, t)
-    chain = expectation(evolve_distribution(spec, Gens.REFLECTIONS, t), abs_length_A)
+    chain = expectation(evolve_distribution(spec, Gens.REFLECTIONS, t), stat)
     assert formula == chain
     print(f"  t={t}: {str(formula):>12} = {float(formula):.6f}")
 

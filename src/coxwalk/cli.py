@@ -7,10 +7,14 @@ Subcommands:
 * ``table``  — a t-grid comparing closed form, exact engine, and Monte Carlo.
 * ``verify`` — run the cross-check suites; one pass/fail line per check.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Rationals are
-emitted without precision loss: "num/den" in CSV, {"num": ..., "den": ...}
-with decimal strings in JSON.  The environment variable COXWALK_GUARD_LIMIT
-(a decimal integer) overrides the group-order guard.
+Exit codes: 0 success, 1 verification failure, 2 usage error: argparse's
+usage text for malformed or missing flags, and one ``error:`` line for any
+``CoxwalkError`` (a rank, walk length, seed or trial count outside its
+domain, a group without an element model, work beyond the guard).
+Rationals are emitted without precision loss: "num/den" in CSV,
+{"num": ..., "den": ...} with decimal strings in JSON.  The environment
+variable COXWALK_GUARD_LIMIT (a decimal integer) overrides the group-order
+guard.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from functools import lru_cache
 
 from .closedform import closed_form, formula_for
 from .elements import Family, Gens, GroupSpec, Measure
-from .errors import CoxwalkError, InvalidRank, OrderLimitExceeded, UnsupportedFamily
+from .errors import CoxwalkError, OrderLimitExceeded
 from .exactengine import (
     evolve_distribution,
     evolve_pairtable,
@@ -52,25 +56,16 @@ def _json_value(value):
 
 
 def _build_spec(args, parser) -> GroupSpec:
+    """The group of the flags; a rank outside the family's domain raises
+    InvalidRank for ``main`` to report."""
     family = Family(args.family)
     if args.n is None:
         parser.error("--n (or --m for I2) is required")
-    try:
-        if family == Family.G:
-            return GroupSpec(family, args.n, args.r if args.r is not None else 1)
-        if args.r is not None:
-            parser.error("--r is only valid with --family G")
-        return GroupSpec(family, args.n)
-    except InvalidRank as exc:
-        parser.error(str(exc))
-
-
-def _element_spec(spec: GroupSpec, parser) -> GroupSpec:
-    """Group carrying the element-level model (maps G(1,.)/G(2,.) to A/B)."""
-    try:
-        return spec.element_model()
-    except UnsupportedFamily as exc:
-        parser.error(str(exc))
+    if family == Family.G:
+        return GroupSpec(family, args.n, args.r if args.r is not None else 1)
+    if args.r is not None:
+        parser.error("--r is only valid with --family G")
+    return GroupSpec(family, args.n)
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
@@ -80,6 +75,16 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=None, help="color count, family G only")
     p.add_argument("--gens", choices=[g.value for g in Gens], default=Gens.REFLECTIONS.value)
     p.add_argument("--measure", choices=[m.value for m in Measure], default=Measure.LENGTH.value)
+
+
+def _add_method_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--formula",
+        choices=["auto", "eriksen", "bm", "troili", "eh", "paper"],
+        default="auto",
+    )
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=1)
 
 
 def _emit_record(record: dict, fmt: str) -> None:
@@ -102,16 +107,16 @@ def _cmd_eval(args, parser) -> int:
             f"measure={measure.value} (formula={args.formula}); falling back to exact-full"
         )
         engine = "exact-full"
+    if engine != "closed":
+        model = spec.element_model()
     if engine == "closed":
         res = closed_form(spec, gens, measure, args.t, args.formula)
         method, value = res.method, res.value
     elif engine == "exact-full":
-        model = _element_spec(spec, parser)
         dist = evolve_distribution(model, gens, args.t)
         value = expectation(dist, make_statistic(model, measure))
         method = "exact-full"
     elif engine == "exact-pair":
-        model = _element_spec(spec, parser)
         if gens != Gens.REFLECTIONS or measure != Measure.LENGTH or model.family not in (
             Family.A,
             Family.B,
@@ -121,7 +126,6 @@ def _cmd_eval(args, parser) -> int:
         value = evolve_pairtable(model.family, model.n, args.t).expected_length()
         method = "exact-pair"
     else:  # mc
-        model = _element_spec(spec, parser)
         sim = simulate(model, gens, measure, args.t, trials=args.trials, seed=args.seed)
         method, value, stderr = "mc", sim.mean, sim.stderr
     record = {
@@ -145,7 +149,7 @@ def _cmd_eval(args, parser) -> int:
 def _cmd_table(args, parser) -> int:
     spec = _build_spec(args, parser)
     gens, measure = Gens(args.gens), Measure(args.measure)
-    model = _element_spec(spec, parser)
+    model = spec.element_model()
     have_formula = formula_for(spec, gens, measure, args.formula) is not None
     if not have_formula:
         _warn("no closed form for this cell; closed_form column left empty")
@@ -233,30 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one expectation")
     _add_group_flags(p_eval)
     p_eval.add_argument("--t", type=int, required=True)
-    p_eval.add_argument(
-        "--formula",
-        choices=["auto", "eriksen", "bm", "troili", "eh", "paper"],
-        default="auto",
-    )
+    _add_method_flags(p_eval)
     p_eval.add_argument(
         "--engine",
         choices=["closed", "exact-full", "exact-pair", "mc"],
         default="closed",
     )
-    p_eval.add_argument("--trials", type=int, default=10000)
-    p_eval.add_argument("--seed", type=int, default=1)
     p_eval.add_argument("--format", choices=["csv", "json"], default="json")
 
     p_table = sub.add_parser("table", help="closed/exact/mc comparison over a t grid")
     _add_group_flags(p_table)
     p_table.add_argument("--t-max", type=int, required=True, dest="t_max")
-    p_table.add_argument(
-        "--formula",
-        choices=["auto", "eriksen", "bm", "troili", "eh", "paper"],
-        default="auto",
-    )
-    p_table.add_argument("--trials", type=int, default=10000)
-    p_table.add_argument("--seed", type=int, default=1)
+    _add_method_flags(p_table)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")

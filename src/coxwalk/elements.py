@@ -33,6 +33,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    DParityViolation,
     InvalidGuardLimit,
     InvalidRank,
     OrderLimitExceeded,
@@ -397,6 +398,18 @@ def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
     return RankedGroup(spec).elements()
 
 
+def _check_member(spec: GroupSpec, w) -> None:
+    """Raise SpecMismatch unless w is an element of the A, B, D or I2 group
+    spec, and DParityViolation for a signed window with an odd number of sign
+    changes under D.  The one membership test of ranks and statistics."""
+    f = spec.family
+    cls = {Family.A: Permutation, Family.I2: DihedralElement}.get(f, SignedPermutation)
+    if type(w) is not cls or (w.m if f == Family.I2 else w.n) != spec.n:
+        raise SpecMismatch(f"{w} is not an element of {spec}")
+    if f == Family.D and not w.in_type_d:
+        raise DParityViolation(f"odd number of sign changes in {w.window}")
+
+
 # ---------------------------------------------------------------------------
 # Integer ranks
 # ---------------------------------------------------------------------------
@@ -469,17 +482,13 @@ class RankedGroup:
 
     def rank_of(self, w) -> int:
         """Rank of one element; KeyError if w does not belong to the group."""
-        f = self.spec.family
-        if f == Family.I2:
-            if isinstance(w, DihedralElement) and w.m == self.spec.n:
-                return 2 * w.rot + w.flip
-        elif (
-            type(w) is (Permutation if f == Family.A else SignedPermutation)
-            and w.n == self.spec.n
-            and (f != Family.D or w.in_type_d)
-        ):
-            return int(self.ranks(np.array(w.window, dtype=np.int8)[:, None])[0])
-        raise KeyError(w)
+        try:
+            _check_member(self.spec, w)
+        except (SpecMismatch, DParityViolation):
+            raise KeyError(w) from None
+        if self.spec.family == Family.I2:
+            return 2 * w.rot + w.flip
+        return int(self.ranks(np.array(w.window, dtype=np.int8)[:, None])[0])
 
     def element(self, k: int) -> GroupElement:
         """The element of rank k; KeyError if k is not in [0, |W|)."""
@@ -504,8 +513,14 @@ class RankedGroup:
 
         Only the base moves (k, k+1, 1), (1, 1, -1) and (1, 2, -1) are ranked.
         Any other move is tau * m' * tau for an adjacent transposition tau and
-        a move m' one step nearer the base: its table is act_tau[act_m'[act_tau]]."""
+        a move m' one step nearer the base: its table is act_tau[act_m'[act_tau]].
+        SpecMismatch for a move that is not a reflection of the group."""
         moves = list(moves)
+        reflections = generator_moves(self.spec, Gens.REFLECTIONS)
+        if self.spec.family != Family.I2:  # a range in I2, whose test is O(1)
+            reflections = set(reflections)
+        if foreign := [move for move in moves if move not in reflections]:
+            raise SpecMismatch(f"moves {foreign} are not generators of {self.spec}")
         out = np.empty((len(moves), self.order), dtype=np.int32)
         if self.spec.family == Family.I2:
             # rank 2*rot + flip goes to 2*((rot +- r) % m) + 1 - flip

@@ -5,8 +5,10 @@ a block of elements.
 A block is a (k, n) array of windows in A, B and D, row r holding
 w(1)..w(n), and a length-k array of ranks 2 * rot + flip in I2.  The exact
 full-distribution engine evaluates a statistic once over every window of the
-group and Monte Carlo over its final walk states; an element-level call is a
-one-row block.
+group and Monte Carlo over its final walk states.  ``Statistic`` (built by
+``make_statistic``) is the one per-element entry: called on one element it
+evaluates a one-row block, after the membership test that ranks use too, so
+an element of another group raises SpecMismatch.
 
 * Word length equals the inversion count in type A, the count over pairs
   with j >= |i| in type B and over pairs with j > |i| in type D: inversions
@@ -29,17 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import (
-    DihedralElement,
-    Family,
-    GroupElement,
-    GroupSpec,
-    Measure,
-    Permutation,
-    RankedGroup,
-    SignedPermutation,
-)
-from .errors import DParityViolation, SpecMismatch, UnsupportedFamily
+from .elements import Family, GroupElement, GroupSpec, Measure, RankedGroup, _check_member
+from .errors import SpecMismatch, UnsupportedFamily
 
 # rows of windows per block when a statistic runs over a whole group
 _ROWS = 2**10
@@ -126,11 +119,12 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
 
 
 def _row(spec: GroupSpec, w: GroupElement) -> np.ndarray:
-    """One element of the group as a one-row block."""
+    """One element of the group as a one-row block; SpecMismatch for an
+    element of another group, DParityViolation for an odd-signed window
+    under D."""
+    _check_member(spec, w)
     if spec.family == Family.I2:
         return np.array([2 * w.rot + w.flip])
-    if spec.family == Family.D and not w.in_type_d:
-        raise DParityViolation(f"odd number of sign changes in {w.window}")
     return np.array([w.window])
 
 
@@ -139,8 +133,9 @@ class Statistic:
     """A measure on the elements of one group.
 
     Called on one element it returns that element's value, as a one-row
-    block; ``values`` gives the value at every rank of a ranked group of the
-    same spec, evaluated block by block over its windows (its ranks in I2).
+    block (SpecMismatch for an element of another group); ``values`` gives
+    the value at every rank of a ranked group of the same spec, evaluated
+    block by block over its windows (its ranks in I2).
     """
 
     spec: GroupSpec
@@ -161,49 +156,3 @@ class Statistic:
         return np.concatenate([
             self.block(rows[lo:lo + _ROWS]) for lo in range(0, group.order, _ROWS)
         ]).astype(np.int64)
-
-
-def inversion_count(p: Permutation) -> int:
-    """Number of pairs i < j with p(i) > p(j)."""
-    return int(_inversions(np.array([p.window]))[0])
-
-
-def b_inversion_count(w: SignedPermutation) -> int:
-    """Count of pairs (i, j), j >= |i|, i != j, with w(i) > w(j)."""
-    return Statistic(GroupSpec(Family.B, w.n), Measure.LENGTH)(w)
-
-
-def d_inversion_count(w: SignedPermutation) -> int:
-    """Count of pairs (i, j), j > |i|, with w(i) > w(j).
-
-    Raises DParityViolation unless the window has an even number of negative
-    entries.
-    """
-    return Statistic(GroupSpec(Family.D, w.n), Measure.LENGTH)(w)
-
-
-def coxeter_length(spec: GroupSpec, w: GroupElement) -> int:
-    """Word length over the simple generators."""
-    return Statistic(spec, Measure.LENGTH)(w)
-
-
-def abs_length_A(p: Permutation) -> int:
-    """Minimal number of transpositions multiplying to p: n minus the number
-    of cycles (fixed points count as cycles)."""
-    return p.n - int(_cycles(np.array([p.window]))[0])
-
-
-def abs_length_bfs(spec: GroupSpec, w: GroupElement) -> int:
-    """Exact minimal number of reflections multiplying to w, by the cycle
-    expression (the name is kept from the breadth-first search it replaced)."""
-    return Statistic(spec, Measure.ABSLENGTH)(w)
-
-
-def abs_length_dihedral(m: int, w: DihedralElement) -> int:
-    """0 for the identity, 1 for reflections, 2 for nontrivial rotations."""
-    return Statistic(GroupSpec(Family.I2, m), Measure.ABSLENGTH)(w)
-
-
-def descent_count(spec: GroupSpec, w: GroupElement) -> int:
-    """Number of simple generators s with length(w*s) < length(w)."""
-    return Statistic(spec, Measure.DESCENTS)(w)

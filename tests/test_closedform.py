@@ -46,7 +46,7 @@ class TestTypeA:
         for n, t in ((3, 1), (3, 2), (4, 2)):
             spec = GroupSpec(Family.A, n)
             assert expected_length_A_T(n, t) == brute_force_expectation(
-                spec, cw.reflections_of(spec), cw.inversion_count, t
+                spec, cw.reflections_of(spec), cw.make_statistic(spec, Measure.LENGTH), t
             )
 
     def test_pair_prob(self):
@@ -83,7 +83,7 @@ class TestTypeB:
         spec = GroupSpec(Family.B, 2)
         for t in range(0, 4):
             assert expected_length_B_T(2, t) == brute_force_expectation(
-                spec, cw.reflections_of(spec), cw.b_inversion_count, t
+                spec, cw.reflections_of(spec), cw.make_statistic(spec, Measure.LENGTH), t
             )
 
     def test_pair_prob_diagonal(self):
@@ -115,7 +115,7 @@ class TestTypeD:
         spec = GroupSpec(Family.D, 2)
         for t in range(0, 4):
             assert expected_length_D_T(2, t) == brute_force_expectation(
-                spec, cw.reflections_of(spec), cw.d_inversion_count, t
+                spec, cw.reflections_of(spec), cw.make_statistic(spec, Measure.LENGTH), t
             )
 
     def test_pair_prob(self):

@@ -111,9 +111,9 @@ class TestMultiply:
         b = Permutation((1, 3, 2))  # (2,3)
         ab = multiply(a, b)
         assert ab == Permutation((2, 3, 1))
-        from coxwalk import inversion_count
+        from coxwalk import Measure, make_statistic
 
-        assert inversion_count(ab) == 2
+        assert make_statistic(A3, Measure.LENGTH)(ab) == 2
 
     def test_convention_b_acts_first(self):
         # (a*b)(x) = a(b(x))
@@ -263,6 +263,19 @@ class TestActionTables:
         rows = group.actions(moves)
         for move, row in zip(moves, rows):
             assert np.array_equal(row, group.actions([move])[0])
+
+    @pytest.mark.parametrize("spec, move", [
+        (A3, (1, 1, -1)), (GroupSpec(Family.D, 3), (1, 1, -1)), (A3, (1, 4, 1)), (I5, 5),
+    ], ids=["A3-sign-change", "D3-sign-change", "A3-beyond-n", "I2(5)-rotation-5"])
+    def test_rejects_moves_that_are_not_generators(self, spec, move):
+        group = RankedGroup(spec)
+        with pytest.raises(SpecMismatch):
+            group.actions([move])
+        for gens in Gens:
+            moves = list(generator_moves(spec, gens))
+            assert group.actions(moves).shape == (len(moves), group.order)
+            with pytest.raises(SpecMismatch):
+                group.actions(moves + [move])
 
 
 class TestRanks:

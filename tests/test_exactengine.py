@@ -17,8 +17,6 @@ from coxwalk import (
     UnsupportedFamily,
     apply_Q_A,
     apply_Q_BD,
-    abs_length_dihedral,
-    coxeter_length,
     enumerate_group,
     evolve_distribution,
     evolve_pairtable,
@@ -27,7 +25,6 @@ from coxwalk import (
     expected_length_B_T,
     expected_length_D_T,
     index_pairs,
-    inversion_count,
     iterate_distributions,
     iterate_pairtables,
     make_statistic,
@@ -72,10 +69,11 @@ class TestEvolveDistribution:
 
     def test_total_is_one_and_parity(self):
         for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 2), GroupSpec(Family.I2, 5)):
+            length = make_statistic(spec, Measure.LENGTH)
             for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, 6)):
                 assert dist.total() == 1
                 for w in dist.probs:
-                    assert coxeter_length(spec, w) % 2 == t % 2
+                    assert length(w) % 2 == t % 2
 
     def test_d_support_stays_even_signed(self):
         spec = GroupSpec(Family.D, 3)
@@ -107,17 +105,22 @@ class TestEvolveDistribution:
 class TestExpectation:
     def test_point_mass(self):
         spec = GroupSpec(Family.A, 4)
+        stat = make_statistic(spec, Measure.LENGTH)
         dist = evolve_distribution(spec, Gens.REFLECTIONS, 0)
-        assert expectation(dist, inversion_count) == 0
+        # a plain callable, so the per-element path runs
+        assert expectation(dist, lambda w: stat(w)) == 0
 
     def test_one_step_s3(self):
-        dist = evolve_distribution(GroupSpec(Family.A, 3), Gens.REFLECTIONS, 1)
-        assert expectation(dist, inversion_count) == Fraction(5, 3)
+        spec = GroupSpec(Family.A, 3)
+        stat = make_statistic(spec, Measure.LENGTH)
+        dist = evolve_distribution(spec, Gens.REFLECTIONS, 1)
+        assert expectation(dist, lambda w: stat(w)) == Fraction(5, 3)
 
     def test_one_step_dihedral_abs(self):
-        m = 3
-        dist = evolve_distribution(GroupSpec(Family.I2, m), Gens.REFLECTIONS, 1)
-        assert expectation(dist, lambda w: abs_length_dihedral(m, w)) == 1
+        spec = GroupSpec(Family.I2, 3)
+        stat = make_statistic(spec, Measure.ABSLENGTH)
+        dist = evolve_distribution(spec, Gens.REFLECTIONS, 1)
+        assert expectation(dist, lambda w: stat(w)) == 1
 
     def test_matches_brute_force_statistics(self):
         spec = GroupSpec(Family.B, 2)
@@ -451,11 +454,12 @@ class TestRankedEngine:
 
     def test_statistic_called_once_per_element_per_walk(self):
         spec = GroupSpec(Family.A, 5)
+        stat = make_statistic(spec, Measure.LENGTH)
         calls = {}
 
         def counting(w):
             calls[w] = calls.get(w, 0) + 1
-            return inversion_count(w)
+            return stat(w)
 
         for dist in iterate_distributions(spec, Gens.REFLECTIONS, 6):
             assert expectation(dist, counting) == _inversions_over_probs(dist)
@@ -509,7 +513,8 @@ def test_guard_admits_its_estimate_and_refuses_one_less(monkeypatch, call, estim
 
 def _inversions_over_probs(dist):
     """Expected inversion count summed straight over the probs view."""
-    return sum((p * inversion_count(w) for w, p in dist.probs.items()), Fraction(0))
+    stat = make_statistic(dist.spec, Measure.LENGTH)
+    return sum((p * stat(w) for w, p in dist.probs.items()), Fraction(0))
 
 
 def test_enumerate_group_matches_independent_bfs():

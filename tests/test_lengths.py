@@ -13,15 +13,8 @@ from coxwalk import (
     Permutation,
     RankedGroup,
     SignedPermutation,
-    abs_length_A,
-    abs_length_bfs,
-    abs_length_dihedral,
-    b_inversion_count,
-    coxeter_length,
-    d_inversion_count,
-    descent_count,
+    SpecMismatch,
     enumerate_group,
-    inversion_count,
     make_statistic,
     multiply,
     reflections_of,
@@ -33,62 +26,87 @@ from helpers import bfs_word_length
 
 class TestInversions:
     def test_examples(self):
-        assert inversion_count(Permutation((1, 2, 3))) == 0
-        assert inversion_count(Permutation((3, 2, 1))) == 3
-        assert inversion_count(Permutation((2, 1, 3))) == 1
+        length = make_statistic(GroupSpec(Family.A, 3), Measure.LENGTH)
+        assert length(Permutation((1, 2, 3))) == 0
+        assert length(Permutation((3, 2, 1))) == 3
+        assert length(Permutation((2, 1, 3))) == 1
 
     def test_b_examples(self):
-        assert b_inversion_count(SignedPermutation((2, 1))) == 1
-        assert b_inversion_count(SignedPermutation((1, -2))) == 3
-        assert b_inversion_count(SignedPermutation((1, 2, 3, 4))) == 0
+        length = make_statistic(GroupSpec(Family.B, 2), Measure.LENGTH)
+        assert length(SignedPermutation((2, 1))) == 1
+        assert length(SignedPermutation((1, -2))) == 3
+        b4 = make_statistic(GroupSpec(Family.B, 4), Measure.LENGTH)
+        assert b4(SignedPermutation((1, 2, 3, 4))) == 0
 
     def test_d_examples(self):
-        assert d_inversion_count(SignedPermutation((2, 1))) == 1
-        assert d_inversion_count(SignedPermutation((-1, -2))) == 2
-        assert d_inversion_count(SignedPermutation((1, 2, 3))) == 0
+        length = make_statistic(GroupSpec(Family.D, 2), Measure.LENGTH)
+        assert length(SignedPermutation((2, 1))) == 1
+        assert length(SignedPermutation((-1, -2))) == 2
+        d3 = make_statistic(GroupSpec(Family.D, 3), Measure.LENGTH)
+        assert d3(SignedPermutation((1, 2, 3))) == 0
 
     def test_d_parity_guard(self):
         with pytest.raises(DParityViolation):
-            d_inversion_count(SignedPermutation((-1, 2)))
+            make_statistic(GroupSpec(Family.D, 2), Measure.LENGTH)(SignedPermutation((-1, 2)))
 
     def test_max_lengths(self):
         # longest elements: reversal, minus-identity, and minus-identity for
         # even rank in type D
-        assert inversion_count(Permutation((4, 3, 2, 1))) == 6
-        assert b_inversion_count(SignedPermutation((-1, -2, -3))) == 9
-        assert d_inversion_count(SignedPermutation((-1, -2, -3, -4))) == 12
+        a4, b3, d4 = (make_statistic(GroupSpec(f, n), Measure.LENGTH)
+                      for f, n in ((Family.A, 4), (Family.B, 3), (Family.D, 4)))
+        assert a4(Permutation((4, 3, 2, 1))) == 6
+        assert b3(SignedPermutation((-1, -2, -3))) == 9
+        assert d4(SignedPermutation((-1, -2, -3, -4))) == 12
+
+
+@pytest.mark.parametrize("spec, measure, w", [
+    (GroupSpec(Family.A, 3), Measure.ABSLENGTH, Permutation((2, 1, 4, 3))),
+    (GroupSpec(Family.B, 3), Measure.LENGTH, Permutation((3, 2, 1))),
+    (GroupSpec(Family.I2, 5), Measure.LENGTH, DihedralElement(7, 6, 0)),
+    (GroupSpec(Family.A, 3), Measure.LENGTH, DihedralElement(7, 6, 0)),
+], ids=["A3-four-letters", "B3-unsigned", "I2(5)-of-I2(7)", "A3-dihedral"])
+def test_foreign_element_raises_spec_mismatch(spec, measure, w):
+    # the one-row path and rank_of share one membership test
+    with pytest.raises(SpecMismatch):
+        make_statistic(spec, measure)(w)
+    with pytest.raises(KeyError):
+        RankedGroup(spec).rank_of(w)
 
 
 class TestAgainstWordLength:
     def test_a_inversions_equal_word_length(self):
         for n in range(2, 6):
             spec = GroupSpec(Family.A, n)
+            length = make_statistic(spec, Measure.LENGTH)
             table = bfs_word_length(spec.identity(), simple_reflections_of(spec))
             assert len(table) == spec.order()
             for w, d in table.items():
-                assert inversion_count(w) == d
+                assert length(w) == d
 
     def test_b_inversions_equal_word_length(self):
         for n in range(1, 4):
             spec = GroupSpec(Family.B, n)
+            length = make_statistic(spec, Measure.LENGTH)
             table = bfs_word_length(spec.identity(), simple_reflections_of(spec))
             assert len(table) == spec.order()
             for w, d in table.items():
-                assert b_inversion_count(w) == d
+                assert length(w) == d
 
     def test_d_inversions_equal_word_length(self):
         for n in range(2, 5):
             spec = GroupSpec(Family.D, n)
+            length = make_statistic(spec, Measure.LENGTH)
             table = bfs_word_length(spec.identity(), simple_reflections_of(spec))
             assert len(table) == spec.order()
             for w, d in table.items():
-                assert d_inversion_count(w) == d
+                assert length(w) == d
 
 
 def dihedral_length_table(m):
     """Word length of every element of I2(m), by the closed expression."""
     spec = GroupSpec(Family.I2, m)
-    return {w: coxeter_length(spec, w) for w in enumerate_group(spec)}
+    length = make_statistic(spec, Measure.LENGTH)
+    return {w: length(w) for w in enumerate_group(spec)}
 
 
 class TestDihedralTable:
@@ -115,61 +133,75 @@ class TestDihedralTable:
         assert sum(Fraction(table[r]) for r in refl) / 3 == Fraction(5, 3)
 
 
+def one_row_and_block_values(spec, measure):
+    """element -> (its one-row value, its value in the block over the group)."""
+    stat, group = make_statistic(spec, measure), RankedGroup(spec)
+    elements = group.elements()
+    return dict(zip(elements, zip(map(stat, elements), stat.values(group).tolist())))
+
+
 class TestAbsLength:
     def test_cycle_formula_examples(self):
-        assert abs_length_A(Permutation((1, 2, 3, 4))) == 0
-        assert abs_length_A(Permutation((2, 1, 3))) == 1
-        assert abs_length_A(Permutation((2, 3, 1))) == 2
+        a3, a4 = (make_statistic(GroupSpec(Family.A, n), Measure.ABSLENGTH) for n in (3, 4))
+        assert a4(Permutation((1, 2, 3, 4))) == 0
+        assert a3(Permutation((2, 1, 3))) == 1
+        assert a3(Permutation((2, 3, 1))) == 2
 
     def test_cycle_formula_equals_bfs(self):
         for n in range(2, 6):
             spec = GroupSpec(Family.A, n)
             table = bfs_word_length(spec.identity(), reflections_of(spec))
-            for w in enumerate_group(spec):
-                assert abs_length_A(w) == abs_length_bfs(spec, w) == table[w]
+            for w, (row, block) in one_row_and_block_values(spec, Measure.ABSLENGTH).items():
+                assert row == block == table[w]
 
     def test_reflections_have_abs_length_one(self):
         for spec in (GroupSpec(Family.B, 3), GroupSpec(Family.D, 3), GroupSpec(Family.I2, 6)):
+            absolute = make_statistic(spec, Measure.ABSLENGTH)
             for r in reflections_of(spec):
-                assert abs_length_bfs(spec, r) == 1
+                assert absolute(r) == 1
 
     def test_dihedral_rotations(self):
-        spec = GroupSpec(Family.I2, 5)
+        absolute = make_statistic(GroupSpec(Family.I2, 5), Measure.ABSLENGTH)
         for rot in range(1, 5):
-            assert abs_length_bfs(spec, DihedralElement(5, rot, 0)) == 2
+            assert absolute(DihedralElement(5, rot, 0)) == 2
 
     def test_abs_at_most_length_same_parity(self):
         for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),
                      GroupSpec(Family.D, 3), GroupSpec(Family.I2, 7)):
+            absolute = make_statistic(spec, Measure.ABSLENGTH)
+            length = make_statistic(spec, Measure.LENGTH)
             for w in enumerate_group(spec):
-                a, l = abs_length_bfs(spec, w), coxeter_length(spec, w)
+                a, l = absolute(w), length(w)
                 assert a <= l
                 assert a % 2 == l % 2
 
     def test_abs_length_dihedral_rule(self):
         m = 5
-        assert abs_length_dihedral(m, DihedralElement(m, 0, 0)) == 0
+        absolute = make_statistic(GroupSpec(Family.I2, m), Measure.ABSLENGTH)
+        assert absolute(DihedralElement(m, 0, 0)) == 0
         for rot in range(m):
-            assert abs_length_dihedral(m, DihedralElement(m, rot, 1)) == 1
+            assert absolute(DihedralElement(m, rot, 1)) == 1
         for rot in range(1, m):
-            assert abs_length_dihedral(m, DihedralElement(m, rot, 0)) == 2
+            assert absolute(DihedralElement(m, rot, 0)) == 2
 
     def test_dihedral_rule_equals_bfs(self):
         for m in (2, 3, 6):
             spec = GroupSpec(Family.I2, m)
             table = bfs_word_length(spec.identity(), reflections_of(spec))
-            for w in enumerate_group(spec):
-                assert abs_length_dihedral(m, w) == abs_length_bfs(spec, w) == table[w]
+            for w, (row, block) in one_row_and_block_values(spec, Measure.ABSLENGTH).items():
+                assert row == block == table[w]
 
 
 class TestDescents:
     def test_identity_has_none(self):
         for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 2), GroupSpec(Family.I2, 5)):
-            assert descent_count(spec, spec.identity()) == 0
+            assert make_statistic(spec, Measure.DESCENTS)(spec.identity()) == 0
 
     def test_longest_element_has_all(self):
-        assert descent_count(GroupSpec(Family.A, 3), Permutation((3, 2, 1))) == 2
-        assert descent_count(GroupSpec(Family.B, 2), SignedPermutation((-1, -2))) == 2
+        a3 = make_statistic(GroupSpec(Family.A, 3), Measure.DESCENTS)
+        b2 = make_statistic(GroupSpec(Family.B, 2), Measure.DESCENTS)
+        assert a3(Permutation((3, 2, 1))) == 2
+        assert b2(SignedPermutation((-1, -2))) == 2
 
 
 # every element of these groups is checked against the breadth-first oracle
