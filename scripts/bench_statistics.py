@@ -1,4 +1,4 @@
-"""Wall times of the routes that no perfbench workload covers, for one or
+r"""Wall times of the routes that no perfbench workload covers, for one or
 more source trees, written to BENCH_statistics.json (or --out).
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src --tree after=src
@@ -20,7 +20,15 @@ time the full engine's Python-int steps (its last int64 table is t = 14, 13
 and 14), which perfbench's full-table, held in int64, never reaches.  The
 exact A8 t=1, B6 t=1 and D6 t=2 walks are dominated by the full engine's
 set-up (ranking the group and building its action tables), and are the
-largest such walks the default guard admits in each family.
+largest such walks the default guard admits in each family.  The troili
+routes time Troili's closed form beyond perfbench's closed-cli grid
+(m <= 10, t <= 960): a long walk in a small group, a large m whose images
+reach the walk, and m >= t, where none does.
+
+    python3 scripts/bench_statistics.py --tree before=/path/to/old/src \
+        --tree after=src --only troili --repeats 11 --out BENCH_closed.json
+
+runs only the routes whose name contains "troili".
 """
 from __future__ import annotations
 
@@ -67,6 +75,12 @@ ROUTES = {
                                    "--engine", "exact-pair"],
     "exact-pair B120 t=150 length": ["--family", "B", "--n", "120", "--t", "150",
                                      "--engine", "exact-pair"],
+    "troili I2(7) t=2000": ["--family", "I2", "--m", "7", "--gens", "simple",
+                            "--t", "2000", "--formula", "troili"],
+    "troili I2(500) t=960": ["--family", "I2", "--m", "500", "--gens", "simple",
+                             "--t", "960", "--formula", "troili"],
+    "troili I2(2001) t=2000": ["--family", "I2", "--m", "2001", "--gens", "simple",
+                               "--t", "2000", "--formula", "troili"],
 }
 
 # runs in the child: times cli.main on argv and prints one JSON line
@@ -113,6 +127,8 @@ def main() -> int:
                     help="a source tree (the directory holding coxwalk/); repeatable")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--out", default=str(ROOT / "BENCH_statistics.json"))
+    ap.add_argument("--only", default="", metavar="TEXT",
+                    help="run only the routes whose name contains TEXT")
     args = ap.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree)
 
@@ -129,6 +145,8 @@ def main() -> int:
     }
     mismatch = False
     for name, argv in ROUTES.items():
+        if args.only not in name:
+            continue
         row = {"argv": ["eval", *argv]}
         for label, src in trees.items():
             row[label] = measure(str(Path(src).resolve()), argv, args.repeats)

@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error: argparse's
 usage text for malformed or missing flags, and one ``error:`` line for any
 ``CoxwalkError`` (a rank, walk length, seed or trial count outside its
-domain, a group without an element model, work beyond the guard).
+domain, a group or cell the engine does not cover, work beyond the guard).
 Rationals are emitted without precision loss: "num/den" in CSV,
 {"num": ..., "den": ...} with decimal strings in JSON.  The environment
 variable COXWALK_GUARD_LIMIT (a decimal integer) overrides the group-order
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .closedform import closed_form, formula_for
 from .elements import Family, Gens, GroupSpec, Measure
-from .errors import CoxwalkError, OrderLimitExceeded
+from .errors import CoxwalkError, OrderLimitExceeded, UnsupportedFamily
 from .exactengine import (
     evolve_distribution,
     evolve_pairtable,
@@ -122,7 +122,7 @@ def _cmd_eval(args, parser) -> int:
             Family.B,
             Family.D,
         ):
-            parser.error("--engine exact-pair needs family A/B/D, reflections, length")
+            raise UnsupportedFamily("--engine exact-pair needs family A/B/D, reflections, length")
         value = evolve_pairtable(model.family, model.n, args.t).expected_length()
         method = "exact-pair"
     else:  # mc

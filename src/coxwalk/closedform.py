@@ -20,7 +20,6 @@ from typing import Callable, Union
 from .elements import Family, Gens, GroupSpec, Measure, in_index_domain
 from .errors import InvalidRank, UnsupportedFamily, check_step_count
 
-Rational = Fraction
 Value = Union[Fraction, float]
 
 INFINITE = math.inf  # sentinel accepted by the dihedral evaluators
@@ -28,10 +27,6 @@ INFINITE = math.inf  # sentinel accepted by the dihedral evaluators
 
 def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def _is_inf(m) -> bool:
-    return m == math.inf
 
 
 @dataclass(frozen=True)
@@ -179,11 +174,11 @@ def expected_abslength_I2_S(m, t: int) -> Fraction:
     binomial row t sampled with period 2m.
     """
     check_step_count(t)
-    if not _is_inf(m) and m < 2:
+    if m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
     if t % 2 == 1:
         return Fraction(1)
-    if _is_inf(m):
+    if m == INFINITE:
         total = comb(t, t // 2)
     else:
         kmax = t // (2 * m)
@@ -207,44 +202,42 @@ def expected_abslength_I2_T(m: int, t: int) -> Fraction:
 
 def expected_length_I2_S_troili(m, t: int) -> Fraction:
     """Expected length after t uniform generator steps in the dihedral group
-    of order 2m (m may be math.inf), by the binomial double sum of Troili
-    (2002): a central-binomial main sum with period-m side terms, minus a
-    parity-dependent boundary correction.
+    of order 2m (m may be math.inf), by Troili's (2002) binomial double sum
+    read as expected visits of the simple +-1 walk S_r.
 
-    Each image sum is one entry of a Pascal row folded mod m, F_r[c] = sum
-    of C(r, i) over i = c (mod m): the main term of row 2j is F_2j[j]; the
-    even-m boundary is F_2j[j + m/2]; the odd-m boundary is 2 F_(2j-1)[c]
-    with c = (2j - 1 - m)/2.  Pascal's rule advances a folded row in m
-    additions.  For m >= t no image reaches the walk and the sum is the
-    infinite group's, whose central binomials follow their own recurrence.
-    The numerator is accumulated over 4^(t//2) in Horner form, and one
-    Fraction is built at the end.
+    With F_r[c] the sum of C(r, i) over i = c (mod m), the sum's terms are
+    4^-j F_2j[j] = P(S_2j in 2mZ), the even-m boundary 4^-j F_2j[j + m/2] =
+    P(S_2j in m + 2mZ) and the odd-m boundary 2 4^-j F_(2j-1)[(2j-1-m)/2] =
+    P(S_(2j-1) in m + 2mZ), so E = sum_{r<t} E chi(S_r) with chi = +1 on 2mZ,
+    -1 on m + 2mZ, 0 elsewhere.  The discrete Tanaka identity
+    E|S_t - x| - |x| = sum_{r<t} P(S_r = x) gives E = E h(S_t) with
+    h(s) = sum_{|x|<t} chi(x)(|s - x| - |x|): even, and on [0, t] linear
+    between images with slope +-1, the distance from s to 2mZ (the length
+    on the group's Cayley graph, a 2m-cycle).  Hence
+    E = 2^(1-t) sum_{i<t/2} C(t, i) h(t - 2i).  Writing h(s) as s plus
+    2 (-1)^k (s - km) past each image 0 < km < s, and telescoping
+    sum_{i<=q} C(t, i)(t - 2i) = (q + 1) C(t, q + 1), leaves the partial row
+    sums B(q) = sum_{i<=q} C(t, i) at q = (t - km - 1)//2: one scan over
+    half of row t, O(t) big-int multiply-adds for every m (none for
+    m >= t), and one Fraction at the end.
     """
     check_step_count(t)
-    if not _is_inf(m) and m < 2:
+    if m < 2:
         raise InvalidRank(f"need m >= 2, got {m}")
-    last = (t - 1) // 2  # the main sum runs over rows 2j, j <= last
-    num = 0
-    if _is_inf(m) or m >= t:
-        central = 1  # C(2j, j)
-        for j in range(last + 1):
-            num = 4 * num + central
-            central = central * 2 * (2 * j + 1) // (j + 1)
-        return Fraction(num, 4 ** max(last, 0))
-    row = [1] + [0] * (m - 1)  # row 0, folded
-    for j in range(t // 2 + 1):
-        term = 0
-        if j:
-            row = [row[c - 1] + row[c] for c in range(m)]  # row 2j - 1
-            if m % 2:
-                term -= 2 * row[(2 * j - 1 - m) // 2 % m]
-            row = [row[c - 1] + row[c] for c in range(m)]  # row 2j
-        if j <= last:
-            term += row[j % m]
-            if m % 2 == 0:
-                term -= row[(j + m // 2) % m]
-        num = 4 * num + term
-    return Fraction(num, 4 ** (t // 2))
+    num = (t + 1) // 2 * comb(t, (t + 1) // 2)  # h(s) = s, telescoped
+    c, below, i = 1, 0, 0  # c = C(t, i), below = B(i - 1)
+    # images km < t, outermost first so that the scan runs upwards in i;
+    # int() since (t - 1) // inf is the float 0.0
+    for k in range(int((t - 1) // m), 0, -1):
+        x = k * m
+        q = (t - x - 1) // 2  # the last i with t - 2i > x
+        for j in range(i, q + 1):
+            below += c
+            c = c * (t - j) // (j + 1)
+        i = q + 1
+        kink = 2 * ((q + 1) * c - x * below)  # c = C(t, q + 1), below = B(q)
+        num += kink if k % 2 == 0 else -kink
+    return Fraction(2 * num, 2**t)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +288,16 @@ def _eriksen_h(r: int, n: int) -> int:
 def expected_length_A_S_eriksen(n_gens: int, t: int) -> Fraction:
     """Exact expected inversion count after t uniform adjacent transpositions
     on the symmetric group with n_gens generators (n_gens + 1 letters), by
-    Eriksen's binomial expansion (2005)."""
+    Eriksen's binomial expansion (2005): the sum over 1 <= r <= t of
+    C(t, r) h(r) / n^r, accumulated as one integer over n^t in Horner form."""
     check_step_count(t)
     if n_gens < 1:
         raise InvalidRank(f"need at least 1 generator, got {n_gens}")
     n = n_gens
-    return sum(
-        (Fraction(comb(t, r), n**r) * _eriksen_h(r, n) for r in range(1, t + 1)),
-        start=Fraction(0),
-    )
+    num = 0
+    for r in range(1, t + 1):
+        num = num * n + comb(t, r) * _eriksen_h(r, n)
+    return Fraction(num, n**t)
 
 
 def expected_length_A_S_bm(n_gens: int, t: int) -> float:

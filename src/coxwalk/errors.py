@@ -42,8 +42,8 @@ class DParityViolation(CoxwalkError, ValueError):
 class UnsupportedFamily(CoxwalkError, ValueError):
     """Operation requested where it does not exist: an element-level operation
     without an element model (G(r,1,n) with r >= 3; use the A/B models for r
-    in {1, 2}), pair tables outside families A, B, D, or a closed form that a
-    (family, gens, measure) cell lacks."""
+    in {1, 2}), pair tables outside length under reflections in A, B, D, or a
+    closed form that a (family, gens, measure) cell lacks."""
 
 
 class OrderLimitExceeded(CoxwalkError, RuntimeError):

@@ -281,7 +281,9 @@ class PairTable:
     and D index signed pairs, with the pairs (i, -i) present for B only.
     ``mask`` marks the domain cells of ``num``; every other cell is zero.
     Both are read-only; ``num`` is int64 while the engine's step bound holds
-    (see ``iterate_pairtables``) and object (Python ints) beyond it.
+    (see ``iterate_pairtables``) and object (Python ints) beyond it.  ``pos``
+    is the read-only ``_positions`` of the axes, shared by a walk's tables so
+    that reads do not look it up by family.
     """
 
     family: Family
@@ -290,20 +292,20 @@ class PairTable:
     num: np.ndarray
     den: int
     mask: np.ndarray
+    pos: Mapping
 
     @cached_property
     def entries(self) -> dict:
         """(i, j) -> reduced Fraction over the domain in row-major order,
         built on first access."""
-        lab, num = list(_positions(self.family, self.n)), self.num.tolist()
+        lab, num = list(self.pos), self.num.tolist()
         return {
             (lab[a], lab[b]): Fraction(num[a][b], self.den)
             for a, b in np.argwhere(self.mask).tolist()
         }
 
     def entry(self, i: int, j: int) -> Fraction:
-        pos = _positions(self.family, self.n)
-        a, b = pos[i], pos[j]
+        a, b = self.pos[i], self.pos[j]
         if not self.mask[a, b]:
             raise KeyError((i, j))
         return Fraction(int(self.num[a, b]), self.den)
@@ -344,7 +346,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
     lab = _support(family, n)
     i, j = lab[:, None], lab[None, :]
-    q_mask, mask = abs(i) != abs(j), _domain(family, n)
+    q_mask, mask, pos = abs(i) != abs(j), _domain(family, n), _positions(family, n)
     nrefl = _num_reflections(family, n)
     # the reflections that fix i and j (those of rank n - 2), less the two
     # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
@@ -365,7 +367,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
 
     start = (mask & (i < j)).astype(np.int64)
     for t, (u, den) in enumerate(_walk(start, step, nrefl, growth, t_max)):
-        yield PairTable(family, n, t, u, den, mask)
+        yield PairTable(family, n, t, u, den, mask, pos)
 
 
 def evolve_pairtable(family: Family, n: int, t: int) -> PairTable:

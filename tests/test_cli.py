@@ -133,9 +133,6 @@ def test_usage_errors_exit_2(capsys):
         main(["eval", "--family", "A", "--t", "1"])  # missing --n
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--family", "I2", "--m", "4", "--t", "1", "--engine", "exact-pair"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
     # values outside a group's domain are CoxwalkErrors: one error line each
@@ -146,6 +143,12 @@ def test_usage_errors_exit_2(capsys):
         ["table", "--family", "G", "--n", "3", "--r", "5", "--t-max", "2"],
         ["eval", "--family", "I2", "--m", "1", "--t", "1"],
         ["eval", "--family", "G", "--n", "3", "--r", "0", "--t", "1"],
+        # the pair engine covers A/B/D reflection walks measured by length
+        ["eval", "--family", "I2", "--m", "4", "--t", "1", "--engine", "exact-pair"],
+        ["eval", "--family", "A", "--n", "4", "--gens", "simple", "--t", "1",
+         "--engine", "exact-pair"],
+        ["eval", "--family", "B", "--n", "3", "--measure", "abslength", "--t", "1",
+         "--engine", "exact-pair"],
     ):
         _assert_usage_error(*run(capsys, *argv))
 

@@ -204,7 +204,9 @@ class TestDihedral:
         for t in range(0, 14):
             assert expected_length_I2_S_troili(INF, t) == expected_length_I2_S_troili(t + 2, t)
 
-    @pytest.mark.parametrize("m", [*range(2, 14), INF])
+    # from m = 20 up the walk reaches the first image late (m = 199..201 near
+    # t = 200) or never (m = 10**9)
+    @pytest.mark.parametrize("m", [*range(2, 14), 20, 50, 199, 200, 201, 10**9, INF])
     def test_troili_equals_image_by_image_double_sum(self, m):
         expected = troili_double_sums(m, 200)
         assert [expected_length_I2_S_troili(m, t) for t in range(201)] == expected
@@ -213,7 +215,8 @@ class TestDihedral:
         for m in range(2, 13):
             spec = GroupSpec(Family.I2, m)
             stat = cw.make_statistic(spec, Measure.LENGTH)
-            for t, dist in enumerate(cw.iterate_distributions(spec, Gens.SIMPLE, 300)):
+            t_max = 1000 if m in (5, 8) else 300  # 1000: the benchmark's longest walks
+            for t, dist in enumerate(cw.iterate_distributions(spec, Gens.SIMPLE, t_max)):
                 assert expected_length_I2_S_troili(m, t) == cw.expectation(dist, stat), (m, t)
 
     def test_troili_infinite_central_binomial_identity(self):
@@ -241,6 +244,16 @@ class TestAdjacentWalk:
         for t in range(0, 9):
             assert expected_length_A_S_eriksen(1, t) == Fraction(1 - (-1) ** t, 2)
         assert expected_length_A_S_eriksen(2, 3) == Fraction(3, 2)
+
+    def test_eriksen_equals_sum_of_fractions(self):
+        # the one-integer Horner sum equals the term-by-term Fraction sum
+        from coxwalk.closedform import _eriksen_h
+
+        for n in range(1, 7):
+            for t in range(61):
+                terms = (Fraction(math.comb(t, r), n**r) * _eriksen_h(r, n)
+                         for r in range(1, t + 1))
+                assert expected_length_A_S_eriksen(n, t) == sum(terms, Fraction(0)), (n, t)
 
     def test_bm_small(self):
         assert abs(expected_length_A_S_bm(1, 2)) < 1e-12
