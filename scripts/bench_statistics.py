@@ -23,7 +23,9 @@ set-up (ranking the group and building its action tables), and are the
 largest such walks the default guard admits in each family.  The troili
 routes time Troili's closed form beyond perfbench's closed-cli grid
 (m <= 10, t <= 960): a long walk in a small group, a large m whose images
-reach the walk, and m >= t, where none does.
+reach the walk, and m >= t, where none does.  The eriksen route times
+Eriksen's expansion for A9 simple generators at t = 400 with cold
+coefficient caches, far past closed-cli's grid (n <= 6, t <= 40).
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src \
         --tree after=src --only troili --repeats 11 --out BENCH_closed.json
@@ -81,6 +83,8 @@ ROUTES = {
                              "--t", "960", "--formula", "troili"],
     "troili I2(2001) t=2000": ["--family", "I2", "--m", "2001", "--gens", "simple",
                                "--t", "2000", "--formula", "troili"],
+    "eriksen A9 t=400": ["--family", "A", "--n", "9", "--gens", "simple", "--t", "400",
+                         "--formula", "eriksen"],
 }
 
 # runs in the child: times cli.main on argv and prints one JSON line

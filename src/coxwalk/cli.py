@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .closedform import closed_form, formula_for
+from .closedform import FORMULAS, closed_form, formula_for
 from .elements import Family, Gens, GroupSpec, Measure
 from .errors import CoxwalkError, OrderLimitExceeded, UnsupportedFamily
 from .exactengine import (
@@ -78,11 +78,7 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--formula",
-        choices=["auto", "eriksen", "bm", "troili", "eh", "paper"],
-        default="auto",
-    )
+    p.add_argument("--formula", choices=FORMULAS, default="auto")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
 
@@ -153,13 +149,12 @@ def _cmd_table(args, parser) -> int:
     have_formula = formula_for(spec, gens, measure, args.formula) is not None
     if not have_formula:
         _warn("no closed form for this cell; closed_form column left empty")
-    stat = None
+    stat = make_statistic(model, measure)
     try:
-        stat = make_statistic(model, measure)
-        iter_dists = list(iterate_distributions(model, gens, args.t_max))
+        exact = [expectation(d, stat) for d in iterate_distributions(model, gens, args.t_max)]
     except OrderLimitExceeded as exc:
         _warn(f"exact engine skipped: {exc}")
-        iter_dists = None
+        exact = [None] * (args.t_max + 1)
 
     rows = []
     for t in range(args.t_max + 1):
@@ -168,9 +163,8 @@ def _cmd_table(args, parser) -> int:
             if have_formula
             else None
         )
-        exact = expectation(iter_dists[t], stat) if iter_dists is not None else None
         sim = simulate(model, gens, measure, t, trials=args.trials, seed=args.seed)
-        rows.append((t, closed, exact, sim.mean, sim.stderr))
+        rows.append((t, closed, exact[t], sim.mean, sim.stderr))
 
     if args.format == "json":
         obj = {

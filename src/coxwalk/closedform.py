@@ -252,29 +252,24 @@ _ERIKSEN_CACHE = 1024
 
 @lru_cache(maxsize=_ERIKSEN_CACHE)
 def _eriksen_g(s: int, n: int) -> int:
-    """Inner coefficient of the lattice-walk expansion, for n generators.
+    """Inner coefficient of the lattice-walk expansion, for n generators and
+    s >= 1.
 
-    Both factors are method-of-images binomial sums with period n + 1: the
-    first over the odd row 2*ceil(s/2) - 1, the second over the even row
-    2*floor(s/2).
+    Both factors are method-of-images binomial sums with period p = n + 1.
+    The first is one scan of the odd row 2a - 1, a = ceil(s/2), from its
+    middle: C(2a-1, a+d) enters with sign (-1)^k and weight n - 2l, where
+    d = k*p + l and 0 <= l < p.  The second sums the even row 2b,
+    b = floor(s/2), at the images b + j*p, |j| <= b // p, with sign (-1)^j.
     """
-    a = (s + 1) // 2
-    b = s // 2
-    first = 0
-    for l in range(n + 1):
-        k = 0
-        while a + l + k * (n + 1) <= 2 * a - 1:
-            first += (-1) ** k * (n - 2 * l) * comb(2 * a - 1, a + l + k * (n + 1))
-            k += 1
-    second = 0
-    j = 0
-    while b + j * (n + 1) <= 2 * b:
-        second += (-1 if j % 2 else 1) * comb(2 * b, b + j * (n + 1))
-        j += 1
-    j = -1
-    while b + j * (n + 1) >= 0:
-        second += (-1 if j % 2 else 1) * comb(2 * b, b + j * (n + 1))
-        j -= 1
+    a, b, p = (s + 1) // 2, s // 2, n + 1
+    first, c = 0, comb(2 * a - 1, a)
+    for d in range(a):
+        k, l = divmod(d, p)
+        first += (-1 if k % 2 else 1) * (n - 2 * l) * c
+        c = c * (a - 1 - d) // (a + d + 1)  # C(2a-1, a+d+1)
+    second = sum(
+        (-1 if j % 2 else 1) * comb(2 * b, b + j * p) for j in range(-(b // p), b // p + 1)
+    )
     return first * second
 
 
@@ -400,6 +395,9 @@ DIRECT_METHODS = (
     "I2_S_abslength",
     "I2_T_abslength",
 )
+
+# the values of formula_for's ``formula``
+FORMULAS = ("auto", "eriksen", "bm", "troili", "eh", "paper")
 
 
 def formula_for(

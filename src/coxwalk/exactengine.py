@@ -23,7 +23,8 @@ Also here: the row-plus-column summation operator Q of the pairwise step.
 ``apply_Q_A`` and ``apply_Q_BD`` apply that same Q to pair-table arrays, on
 which it satisfies the projection identities Q.Q = n.Q (antisymmetric
 tables) and Q.Q = (2n-2).Q (doubly symmetric signed-pair tables) used by the
-pairwise closed forms.
+pairwise closed forms.  The pair step, its tables, ``pair_probability`` and
+Q all read one cached index layout per (family, n), ``_layout``.
 """
 from __future__ import annotations
 
@@ -180,11 +181,8 @@ def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fr
             values = statistic.values(group)
             entry = group.memo[statistic] = values, int(values.max())
         values, top = entry
-        if counts.dtype != object and dist.den * top < _INT64_LIMIT:
-            return Fraction(int(counts @ values), dist.den)
-        # per-value subtotals: each is at most den, so int64 counts stay exact
-        total = sum(v * int(counts[values == v].sum()) for v in range(1, top + 1))
-        return Fraction(total, dist.den)
+        # the counts sum to den, so the sum is at most den * top
+        return Fraction(int(_exact(counts, dist.den * top) @ values), dist.den)
     memo = group.memo.setdefault(statistic, {})
     support = np.flatnonzero(counts)
     total = 0
@@ -202,9 +200,8 @@ def pair_probability(dist: ExactDist, i: int, j: int) -> Fraction:
     win = dist.group.windows
     if win is None:
         raise UnsupportedFamily("pair probabilities need a permutation window")
-    family, n = dist.spec.family, dist.spec.n
-    pos = _positions(family, n)
-    if not _domain(family, n)[pos[i], pos[j]]:
+    layout = _layout(dist.spec.family, dist.spec.n)
+    if not layout.domain[layout.pos[i], layout.pos[j]]:
         raise KeyError((i, j))
 
     def value(x: int) -> np.ndarray:
@@ -226,43 +223,43 @@ def make_statistic(spec: GroupSpec, measure: Measure) -> lengths.Statistic:
 # ---------------------------------------------------------------------------
 
 
-def _support(family: Family, n: int) -> np.ndarray:
-    """Index labels along each axis of a pair table: 1..n for A, the signed
-    support -n..-1, 1..n for B and D (so position p and 2n-1-p carry i, -i)."""
-    if family == Family.A:
-        return np.arange(1, n + 1)
-    return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+@dataclass(frozen=True, eq=False, slots=True)
+class _Layout:
+    """Index layout of a (family, n) pair table, shared read-only by the pair
+    step, its tables, ``pair_probability`` and Q.  ``labels``: the labels
+    along each axis in increasing order, 1..n in A and -n..-1, 1..n in B and
+    D (so positions p and 2n-1-p carry i and -i); ``pos``: label -> position,
+    KeyError off the labels; ``domain``: the cells i != j, in D also
+    i != -j; ``q_mask``: the cells |i| != |j| on which Q sums;
+    ``inversions``: flat positions of the pairs (i, j) with j > |i|, plus
+    (-i, i) in B.  The fields are slots, which ``PairTable.entry`` reads as
+    fast as its own fields (a NamedTuple's read slower).
+    """
+
+    labels: tuple
+    pos: Mapping
+    domain: np.ndarray
+    q_mask: np.ndarray
+    inversions: np.ndarray
 
 
 @lru_cache(maxsize=128)
-def _positions(family: Family, n: int) -> Mapping:
-    """Read-only index label -> array position along each axis of a pair
-    table, in axis order; indexing it off the support raises KeyError."""
-    return MappingProxyType({x: p for p, x in enumerate(_support(family, n).tolist())})
-
-
-@lru_cache(maxsize=128)
-def _domain(family: Family, n: int) -> np.ndarray:
-    """Read-only mask of a pair table's domain: i != j, in D also i != -j."""
-    lab = _support(family, n)
+def _layout(family: Family, n: int) -> _Layout:
+    lab = np.arange(1, n + 1)
+    if family != Family.A:
+        lab = np.concatenate([-lab[::-1], lab])
     i, j = lab[:, None], lab[None, :]
-    mask = abs(i) != abs(j) if family == Family.D else i != j
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=128)
-def _inversions(family: Family, n: int) -> np.ndarray:
-    """Read-only flat positions of the family's inversion pairs (i, j) with
-    j > |i|, plus (-i, i) in B, in a pair table's numerator array."""
-    lab = _support(family, n)
-    i, j = lab[:, None], lab[None, :]
+    q_mask = abs(i) != abs(j)
+    domain = q_mask if family == Family.D else i != j
     inv = j > abs(i)
     if family == Family.B:
         inv |= (i == -j) & (j > 0)
-    idx = np.flatnonzero(inv)
-    idx.flags.writeable = False
-    return idx
+    inversions = np.flatnonzero(inv)
+    for a in (domain, q_mask, inversions):
+        a.flags.writeable = False
+    labels = tuple(lab.tolist())
+    pos = MappingProxyType({x: p for p, x in enumerate(labels)})
+    return _Layout(labels, pos, domain, q_mask, inversions)
 
 
 def _num_reflections(family: Family, n: int) -> int:
@@ -279,11 +276,12 @@ class PairTable:
 
     Family A indexes ordered pairs (i, j) with 1 <= i != j <= n; families B
     and D index signed pairs, with the pairs (i, -i) present for B only.
-    ``mask`` marks the domain cells of ``num``; every other cell is zero.
-    Both are read-only; ``num`` is int64 while the engine's step bound holds
-    (see ``iterate_pairtables``) and object (Python ints) beyond it.  ``pos``
-    is the read-only ``_positions`` of the axes, shared by a walk's tables so
-    that reads do not look it up by family.
+    ``layout`` is the read-only ``_layout`` of (family, n), shared by every
+    table of a walk: reads find cells through ``layout.pos`` and
+    ``layout.domain`` without a lookup by family.  Every cell of ``num`` off
+    ``layout.domain`` is zero.  ``num`` is read-only, int64 while the
+    engine's step bound holds (see ``iterate_pairtables``) and object
+    (Python ints) beyond it.
     """
 
     family: Family
@@ -291,29 +289,29 @@ class PairTable:
     t: int
     num: np.ndarray
     den: int
-    mask: np.ndarray
-    pos: Mapping
+    layout: _Layout
 
     @cached_property
     def entries(self) -> dict:
         """(i, j) -> reduced Fraction over the domain in row-major order,
         built on first access."""
-        lab, num = list(self.pos), self.num.tolist()
+        lab, num = self.layout.labels, self.num.tolist()
         return {
             (lab[a], lab[b]): Fraction(num[a][b], self.den)
-            for a, b in np.argwhere(self.mask).tolist()
+            for a, b in np.argwhere(self.layout.domain).tolist()
         }
 
     def entry(self, i: int, j: int) -> Fraction:
-        a, b = self.pos[i], self.pos[j]
-        if not self.mask[a, b]:
+        layout = self.layout
+        a, b = layout.pos[i], layout.pos[j]
+        if not layout.domain[a, b]:
             raise KeyError((i, j))
         return Fraction(int(self.num[a, b]), self.den)
 
     def expected_length(self) -> Fraction:
         """Expected inversion-type length: the sum of Prob(w(i) > w(j)) over
         the family's inversion pairs (i, j) with j > |i|, plus (-i, i) in B."""
-        inv = _inversions(self.family, self.n)
+        inv = self.layout.inversions
         top = inv.size * self.den
         # cells lie in [0, den], so their sum is at most top
         cells = _exact(self.num.take(inv), top)
@@ -344,9 +342,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
         raise InvalidRank(f"invalid rank {n} for family {family.value}")
     check_step_count(t_max)
     check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
-    lab = _support(family, n)
-    i, j = lab[:, None], lab[None, :]
-    q_mask, mask, pos = abs(i) != abs(j), _domain(family, n), _positions(family, n)
+    layout = _layout(family, n)
     nrefl = _num_reflections(family, n)
     # the reflections that fix i and j (those of rank n - 2), less the two
     # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
@@ -356,7 +352,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     anti = (np.arange(2 * n), np.arange(2 * n)[::-1])
 
     def step(u):
-        new = c * u + u.T + _q(u, q_mask)
+        new = c * u + u.T + _q(u, layout.q_mask)
         if family != Family.A:
             new += u[::-1, ::-1].T  # U[-j, -i]
         if family == Family.D:
@@ -365,9 +361,10 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
             new[anti] = c_sign * u[anti] + u[anti].sum()
         return new
 
-    start = (mask & (i < j)).astype(np.int64)
+    # the labels increase along each axis, so i < j above the diagonal
+    start = np.triu(layout.domain, 1).astype(np.int64)
     for t, (u, den) in enumerate(_walk(start, step, nrefl, growth, t_max)):
-        yield PairTable(family, n, t, u, den, mask, pos)
+        yield PairTable(family, n, t, u, den, layout)
 
 
 def evolve_pairtable(family: Family, n: int, t: int) -> PairTable:
@@ -394,7 +391,7 @@ def apply_Q_A(v: np.ndarray) -> np.ndarray:
     """Q on an (n, n) table in the family-A pair-table layout (cell
     (i-1, j-1) holds v(i, j)): row sum plus column sum off the diagonal.
     Satisfies Q.Q = n.Q on antisymmetric tables."""
-    return _q(v, ~np.eye(len(v), dtype=bool))
+    return _q(v, _layout(Family.A, len(v)).q_mask)
 
 
 def apply_Q_BD(v: np.ndarray) -> np.ndarray:
@@ -402,5 +399,4 @@ def apply_Q_BD(v: np.ndarray) -> np.ndarray:
     -n..-1, 1..n): row sum over |j'| != |i| plus column sum over |i'| != |j|
     at every cell with |i| != |j|.  Satisfies Q.Q = (2n-2).Q on tables with
     v(j,i) = -v(i,j) and v(-j,-i) = v(i,j)."""
-    lab = abs(_support(Family.D, len(v) // 2))
-    return _q(v, lab[:, None] != lab[None, :])
+    return _q(v, _layout(Family.D, len(v) // 2).q_mask)

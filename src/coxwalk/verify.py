@@ -17,7 +17,7 @@ import numpy as np
 from . import closedform as cf
 from .elements import Family, Gens, GroupSpec, Measure, index_pairs
 from .exactengine import (
-    _positions,
+    _layout,
     apply_Q_A,
     apply_Q_BD,
     expectation,
@@ -244,7 +244,7 @@ def _random_dspace(n: int, rng: random.Random) -> np.ndarray:
     """A random (2n, 2n) table in the B/D pair layout with v(j,i) = -v(i,j)
     and v(-j,-i) = v(i,j) on the pairs |i| != |j|, zero elsewhere."""
     v = np.zeros((2 * n, 2 * n), dtype=object)
-    pos = _positions(Family.D, n)
+    pos = _layout(Family.D, n).pos
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for (a, b) in ((i, j), (-i, j)):

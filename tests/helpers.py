@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's engines: expectations are computed by
 enumerating every generator tuple, word lengths by a fresh breadth-first
-search, and Troili's dihedral sum term by term with math.comb, so that engine
-bugs cannot mask each other.
+search, Troili's dihedral sum term by term with math.comb, and Eriksen's
+inner coefficient image by image, so that engine bugs cannot mask each
+other.
 """
 import math
 from fractions import Fraction
@@ -93,3 +94,28 @@ def troili_double_sums(m, t_max):
         main[(t - 1) // 2 + 1] - boundary[(t // 2 if odd else (t - 1) // 2) + 1]
         for t in range(t_max + 1)
     ]
+
+
+def eriksen_g_by_images(s, n):
+    """Eriksen's (2005) inner coefficient for n generators and s >= 1, as two
+    method-of-images sums with period n + 1 and one binomial per image: the
+    odd row 2*ceil(s/2) - 1 shifted by l = 0..n with weight n - 2l, times the
+    even row 2*floor(s/2)."""
+    a = (s + 1) // 2
+    b = s // 2
+    first = 0
+    for l in range(n + 1):
+        k = 0
+        while a + l + k * (n + 1) <= 2 * a - 1:
+            first += (-1) ** k * (n - 2 * l) * math.comb(2 * a - 1, a + l + k * (n + 1))
+            k += 1
+    second = 0
+    j = 0
+    while b + j * (n + 1) <= 2 * b:
+        second += (-1 if j % 2 else 1) * math.comb(2 * b, b + j * (n + 1))
+        j += 1
+    j = -1
+    while b + j * (n + 1) >= 0:
+        second += (-1 if j % 2 else 1) * math.comb(2 * b, b + j * (n + 1))
+        j -= 1
+    return first * second

@@ -29,7 +29,12 @@ from coxwalk import (
     pair_prob_B,
     pair_prob_D,
 )
-from helpers import bfs_word_length, brute_force_expectation, troili_double_sums
+from helpers import (
+    bfs_word_length,
+    brute_force_expectation,
+    eriksen_g_by_images,
+    troili_double_sums,
+)
 
 INF = math.inf
 
@@ -254,6 +259,15 @@ class TestAdjacentWalk:
                 terms = (Fraction(math.comb(t, r), n**r) * _eriksen_h(r, n)
                          for r in range(1, t + 1))
                 assert expected_length_A_S_eriksen(n, t) == sum(terms, Fraction(0)), (n, t)
+
+    def test_eriksen_g_scan_equals_image_sums(self):
+        # the one-scan coefficient equals the image-by-image reference; the
+        # uncached function is called, so every (s, n) is computed afresh
+        from coxwalk.closedform import _eriksen_g
+
+        for n in range(1, 13):
+            for s in range(1, 301):
+                assert _eriksen_g.__wrapped__(s, n) == eriksen_g_by_images(s, n), (s, n)
 
     def test_bm_small(self):
         assert abs(expected_length_A_S_bm(1, 2)) < 1e-12

@@ -36,7 +36,7 @@ from coxwalk import (
     simple_reflections_of,
 )
 from coxwalk.elements import generator_moves
-from coxwalk.exactengine import _inversions, _positions
+from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
 
 
@@ -236,18 +236,25 @@ class TestPairTables:
 
     def test_yielded_tables_are_read_only(self):
         # a yielded table's numerators are the engine's state for the next
-        # step, and every table of one (family, n) reads through the same
-        # cached indices; B5 crosses to object numerators at t = 14
+        # step, and every table of one walk reads through the one cached
+        # layout of (family, n); B5 crosses to object numerators at t = 14
         for family, n, t_max in ((Family.A, 5, 6), (Family.B, 3, 6), (Family.D, 4, 6),
                                  (Family.B, 5, 16)):
+            layout = _layout(family, n)
             for t, table in enumerate(iterate_pairtables(family, n, t_max)):
+                assert table.layout is layout
                 assert table.entries == evolve_pairtable(family, n, t).entries
                 with pytest.raises(ValueError):
                     table.num[0, 1] = 7
-            with pytest.raises(ValueError):
-                _inversions(family, n)[0] = 0
+            for cells in (layout.domain, layout.q_mask, layout.inversions):
+                with pytest.raises(ValueError):
+                    cells[0] = 0
             with pytest.raises(TypeError):
-                _positions(family, n)[1] = 0
+                layout.labels[0] = 0
+            with pytest.raises(TypeError):
+                layout.pos[1] = 0
+            with pytest.raises(AttributeError):
+                layout.domain = None
 
     def test_unsupported_family_is_a_coxwalk_error(self):
         for family in (Family.I2, Family.G):
@@ -386,6 +393,25 @@ class TestOperators:
         u0, u1 = (t.num for t in iterate_pairtables(Family.A, n, 1))
         c = (n - 2) * (n - 3) // 2 - 2
         assert u1.tolist() == (c * u0 + u0.T + apply_Q_A(u0)).tolist()
+        # a B or D step: U'(i,j) = c*U(i,j) + U(j,i) + U(-j,-i) + Q(U)(i,j),
+        # less U(-i,j) + U(i,-j) in D, on every cell with |i| != |j| (B's
+        # sign pairs (i, -i) follow their own rule); c is the number of
+        # reflections of rank n - 2 less 2
+        n = 4
+        p = lambda x: _pos(n, x)
+        labels = [x for x in range(-n, n + 1) if x]
+        for family, c in ((Family.B, (n - 2) ** 2 - 2), (Family.D, (n - 2) * (n - 3) - 2)):
+            tables = list(iterate_pairtables(family, n, 3))
+            for before, after in zip(tables, tables[1:]):
+                u, q = before.num, apply_Q_BD(before.num)
+                for i in labels:
+                    for j in labels:
+                        if abs(i) == abs(j):
+                            continue
+                        want = c * u[p(i), p(j)] + u[p(j), p(i)] + u[p(-j), p(-i)] + q[p(i), p(j)]
+                        if family == Family.D:
+                            want -= u[p(-i), p(j)] + u[p(i), p(-j)]
+                        assert after.num[p(i), p(j)] == want, (family, before.t, i, j)
 
 
 def test_dihedral_walk_statistic_lookup():
