@@ -7,9 +7,12 @@ Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
 a fresh interpreter with the tree on PYTHONPATH; the time is the median of
 --repeats runs of ``cli.main`` alone (interpreter start and imports
 excluded), and each run also records the child's peak RSS (``ru_maxrss``,
-interpreter and imports included).  A route a tree refuses is recorded as
-"refused (exit 2)" with its error line.  Where two trees both run a route,
-their printed values must agree exactly, or the script exits 1.
+interpreter and imports included).  Within each repeat the trees take
+turns, and the tree that goes first alternates between repeats, so a slow
+phase of a shared host falls on every tree alike.  A route a tree refuses
+is recorded as "refused (exit 2)" with its error line.  Where two trees
+both run a route, their printed values must agree exactly, or the script
+exits 1.
 
 The exact-pair routes run most of their steps on Python-int numerators: the
 pair engine's last int64 table is t = 5 in A60, B60 and D40 and t = 4 in
@@ -25,7 +28,12 @@ routes time Troili's closed form beyond perfbench's closed-cli grid
 (m <= 10, t <= 960): a long walk in a small group, a large m whose images
 reach the walk, and m >= t, where none does.  The eriksen route times
 Eriksen's expansion for A9 simple generators at t = 400 with cold
-coefficient caches, far past closed-cli's grid (n <= 6, t <= 40).
+coefficient caches, far past closed-cli's grid (n <= 6, t <= 40).  The mc
+routes time Monte Carlo: A40 and B20 at t = 400 are long walks whose trials
+fill one block, so the per-step cost dominates; I2(12) reflections at
+t = 200 is a walk where the cost is all stream words (its moves are sums);
+A10 at t = 5 over 10^5 trials is per-trial bound; and B11/D12 absolute
+length and I2(10^7) show the peak RSS of wide states and large ranks.
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src \
         --tree after=src --only troili --repeats 11 --out BENCH_closed.json
@@ -69,6 +77,14 @@ ROUTES = {
     "mc I2(10^7) simple t=100 length": ["--family", "I2", "--m", str(10**7), "--gens",
                                         "simple", "--t", "100", "--engine", "mc",
                                         "--trials", "10000"],
+    "mc A40 t=400 length": ["--family", "A", "--n", "40", "--t", "400", "--engine", "mc",
+                            "--trials", "2000"],
+    "mc B20 t=400 length": ["--family", "B", "--n", "20", "--t", "400", "--engine", "mc",
+                            "--trials", "1000"],
+    "mc I2(12) reflections t=200 length": ["--family", "I2", "--m", "12", "--t", "200",
+                                           "--engine", "mc", "--trials", "3000"],
+    "mc A10 t=5 length": ["--family", "A", "--n", "10", "--t", "5", "--engine", "mc",
+                          "--trials", str(10**5)],
     "exact-pair A60 t=60 length": ["--family", "A", "--n", "60", "--t", "60",
                                    "--engine", "exact-pair"],
     "exact-pair B60 t=60 length": ["--family", "B", "--n", "60", "--t", "60",
@@ -111,8 +127,7 @@ def run_once(src: str, argv: list[str]) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def measure(src: str, argv: list[str], repeats: int) -> dict:
-    runs = [run_once(src, argv) for _ in range(repeats)]
+def summarize(argv: list[str], runs: list[dict]) -> dict:
     first = runs[0]
     if first["code"] != 0:
         return {"result": f"refused (exit {first['code']})", "error": first["err"].strip()}
@@ -152,8 +167,14 @@ def main() -> int:
         if args.only not in name:
             continue
         row = {"argv": ["eval", *argv]}
-        for label, src in trees.items():
-            row[label] = measure(str(Path(src).resolve()), argv, args.repeats)
+        runs = {label: [] for label in trees}
+        for repeat in range(args.repeats):
+            # trees take turns within each repeat, the first one alternating
+            order = list(trees.items())
+            for label, src in order[::-1] if repeat % 2 else order:
+                runs[label].append(run_once(str(Path(src).resolve()), argv))
+        for label in trees:
+            row[label] = summarize(argv, runs[label])
             shown = row[label].get("seconds", row[label].get("result"))
             rss = row[label].get("peak_rss_mb", "")
             print(f"{name:34s} {label:8s} {shown} {rss}", flush=True)

@@ -15,17 +15,26 @@ does for n <= 2^32 generators (``trial_choices``):
 Choice index k is generator k of ``elements.generator_moves``, the list
 that also orders ``reflections_of`` and ``simple_reflections_of``.
 
-``simulate`` computes these words for a block of trials at once; the rare
-trial whose row hits a rejection is redrawn by ``trial_choices``.  It then
-applies each move (a, b, s) as a gather and a scatter on a (trials, n)
-state array and evaluates the statistic over the block.  The per-trial
-values are summed with exactly rounded summation in trial order.
-``workers`` only splits the trial range into contiguous blocks, processed
-in order, so the result is bit-identical for any number of workers.
+``simulate`` walks the trials in blocks: contiguous trial ranges of up to
+_BLOCK_WORDS / 8 = 4096 trials, fewer where trials times n would pass
+_BLOCK_STATE, each carrying its states (a (trials, n) window array, or the
+ranks 2 * rot + flip in I2) through the whole walk.  A block advances one chunk
+of steps at a time: a multiple of 8 steps, so a whole number of counter
+blocks per trial, with at most _BLOCK_WORDS words over the block.  A chunk
+computes its words for every trial of the block at once, maps them to
+choices and applies each move (a, b, s) as one gather and one scatter on
+the state array.  A trial that hits a rejection in any chunk took its
+later choices from the wrong words; after its block it is walked again
+from ``trial_choices``.  The statistic is evaluated over the block, and
+the per-trial values are summed with exactly rounded summation in trial
+order.  ``workers`` only splits the trial range into contiguous shares,
+processed in order, so the result is bit-identical for any number of
+workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import fsum, sqrt
 
 import numpy as np
@@ -45,8 +54,15 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
-# bound on draws (and on state entries) held per block of trials
+# the low halves, the high halves and the whole multipliers of the lanes
+# (c0, c2), each as a (2, 1, 1) array
+_MULTIPLIERS = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
+_M = (_MULTIPLIERS & _LOW32, _MULTIPLIERS >> _32, _MULTIPLIERS)
+_W1 = np.uint64(_PHILOX_W[1])
+# bound on stream words drawn per chunk (rows times steps)
 _BLOCK_WORDS = 2**15
+# bound on state entries per block (rows times n)
+_BLOCK_STATE = 2**17
 
 
 def _check_seed(seed: int) -> None:
@@ -81,97 +97,131 @@ def trial_choices(seed: int, trial: int, n_choices: int, steps: int) -> np.ndarr
     return np.random.Generator(np.random.Philox(key=key)).integers(0, n_choices, size=steps)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products a * b, built from
-    32-bit halves so that no partial sum passes 2^64 (b is uint64, and
-    numpy's uint64 products wrap mod 2^64)."""
-    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b0, b1 = b & _LOW32, b >> _32
-    mid = a1 * b0
-    mid += (a0 * b0) >> _32
-    low = mid & _LOW32
-    low += a0 * b1
-    hi = a1 * b1
-    hi += mid >> _32
-    hi += low >> _32
-    return hi, np.uint64(a) * b
+def _mulhi(x: np.ndarray, a0: np.ndarray, a1: np.ndarray, out: np.ndarray,
+           tmp: list[np.ndarray]) -> None:
+    """out = the high 64 bits of the 128-bit products a * x, built from the
+    32-bit halves a0, a1 of the multipliers a and those of x so that no
+    partial sum passes 2^64 (numpy's uint64 products wrap mod 2^64).  tmp
+    holds three scratch arrays of x's shape."""
+    lo, hi, mid = tmp
+    np.bitwise_and(x, _LOW32, out=lo)
+    np.right_shift(x, _32, out=hi)
+    np.multiply(lo, a1, out=mid)
+    lo *= a0
+    lo >>= _32
+    mid += lo
+    np.multiply(hi, a1, out=out)
+    hi *= a0
+    np.bitwise_and(mid, _LOW32, out=lo)
+    lo += hi
+    mid >>= _32
+    out += mid
+    lo >>= _32
+    out += lo
 
 
-def _philox_words(seed: int, lo: int, hi: int, steps: int) -> np.ndarray:
-    """The first ``steps`` 32-bit stream words of every trial lo..hi-1, as a
-    uint64 (hi - lo, steps) array."""
-    blocks = -(-steps // 8)
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    c = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero]
-    k1 = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    for r in range(10):
-        if r:
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        # the seed half of the key stays a scalar; bump it in Python ints
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
-        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
-    lanes = np.stack(np.broadcast_arrays(*c), axis=-1)
-    words = np.stack([lanes & _LOW32, lanes >> _32], axis=-1)
-    return words.reshape(hi - lo, 8 * blocks)[:, :steps]
+def _philox_words(seed: int, lo: int, hi: int, first_block: int, blocks: int) -> np.ndarray:
+    """The 32-bit stream words of every trial lo..hi-1 from counter blocks
+    first_block + 1 .. first_block + blocks, by step: word 8 * (first_block
+    + b) + 2 * lane + half of trial lo + r is at [b, lane, half, r].
+
+    The lanes (c0, c2), which a round multiplies, are one (2, blocks, rows)
+    array x and (c1, c3) another, y, so a round is a few passes over each.
+    Every operand of a pass has the pass's full shape: numpy runs that as
+    one flat loop, about twice as fast as a broadcast operand.  Round 0 runs
+    on the broadcast counter and the others in place, in buffers allocated
+    once per call.  The four lanes are written to one '<u8' array, whose
+    '<u4' view holds each lane's low half first on any host byte order."""
+    rows = hi - lo
+    shape = (2, blocks, rows)
+    counter = np.zeros((2, blocks, 1), dtype=np.uint64)
+    counter[0, :, 0] = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
+    h, tmp = np.empty_like(counter), [np.empty_like(counter) for _ in range(3)]
+    _mulhi(counter, _M[0], _M[1], h, tmp)
+    # the key is (seed, trial): k0 one scalar, k1 one value per row
+    k0, k1 = seed, np.empty((blocks, rows), dtype=np.uint64)
+    k1[:] = np.arange(lo, hi, dtype=np.uint64)
+    # a round maps (c0, c1, c2, c3) to (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+    x, y = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    np.bitwise_xor(h[1], np.uint64(k0), out=x[0])
+    np.bitwise_xor(h[0], k1, out=x[1])
+    np.multiply(counter, _M[2], out=y[::-1])  # (lo0, lo1) reversed
+    multipliers = [np.empty(shape, dtype=np.uint64) for _ in _M]
+    for full, constant in zip(multipliers, _M):
+        full[:] = constant
+    h, tmp = np.empty(shape, dtype=np.uint64), [np.empty(shape, dtype=np.uint64) for _ in range(3)]
+    for _ in range(9):
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        k1 += _W1
+        _mulhi(x, multipliers[0], multipliers[1], h, tmp)
+        x *= multipliers[2]
+        y[0] ^= h[1]
+        y[0] ^= np.uint64(k0)
+        y[1] ^= h[0]
+        y[1] ^= k1
+        # y now holds the new (c0, c2); x holds (lo0, lo1), which reversed
+        # (a view, not a copy) is the new (c1, c3)
+        x, y = y, x[::-1]
+    lanes = np.empty((blocks, 4, rows), dtype="<u8")
+    np.stack([x[0], y[0], x[1], y[1]], axis=1, out=lanes)
+    return lanes.view("<u4").reshape(blocks, 4, rows, 2).transpose(0, 1, 3, 2)
 
 
-def _draws(seed: int, lo: int, hi: int, n_choices: int, steps: int) -> np.ndarray:
-    """``trial_choices(seed, k, n_choices, steps)`` for every trial k in
-    lo..hi-1, as one (hi - lo, steps) array."""
-    if n_choices > 2**32:
-        raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")
-    m = _philox_words(seed, lo, hi, steps) * np.uint64(n_choices)
-    choices = (m >> _32).astype(np.intp)
-    threshold = (2**32 - n_choices) % n_choices
-    rejected = ((m & _LOW32) < threshold).any(axis=1)
-    for row in np.flatnonzero(rejected).tolist():
-        choices[row] = trial_choices(seed, lo + row, n_choices, steps)
-    return choices
+def _draws(seed: int, lo: int, hi: int, n_choices: int, first_step: int, steps: int):
+    """Choices of steps first_step .. first_step + steps - 1 (first_step a
+    multiple of 8) of every trial lo..hi-1, as a (steps, hi - lo) array by
+    step, and a flag per trial for a rejected word among them.  A trial's
+    choices equal ``trial_choices``' while no word up to there was
+    rejected; after a rejection they are still in range(n_choices)."""
+    words = _philox_words(seed, lo, hi, first_step // 8, -(-steps // 8))
+    m = np.multiply(words, np.uint64(n_choices), order="C").reshape(-1, hi - lo)[:steps]
+    rejected = ((m & _LOW32) < (2**32 - n_choices) % n_choices).any(axis=0)
+    m >>= _32
+    return m.view(np.int64), rejected
 
 
 def _blocks(trials: int, workers: int, rows: int):
-    """Contiguous (lo, hi) trial ranges of at most ``rows`` trials, in trial
-    order, within each worker's share of the trial range."""
+    """Contiguous (lo, hi) trial ranges of at most ``rows`` trials, as even
+    as possible, in trial order, within each worker's share of the trial
+    range."""
     workers = max(workers, 1)
     bounds = [trials * w // workers for w in range(workers + 1)]
     for start, stop in zip(bounds, bounds[1:]):
-        for lo in range(start, stop, rows):
-            yield lo, min(lo + rows, stop)
+        count = -(-(stop - start) // rows)
+        for i in range(count):
+            yield (start + (stop - start) * i // count,
+                   start + (stop - start) * (i + 1) // count)
 
 
-def _walk_windows(choices: np.ndarray, moves, n: int) -> np.ndarray:
-    """Final windows, (trials, n), of the walks that apply generator
-    choices[k, s] at step s of trial k, starting from the identity.  moves
-    holds the generators' (a - 1, b - 1, s) as three arrays, from the moves
-    (a, b, s) of ``generator_moves``."""
-    rows, steps = choices.shape
+def _walk_windows(state: np.ndarray, choices: np.ndarray, moves) -> None:
+    """Apply generator choices[s, k] at step s to row k of the windows state,
+    a C-contiguous (rows, n) array, in place.  moves holds the generators'
+    (a - 1, b - 1, s) as three arrays, from the moves (a, b, s) of
+    ``generator_moves``."""
+    rows, n = state.shape
     a, b, s = moves
-    # one contiguous row of flat state indices per step
-    by_step = np.ascontiguousarray(choices.T)
-    base = np.arange(rows) * n
-    ia, ib = a[by_step] + base, b[by_step] + base
-    src = np.concatenate([ia, ib], axis=1)
-    dst = np.concatenate([ib, ia], axis=1)
-    state = np.tile(np.arange(1, n + 1), rows)
+    # the flat state indices of entries a and b of every row, per step
+    pairs = np.empty((len(choices), 2, rows), dtype=np.intp)
+    np.take(a, choices, out=pairs[:, 0])
+    np.take(b, choices, out=pairs[:, 1])
+    pairs += np.arange(0, rows * n, n)
+    flat = state.reshape(-1)
     if (s == 1).all():  # transpositions only: skip the sign product
-        for step in range(steps):
-            state[dst[step]] = state[src[step]]
+        for pair in pairs:
+            flat[pair[::-1].reshape(-1)] = flat[pair.reshape(-1)]
     else:
-        sign = np.tile(s[by_step], 2)
-        for step in range(steps):
-            state[dst[step]] = state[src[step]] * sign[step]
-    return state.reshape(rows, n)
+        for pair, sign in zip(pairs, np.take(s, choices)):
+            flat[pair[::-1].reshape(-1)] = (flat[pair] * sign).reshape(-1)
 
 
-def _walk_dihedral(choices: np.ndarray, m: int) -> np.ndarray:
-    """Final ranks 2 * rot + flip of I2(m) walks over reflections chosen by
-    index; by ``generator_moves``, reflection k, simple or not, has rotation
-    part k.  Before step s the flip is s mod 2, so step s adds (-1)^s times
-    its rotation part."""
-    rot = (choices[:, ::2].sum(axis=1) - choices[:, 1::2].sum(axis=1)) % m
-    return 2 * rot + choices.shape[1] % 2
+def _walk_dihedral(rank: np.ndarray, choices: np.ndarray, m: int) -> None:
+    """Advance the ranks 2 * rot + flip of I2(m) walks, in place, by the
+    reflections choices[s, k] chosen by index, a chunk that starts at an
+    even step (so flip 0); by ``generator_moves``, reflection k, simple or
+    not, has rotation part k.  Before step s the flip is s mod 2, so step s
+    adds (-1)^s times its rotation part."""
+    rot = (rank >> 1) + choices[::2].sum(axis=0) - choices[1::2].sum(axis=0)
+    rank[:] = 2 * (rot % m) + len(choices) % 2
 
 
 def simulate(
@@ -193,29 +243,42 @@ def simulate(
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
     check_step_count(t)
     _check_seed(seed)
-    n = width = spec.n
+    n = spec.n
     if spec.family == Family.I2 and n >= 2**62:
         raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
     gen_moves = generator_moves(spec, gens)
-    if not gen_moves:
+    n_choices = len(gen_moves)
+    if not n_choices:
         raise InvalidRank(f"{spec} has no generators to walk on")
+    if n_choices > 2**32:
+        raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")
+    # one trial's starting state: the identity's rank in I2, else its window
     if spec.family == Family.I2:
-        width = 1
-
-        def walk(choices):
-            return _walk_dihedral(choices, n)
+        width, identity = 1, np.zeros(1, dtype=np.int64)
+        advance = partial(_walk_dihedral, m=n)
     else:
         a, b, s = np.array(gen_moves, dtype=np.intp).T
-        moves = a - 1, b - 1, s
-
-        def walk(choices):
-            return _walk_windows(choices, moves, n)
+        width, identity = n, np.arange(1, n + 1)[None, :]
+        advance = partial(_walk_windows, moves=(a - 1, b - 1, s))
 
     statistic = block_statistic(spec, measure)
     values: list[float] = []
-    for lo, hi in _blocks(trials, workers, max(1, _BLOCK_WORDS // max(t, width))):
-        choices = _draws(seed, lo, hi, len(gen_moves), t)
-        values += statistic(walk(choices)).astype(float).tolist()
+    for lo, hi in _blocks(trials, workers, min(_BLOCK_WORDS // 8, max(1, _BLOCK_STATE // width))):
+        state = np.repeat(identity, hi - lo, axis=0)
+        rejected = np.zeros(hi - lo, dtype=bool)
+        # a chunk of 8 * k steps draws k counter blocks for every row
+        chunk = 8 * max(1, _BLOCK_WORDS // (8 * (hi - lo)))
+        for first in range(0, t, chunk):
+            choices, chunk_rejected = _draws(seed, lo, hi, n_choices, first, min(chunk, t - first))
+            rejected |= chunk_rejected
+            advance(state, choices)
+        # a trial that rejected a word took its later choices from the wrong
+        # words: walk it again from its own draws
+        for row in np.flatnonzero(rejected).tolist():
+            one = identity.copy()
+            advance(one, trial_choices(seed, lo + row, n_choices, t)[:, None])
+            state[row] = one[0]
+        values += statistic(state).astype(float).tolist()
 
     mean = fsum(values) / trials
     # the values are few distinct integers: square each deviation once

@@ -1,3 +1,5 @@
+from math import fsum, sqrt
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -24,7 +26,8 @@ from coxwalk import (
 )
 from coxwalk.lengths import block_statistic
 from coxwalk.elements import generator_moves
-from coxwalk.montecarlo import _draws, _walk_dihedral, _walk_windows
+from coxwalk import montecarlo
+from coxwalk.montecarlo import _draws, _philox_words, _walk_dihedral, _walk_windows
 from coxwalk.verify import MC_BASE_SEED, MC_GRID
 
 A10 = GroupSpec(Family.A, 10)
@@ -77,7 +80,7 @@ def test_generator_frequencies_uniform_chi_square():
     spec = GroupSpec(Family.A, 5)
     n_gens = len(reflections_of(spec))
     trials = 10**5
-    first = _draws(1234, 0, trials, n_gens, 1)[:, 0]
+    first = _draws(1234, 0, trials, n_gens, 0, 1)[0][0]
     assert first[:300].tolist() == [trial_choices(1234, k, n_gens, 1)[0] for k in range(300)]
     counts = np.bincount(first, minlength=n_gens)
     expected = trials / n_gens
@@ -106,23 +109,48 @@ def test_trials_validation():
         simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 1, trials=1, seed=0)
 
 
-def numpy_choices(seed, k, n, steps):
-    """numpy's own bounded draws from the Philox stream keyed by (seed, k)."""
-    key = np.array([seed, k], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=steps)
+def numpy_bitgen(seed, k, first_block):
+    """numpy's Philox bit generator keyed by (seed, k), advanced past
+    first_block counter blocks."""
+    bitgen = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
+    bitgen.advance(first_block)
+    return bitgen
+
+
+def numpy_choices(seed, k, n, steps, first_block=0):
+    """numpy's own bounded draws from the Philox stream keyed by (seed, k),
+    from counter block first_block + 1 on."""
+    return np.random.Generator(numpy_bitgen(seed, k, first_block)).integers(0, n, size=steps)
+
+
+def numpy_words(seed, k, first_block, blocks):
+    """The 32-bit words of counter blocks first_block + 1 .. first_block +
+    blocks of that stream, each 64-bit output's low half first."""
+    raw = numpy_bitgen(seed, k, first_block).random_raw(4 * blocks)
+    return [int(w) >> shift & 0xFFFFFFFF for w in raw for shift in (0, 32)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 45, 780, 2**31 + 11, 3 * 2**30 + 1])
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**63, 2**64 - 1])
 def test_block_draws_match_numpy(seed, n):
     # n = 2^31 + 11 and 3 * 2^30 + 1 reject about half and a quarter of the
-    # words, so most rows there take the redraw path
+    # words, so most rows there are flagged for simulate to walk again;
+    # first_step > 0 starts at a later counter block
+    threshold = (2**32 - n) % n
     for steps in (0, 1, 7, 8, 9, 17, 64):
-        lo = 3 * steps
-        got = _draws(seed, lo, lo + 6, n, steps)
-        assert got.shape == (6, steps)
-        for row, k in enumerate(range(lo, lo + 6)):
-            assert (got[row] == numpy_choices(seed, k, n, steps)).all(), (seed, n, steps, k)
+        for first_step in (0, 8, 40):
+            lo, blocks = 3 * steps + first_step, -(-steps // 8)
+            words = _philox_words(seed, lo, lo + 6, first_step // 8, blocks)
+            got, rejected = _draws(seed, lo, lo + 6, n, first_step, steps)
+            assert got.shape == (steps, 6) and rejected.shape == (6,)
+            assert ((0 <= got) & (got < n)).all()
+            for row, k in enumerate(range(lo, lo + 6)):
+                want = numpy_words(seed, k, first_step // 8, blocks)
+                assert np.reshape(words, (8 * blocks, 6))[:, row].tolist() == want
+                assert rejected[row] == any(w * n % 2**32 < threshold for w in want[:steps])
+                if not rejected[row]:
+                    want = numpy_choices(seed, k, n, steps, first_step // 8)
+                    assert (got[:, row] == want).all(), (seed, n, steps, first_step, k)
 
 
 # (mean, stderr) of simulate before it was vectorized, as exact float
@@ -208,13 +236,15 @@ def test_walk_moves_are_the_element_generators(spec, gens):
     for k1 in range(len(g)):
         for k2 in range(len(g)):
             product = multiply(g[k1], g[k2])
-            choices = np.array([[k1, k2]])
+            choices = np.array([[k1], [k2]])
             if spec.family == Family.I2:
-                got = _walk_dihedral(choices, spec.n).tolist()
-                assert got == [2 * product.rot + product.flip]
+                rank = np.zeros(1, dtype=np.int64)
+                _walk_dihedral(rank, choices, spec.n)
+                assert rank.tolist() == [2 * product.rot + product.flip]
             else:
-                got = _walk_windows(choices, arrays, spec.n).tolist()
-                assert got == [list(product.window)]
+                state = np.arange(1, spec.n + 1)[None, :].copy()
+                _walk_windows(state, choices, arrays)
+                assert state.tolist() == [list(product.window)]
 
 
 def test_seeds_above_2_63_are_distinct_streams():
@@ -236,3 +266,69 @@ def test_trial_outside_key_range_rejected(trial):
     with pytest.raises(InvalidTrialIndex) as info:
         trial_choices(1, trial, 10, 3)
     assert isinstance(info.value, CoxwalkError) and isinstance(info.value, ValueError)
+
+
+def per_trial_reference(spec, gens, measure, t, trials, seed):
+    """(mean, stderr) as simulate computes them, from each trial's own
+    draws walked as a one-row block of one chunk."""
+    moves = generator_moves(spec, gens)
+    statistic = block_statistic(spec, measure)
+    values = []
+    for k in range(trials):
+        choices = trial_choices(seed, k, len(moves), t)[:, None]
+        if spec.family == Family.I2:
+            state = np.zeros(1, dtype=np.int64)
+            _walk_dihedral(state, choices, spec.n)
+        else:
+            a, b, s = np.array(moves, dtype=np.intp).T
+            state = np.arange(1, spec.n + 1)[None, :].copy()
+            _walk_windows(state, choices, (a - 1, b - 1, s))
+        values.append(float(statistic(state)[0]))
+    mean = fsum(values) / trials
+    var = fsum((v - mean) ** 2 for v in values) / (trials - 1)
+    return mean, sqrt(var / trials)
+
+
+@pytest.mark.parametrize("spec, gens, measure", [
+    (GroupSpec(Family.B, 5), Gens.REFLECTIONS, Measure.LENGTH),
+    (GroupSpec(Family.D, 6), Gens.SIMPLE, Measure.ABSLENGTH),
+    (GroupSpec(Family.A, 7), Gens.REFLECTIONS, Measure.DESCENTS),
+    (GroupSpec(Family.I2, 9), Gens.REFLECTIONS, Measure.LENGTH),
+    (GroupSpec(Family.I2, 6), Gens.SIMPLE, Measure.ABSLENGTH),
+])
+def test_chunks_match_per_trial_walks(monkeypatch, spec, gens, measure):
+    # with 512 words per chunk, 151 trials are blocks of 50 or 51 rows for
+    # one and for three workers, and each chunk is S = 8 steps: t = S - 1,
+    # S, S + 1 and 2S + 3 end a walk before, at and after a chunk boundary
+    monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 512)
+    for t in (7, 8, 9, 19):
+        want = per_trial_reference(spec, gens, measure, t, 151, seed=t)
+        for workers in (1, 3):
+            r = simulate(spec, gens, measure, t, trials=151, seed=t, workers=workers)
+            assert (r.mean, r.stderr) == want, (t, workers)
+
+
+def test_chunks_at_full_size_match_per_trial_walks():
+    # 2000 trials fill one block of 16-step chunks; with three workers they
+    # are blocks of 666 or 667 rows and 48-step chunks.  t = 2 * 48 + 3
+    # ends past a boundary of both
+    spec = GroupSpec(Family.I2, 12)
+    want = per_trial_reference(spec, Gens.REFLECTIONS, Measure.LENGTH, 99, 2000, seed=4)
+    for workers in (1, 3):
+        r = simulate(spec, Gens.REFLECTIONS, Measure.LENGTH, 99, trials=2000, seed=4,
+                     workers=workers)
+        assert (r.mean, r.stderr) == want
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_rejected_rows_are_walked_again(workers):
+    # A580 has 167 910 reflections, so a word is rejected with probability
+    # about 3.8e-5; four of these 2000 trials reject one within 20 steps.
+    # Walking them on their flawed choices reads a mean of 37.3735
+    spec = GroupSpec(Family.A, 580)
+    n_choices = len(generator_moves(spec, Gens.REFLECTIONS))
+    _, rejected = _draws(1, 0, 2000, n_choices, 0, 20)
+    assert np.flatnonzero(rejected).tolist() == [667, 761, 935, 1740]
+    r = simulate(spec, Gens.REFLECTIONS, Measure.DESCENTS, 20, trials=2000, seed=1,
+                 workers=workers)
+    assert (r.mean, r.stderr) == (37.373, 0.03368238042917525)
