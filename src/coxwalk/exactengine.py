@@ -182,14 +182,7 @@ def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fr
             entry = group.memo[statistic] = values, int(values.max())
         values, top = entry
         # the counts sum to den, so the sum is at most den * top
-        bound = dist.den * top
-        wide = bound >= _INT64_LIMIT and counts.dtype != object
-        if wide and group.order * top << 32 < _INT64_LIMIT:
-            # each 32-bit half of a count times a value is below top * 2^32,
-            # so both halves' sums over the |W| counts stay in int64
-            high, low = (counts >> 32) @ values, (counts & 0xFFFFFFFF) @ values
-            return Fraction((int(high) << 32) + int(low), dist.den)
-        return Fraction(int(_exact(counts, bound) @ values), dist.den)
+        return Fraction(int(_exact(counts, dist.den * top) @ values), dist.den)
     memo = group.memo.setdefault(statistic, {})
     support = np.flatnonzero(counts)
     total = 0

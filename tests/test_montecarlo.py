@@ -295,14 +295,22 @@ def per_trial_reference(spec, gens, measure, t, trials, seed):
     (GroupSpec(Family.A, 7), Gens.REFLECTIONS, Measure.DESCENTS),
     (GroupSpec(Family.I2, 9), Gens.REFLECTIONS, Measure.LENGTH),
     (GroupSpec(Family.I2, 6), Gens.SIMPLE, Measure.ABSLENGTH),
+    # about half and a quarter of the words reject here, so most rows are
+    # walked again after their block
+    (GroupSpec(Family.I2, 2**31 + 11), Gens.REFLECTIONS, Measure.LENGTH),
+    (GroupSpec(Family.I2, 3 * 2**30 + 1), Gens.REFLECTIONS, Measure.LENGTH),
 ])
 def test_chunks_match_per_trial_walks(monkeypatch, spec, gens, measure):
     # with 512 words per chunk, 151 trials are blocks of 50 or 51 rows for
     # one and for three workers, and each chunk is S = 8 steps: t = S - 1,
     # S, S + 1 and 2S + 3 end a walk before, at and after a chunk boundary
     monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 512)
+    n_choices = len(generator_moves(spec, gens))
     for t in (7, 8, 9, 19):
         want = per_trial_reference(spec, gens, measure, t, 151, seed=t)
+        if n_choices > 2**31:
+            _, rejected = _draws(t, 0, 151, n_choices, 0, t)
+            assert rejected.mean() > 0.8, t
         for workers in (1, 3):
             r = simulate(spec, gens, measure, t, trials=151, seed=t, workers=workers)
             assert (r.mean, r.stderr) == want, (t, workers)
