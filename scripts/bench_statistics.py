@@ -7,9 +7,16 @@ Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
 a fresh interpreter with the tree on PYTHONPATH; the time is the median of
 --repeats runs of ``cli.main`` alone (interpreter start and imports
 excluded), and each run also records the child's peak RSS (``ru_maxrss``,
-interpreter and imports included).  Within each repeat the trees take
-turns, and the tree that goes first alternates between repeats, so a slow
-phase of a shared host falls on every tree alike.  A route a tree refuses
+interpreter and imports included).  The child also times perfbench's
+host-speed reference loop (``perfbench/hostspeed.py``, imported read-only)
+just before and just after ``cli.main``; the route's time over the mean of
+the two, times the loop's nominal ``LOOP_S``, is its time in reference
+seconds, recorded beside the plain time as perfbench records its
+evaluations.  Reference seconds follow the speed of a shared host, whose
+phases move plain times between runs of the same tree.  Within each
+repeat the trees take turns, and the tree that goes first alternates
+between repeats, so a slow phase of a shared host falls on every tree
+alike.  A route a tree refuses
 is recorded as "refused (exit 2)" with its error line.  Where two trees
 both run a route, their printed values must agree exactly, or the script
 exits 1.
@@ -103,24 +110,32 @@ ROUTES = {
                          "--formula", "eriksen"],
 }
 
-# runs in the child: times cli.main on argv and prints one JSON line
+PERFBENCH = ROOT / "perfbench"
+
+# runs in the child: times cli.main on argv[2:], between two timings of the
+# reference loop of the perfbench directory argv[1], and prints one JSON line
 CHILD = """
 import contextlib, io, json, resource, sys, time
+sys.path.append(sys.argv[1])
+from hostspeed import LOOP_S, loop_time
 from coxwalk.cli import main
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    before = loop_time()
     t0 = time.perf_counter()
-    code = main(sys.argv[1:])
+    code = main(sys.argv[2:])
     seconds = time.perf_counter() - t0
+    after = loop_time()
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"code": code, "seconds": seconds, "peak_rss_mb": rss_mb,
-                  "out": out.getvalue(), "err": err.getvalue()}))
+print(json.dumps({"code": code, "seconds": seconds,
+                  "ref_seconds": seconds * LOOP_S / ((before + after) / 2),
+                  "peak_rss_mb": rss_mb, "out": out.getvalue(), "err": err.getvalue()}))
 """
 
 
 def run_once(src: str, argv: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", CHILD, "eval", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(PERFBENCH), "eval", *argv], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"child failed on {argv}: {proc.stderr.strip()}")
@@ -135,6 +150,8 @@ def summarize(argv: list[str], runs: list[dict]) -> dict:
         raise RuntimeError(f"{argv} printed different values across reruns")
     return {"seconds": statistics.median(r["seconds"] for r in runs),
             "runs": [r["seconds"] for r in runs],
+            "ref_seconds": statistics.median(r["ref_seconds"] for r in runs),
+            "runs_ref_seconds": [r["ref_seconds"] for r in runs],
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
             "runs_peak_rss_mb": [r["peak_rss_mb"] for r in runs],
             "value": json.loads(first["out"])}
@@ -158,8 +175,11 @@ def main() -> int:
                  "cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__},
         "timing": f"median of {args.repeats} runs of cli.main in a fresh interpreter, "
-                  "imports excluded; peak_rss_mb is the median of the children's "
-                  "ru_maxrss in MB, interpreter and imports included",
+                  "imports excluded; ref_seconds is the median of each run's time in "
+                  "reference seconds (perfbench/hostspeed.py, the time over the mean of "
+                  "the reference loop timed before and after it, times LOOP_S); "
+                  "peak_rss_mb is the median of the children's ru_maxrss in MB, "
+                  "interpreter and imports included",
         "routes": {},
     }
     mismatch = False
@@ -176,8 +196,9 @@ def main() -> int:
         for label in trees:
             row[label] = summarize(argv, runs[label])
             shown = row[label].get("seconds", row[label].get("result"))
+            ref = row[label].get("ref_seconds", "")
             rss = row[label].get("peak_rss_mb", "")
-            print(f"{name:34s} {label:8s} {shown} {rss}", flush=True)
+            print(f"{name:34s} {label:8s} {shown} {ref} {rss}", flush=True)
         values = [r["value"] for label, r in row.items() if label != "argv" and "value" in r]
         if any(v != values[0] for v in values):
             mismatch = True

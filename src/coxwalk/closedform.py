@@ -13,12 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Union
 
-from .elements import Family, Gens, GroupSpec, Measure, in_index_domain
-from .errors import InvalidRank, UnsupportedFamily, check_step_count
+from .elements import (
+    Family,
+    Gens,
+    GroupSpec,
+    Measure,
+    check_walk_rank,
+    has_reflections,
+    in_index_domain,
+)
+from .errors import UnsupportedFamily, check_step_count
 
 Value = Union[Fraction, float]
 
@@ -27,6 +35,12 @@ INFINITE = math.inf  # sentinel accepted by the dihedral evaluators
 
 def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _check(t: int, family: Family, n: int, r: int = 1) -> None:
+    """A closed form's domain: ``check_step_count``, then ``check_walk_rank``."""
+    check_step_count(t)
+    check_walk_rank(family, n, r)
 
 
 @dataclass(frozen=True)
@@ -53,10 +67,8 @@ class ExpectationResult:
 def expected_length_A_T(n_letters: int, t: int) -> Fraction:
     """Expected inversion count after t uniform transpositions on the
     symmetric group on n_letters letters."""
-    check_step_count(t)
+    _check(t, Family.A, n_letters)
     n = n_letters
-    if n < 2:
-        raise InvalidRank(f"need at least 2 letters, got {n}")
     b1 = 1 - Fraction(2, n - 1)
     b2 = 1 - Fraction(4, n - 1)
     return (
@@ -82,9 +94,7 @@ def pair_prob_A(n_letters: int, i: int, j: int, t: int) -> Fraction:
 def expected_length_B_T(n: int, t: int) -> Fraction:
     """Expected signed-inversion length after t uniform reflections in the
     signed permutation group of rank n."""
-    check_step_count(t)
-    if n < 1:
-        raise InvalidRank(f"need rank >= 1, got {n}")
+    _check(t, Family.B, n)
     b1 = 1 - Fraction(2, n)
     b2 = 1 - Fraction(4, n) + Fraction(2, n * n)
     return (
@@ -101,16 +111,12 @@ def pair_prob_B(n: int, i: int, j: int, t: int) -> Fraction:
     Accepts either a generic pair with j > |i| (requires n >= 2) or a sign
     pair (-i, i) with 1 <= i <= n.
     """
-    check_step_count(t)
-    if n < 1:
-        raise InvalidRank(f"need rank >= 1, got {n}")
+    _check(t, Family.B, n)
     b1 = 1 - Fraction(2, n)
     if i == -j and 1 <= j <= n:
         return Fraction(1, 2) - Fraction(1, 2) * b1**t
-    if not (i != 0 and abs(i) < j <= n):
+    if not (i != 0 and abs(i) < j <= n):  # in rank 1, only the sign pair passes
         raise IndexError(f"need j > |i| or the pair (-i, i), got ({i}, {j})")
-    if n == 1:
-        raise IndexError("rank 1 has only the sign pair (-1, 1)")
     b2 = 1 - Fraction(4, n) + Fraction(2, n * n)
     c = Fraction(j - i - 1 + _sgn(i), 2 * (n - 1))
     return Fraction(1, 2) - c * b1**t + (c - Fraction(1, 2)) * b2**t
@@ -119,9 +125,7 @@ def pair_prob_B(n: int, i: int, j: int, t: int) -> Fraction:
 def expected_length_D_T(n: int, t: int) -> Fraction:
     """Expected length after t uniform reflections in the even-signed
     permutation group of rank n >= 2."""
-    check_step_count(t)
-    if n < 2:
-        raise InvalidRank(f"need rank >= 2, got {n}")
+    _check(t, Family.D, n)
     b1 = 1 - Fraction(2, n)
     b2 = 1 - Fraction(4, n)
     return (
@@ -134,9 +138,7 @@ def expected_length_D_T(n: int, t: int) -> Fraction:
 def pair_prob_D(n: int, i: int, j: int, t: int) -> Fraction:
     """Probability that w(i) > w(j), j > |i|, after t uniform reflections in
     rank-n even-signed permutations."""
-    check_step_count(t)
-    if n < 2:
-        raise InvalidRank(f"need rank >= 2, got {n}")
+    _check(t, Family.D, n)
     if not (i != 0 and abs(i) < j <= n):
         raise IndexError(f"need j > |i|, got ({i}, {j})")
     b1 = 1 - Fraction(2, n)
@@ -156,9 +158,7 @@ def expected_length_I2_T(m: int, t: int) -> Fraction:
 
     t = 0 returns 0 (empty product), an extension beyond the t >= 1 statement.
     """
-    check_step_count(t)
-    if m < 2:
-        raise InvalidRank(f"need m >= 2, got {m}")
+    _check(t, Family.I2, m)
     if t == 0:
         return Fraction(0)
     if m % 2 == 0:
@@ -173,9 +173,7 @@ def expected_abslength_I2_S(m, t: int) -> Fraction:
     1 for odd t; for even t, 2 minus 2^(1-t) times the central section of
     binomial row t sampled with period 2m.
     """
-    check_step_count(t)
-    if m < 2:
-        raise InvalidRank(f"need m >= 2, got {m}")
+    _check(t, Family.I2, m)
     if t % 2 == 1:
         return Fraction(1)
     if m == INFINITE:
@@ -190,9 +188,7 @@ def expected_abslength_I2_T(m: int, t: int) -> Fraction:
     """Expected minimal reflection-word length after t >= 1 uniform
     reflections in the dihedral group of order 2m: 1 for odd t, 2 - 2/m for
     even t.  t = 0 returns 0 (empty product)."""
-    check_step_count(t)
-    if m < 2:
-        raise InvalidRank(f"need m >= 2, got {m}")
+    _check(t, Family.I2, m)
     if t == 0:
         return Fraction(0)
     if t % 2 == 1:
@@ -221,9 +217,7 @@ def expected_length_I2_S_troili(m, t: int) -> Fraction:
     half of row t, O(t) big-int multiply-adds for every m (none for
     m >= t), and one Fraction at the end.
     """
-    check_step_count(t)
-    if m < 2:
-        raise InvalidRank(f"need m >= 2, got {m}")
+    _check(t, Family.I2, m)
     num = (t + 1) // 2 * comb(t, (t + 1) // 2)  # h(s) = s, telescoped
     c, below, i = 1, 0, 0  # c = C(t, i), below = B(i - 1)
     # images km < t, outermost first so that the scan runs upwards in i;
@@ -285,9 +279,7 @@ def expected_length_A_S_eriksen(n_gens: int, t: int) -> Fraction:
     on the symmetric group with n_gens generators (n_gens + 1 letters), by
     Eriksen's binomial expansion (2005): the sum over 1 <= r <= t of
     C(t, r) h(r) / n^r, accumulated as one integer over n^t in Horner form."""
-    check_step_count(t)
-    if n_gens < 1:
-        raise InvalidRank(f"need at least 1 generator, got {n_gens}")
+    _check(t, Family.A, n_gens + 1)
     n = n_gens
     num = 0
     for r in range(1, t + 1):
@@ -299,9 +291,7 @@ def expected_length_A_S_bm(n_gens: int, t: int) -> float:
     """Expected inversion count after t uniform adjacent transpositions, by
     the trigonometric eigenexpansion of Bousquet-Melou (2010).  Float valued;
     agrees with the exact expansion to about 1e-9."""
-    check_step_count(t)
-    if n_gens < 1:
-        raise InvalidRank(f"need at least 1 generator, got {n_gens}")
+    _check(t, Family.A, n_gens + 1)
     n = n_gens
     alphas = [(2 * k + 1) * math.pi / (2 * n + 2) for k in range(n + 1)]
     coss = [math.cos(a) for a in alphas]
@@ -328,11 +318,7 @@ def expected_abslength_G_EH(r: int, n: int, t: int) -> Fraction:
     the r-colored permutation group on n letters, by the character expansion
     of Eriksen and Hultman (2005).  r = 1 is the symmetric group on n
     letters; r = 2 the signed permutations of rank n."""
-    check_step_count(t)
-    if r < 1 or n < 1:
-        raise InvalidRank(f"need r, n >= 1, got r={r}, n={n}")
-    if r == 1 and n == 1:
-        raise InvalidRank("need r, n not both 1")
+    _check(t, Family.G, n, r)
     denom = r * comb(n + 1, 2) - n
     total = n - Fraction(sum(Fraction(1, k) for k in range(1, n + 1)), r)
     for p in range(1, n):
@@ -370,10 +356,8 @@ def expected_abslength_G_EH(r: int, n: int, t: int) -> Fraction:
 def lemma_bd_v(n: int, x, t: int, i: int, j: int) -> Fraction:
     """Closed form for the signed-pair recurrence v' = (Q + x I) v started
     from v(i,j) = sign(j - i): a two-eigenvalue combination of (2n - 2 + x)^t
-    and x^t."""
-    check_step_count(t)
-    if n < 2:
-        raise InvalidRank(f"need n >= 2, got {n}")
+    and x^t.  Its rank rule is D's, n >= 2, for B as well."""
+    _check(t, Family.D, n)
     if not in_index_domain(n, i, j):
         raise IndexError(f"({i}, {j}) is not an admissible pair for n={n}")
     x = Fraction(x)
@@ -400,60 +384,44 @@ DIRECT_METHODS = (
 FORMULAS = ("auto", "eriksen", "bm", "troili", "eh", "paper")
 
 
+_L, _ABS, _R, _S = Measure.LENGTH, Measure.ABSLENGTH, Gens.REFLECTIONS, Gens.SIMPLE
+
+# (family, gens, measure) -> the cell's closed forms as (method tag,
+# (spec, t) -> value), the exact variant first
+_CELLS: dict[tuple, tuple[tuple[str, Callable[[GroupSpec, int], Value]], ...]] = {
+    (Family.A, _R, _L): (("A_T_length", lambda s, t: expected_length_A_T(s.n, t)),),
+    (Family.B, _R, _L): (("B_T_length", lambda s, t: expected_length_B_T(s.n, t)),),
+    (Family.D, _R, _L): (("D_T_length", lambda s, t: expected_length_D_T(s.n, t)),),
+    (Family.I2, _R, _L): (("I2_T_length", lambda s, t: expected_length_I2_T(s.n, t)),),
+    (Family.A, _S, _L): (
+        ("eriksen", lambda s, t: expected_length_A_S_eriksen(s.n - 1, t)),
+        ("bm", lambda s, t: expected_length_A_S_bm(s.n - 1, t)),
+    ),
+    (Family.I2, _S, _L): (("troili", lambda s, t: expected_length_I2_S_troili(s.n, t)),),
+    (Family.I2, _R, _ABS): (("I2_T_abslength", lambda s, t: expected_abslength_I2_T(s.n, t)),),
+    (Family.G, _R, _ABS): (("eh", lambda s, t: expected_abslength_G_EH(s.r, s.n, t)),),
+    (Family.A, _R, _ABS): (("eh", lambda s, t: expected_abslength_G_EH(1, s.n, t)),),
+    (Family.B, _R, _ABS): (("eh", lambda s, t: expected_abslength_G_EH(2, s.n, t)),),
+    (Family.I2, _S, _ABS): (("I2_S_abslength", lambda s, t: expected_abslength_I2_S(s.n, t)),),
+}
+
+
 def formula_for(
     spec: GroupSpec, gens: Gens, measure: Measure, formula: str = "auto"
 ) -> tuple[str, Callable[[int], Value]] | None:
     """The closed form covering this cell, as (method tag, t -> value), or
-    None when the cell has no closed form.
+    None when the cell has no closed form (D1, which has no reflections,
+    has none).
 
     ``formula`` narrows the choice: "auto" picks the exact variant, "paper"
     restricts to the direct theorems, and "eriksen", "bm", "troili", "eh"
     force a specific published formula.
     """
-    f, n = spec.family, spec.n
-    cell: list[tuple[str, Callable[[int], Value]]] = []
-    if measure == Measure.LENGTH and gens == Gens.REFLECTIONS:
-        if f == Family.A:
-            cell = [("A_T_length", lambda t: expected_length_A_T(n, t))]
-        elif f == Family.B:
-            cell = [("B_T_length", lambda t: expected_length_B_T(n, t))]
-        elif f == Family.D and n >= 2:
-            cell = [("D_T_length", lambda t: expected_length_D_T(n, t))]
-        elif f == Family.I2:
-            cell = [("I2_T_length", lambda t: expected_length_I2_T(n, t))]
-    elif measure == Measure.LENGTH and gens == Gens.SIMPLE:
-        if f == Family.A:
-            cell = [
-                ("eriksen", lambda t: expected_length_A_S_eriksen(n - 1, t)),
-                ("bm", lambda t: expected_length_A_S_bm(n - 1, t)),
-            ]
-        elif f == Family.I2:
-            cell = [("troili", lambda t: expected_length_I2_S_troili(n, t))]
-    elif measure == Measure.ABSLENGTH and gens == Gens.REFLECTIONS:
-        if f == Family.I2:
-            cell = [("I2_T_abslength", lambda t: expected_abslength_I2_T(n, t))]
-        elif f == Family.G:
-            r = spec.r
-            cell = [("eh", lambda t: expected_abslength_G_EH(r, n, t))]
-        elif f == Family.A:
-            cell = [("eh", lambda t: expected_abslength_G_EH(1, n, t))]
-        elif f == Family.B:
-            cell = [("eh", lambda t: expected_abslength_G_EH(2, n, t))]
-    elif measure == Measure.ABSLENGTH and gens == Gens.SIMPLE:
-        if f == Family.I2:
-            cell = [("I2_S_abslength", lambda t: expected_abslength_I2_S(n, t))]
-    if not cell:
+    if not has_reflections(spec.family, spec.n):
         return None
-    if formula == "auto":
-        return cell[0]
-    if formula == "paper":
-        for tag, fn in cell:
-            if tag in DIRECT_METHODS:
-                return tag, fn
-        return None
-    for tag, fn in cell:
-        if tag == formula:
-            return tag, fn
+    for tag, fn in _CELLS.get((spec.family, gens, measure), ()):
+        if formula in ("auto", tag) or (formula == "paper" and tag in DIRECT_METHODS):
+            return tag, partial(fn, spec)
     return None
 
 

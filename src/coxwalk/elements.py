@@ -67,11 +67,6 @@ def check_work(work: int, what: str) -> None:
         raise OrderLimitExceeded(f"{what} {work} exceeds guard {cap}")
 
 
-def check_order(spec: "GroupSpec") -> None:
-    """Raise OrderLimitExceeded when the group order exceeds the guard."""
-    check_work(spec.order(), "group order")
-
-
 class Family(str, Enum):
     A = "A"
     B = "B"
@@ -80,9 +75,43 @@ class Family(str, Enum):
     G = "G"
 
 
+def check_rank(family: Family, n: int, r: int = 1) -> None:
+    """Raise InvalidRank unless (n, r) names a group of the family.  It runs
+    on every closed-form call, so it compares the family with the members'
+    string values, far cheaper than reading members off the Enum class."""
+    if family == "A" and n < 2:
+        raise InvalidRank(f"family A needs at least 2 letters, got {n}")
+    if family in ("B", "D") and n < 1:
+        raise InvalidRank(f"family {family.value} needs rank >= 1, got {n}")
+    if family == "I2" and n < 2:
+        raise InvalidRank(f"family I2 needs m >= 2, got {n}")
+    if family == "G":
+        if n < 1 or r < 1:
+            raise InvalidRank(f"family G needs r, n >= 1, got r={r}, n={n}")
+        if n == 1 and r == 1:
+            raise InvalidRank("family G needs r, n not both 1")
+    elif r != 1:
+        raise InvalidRank(f"parameter r is only meaningful for family G, got r={r}")
+
+
+def has_reflections(family: Family, n: int) -> bool:
+    """False for D1 alone, the one group ``check_rank`` admits (order 1) with no reflections."""
+    return family != "D" or n >= 2
+
+
+def check_walk_rank(family: Family, n: int, r: int = 1) -> None:
+    """``check_rank``, and InvalidRank for D1: the rank rule of walks on reflections."""
+    check_rank(family, n, r)
+    if not has_reflections(family, n):
+        raise InvalidRank("family D needs n >= 2")
+
+
 class Gens(str, Enum):
     """Which generating set drives the walk."""
 
+    # hash as the value the member equals, so that member-keyed dicts (such
+    # as closedform's cell table) find the plain strings too
+    __hash__ = str.__hash__
     SIMPLE = "simple"
     REFLECTIONS = "reflections"
 
@@ -90,6 +119,7 @@ class Gens(str, Enum):
 class Measure(str, Enum):
     """Which length statistic is averaged."""
 
+    __hash__ = str.__hash__  # as in Gens
     LENGTH = "length"
     ABSLENGTH = "abslength"
     DESCENTS = "descents"
@@ -109,20 +139,7 @@ class GroupSpec:
     r: int = 1
 
     def __post_init__(self):
-        f, n, r = self.family, self.n, self.r
-        if f == Family.A and n < 2:
-            raise InvalidRank(f"family A needs at least 2 letters, got {n}")
-        if f in (Family.B, Family.D) and n < 1:
-            raise InvalidRank(f"family {f.value} needs rank >= 1, got {n}")
-        if f == Family.I2 and n < 2:
-            raise InvalidRank(f"family I2 needs m >= 2, got {n}")
-        if f == Family.G:
-            if n < 1 or r < 1:
-                raise InvalidRank(f"family G needs r, n >= 1, got r={r}, n={n}")
-            if n == 1 and r == 1:
-                raise InvalidRank("family G needs r, n not both 1")
-        if f != Family.G and r != 1:
-            raise InvalidRank(f"parameter r is only meaningful for family G, got r={r}")
+        check_rank(self.family, self.n, self.r)
 
     def __str__(self) -> str:
         """The group's usual name: A4, B3, D1, I2(5), G(3,1,4)."""
@@ -264,8 +281,7 @@ class DihedralElement:
     flip: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise InvalidRank(f"dihedral group needs m >= 2, got {self.m}")
+        check_rank(Family.I2, self.m)
         if not 0 <= self.rot < self.m:
             raise ValueError(f"rotation index out of range: {self.rot}")
         if self.flip not in (0, 1):
@@ -294,10 +310,7 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product a * b, with b acting first: (a*b)(x) = a(b(x))."""
     if type(a) is not type(b):
         raise SpecMismatch(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
-    out = a * b
-    if out is NotImplemented:
-        raise SpecMismatch("incompatible elements")
-    return out
+    return a * b
 
 
 def in_index_domain(n: int, i: int, j: int) -> bool:
@@ -346,7 +359,7 @@ def generator_moves(spec: GroupSpec, gens: Gens):
             return adjacent
         if f == Family.B:
             return [(1, 1, -1)] + adjacent
-        return [(1, 2, -1)] + adjacent if n > 1 else []  # D1 is trivial
+        return [(1, 2, -1)] + adjacent if has_reflections(f, n) else []
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     if f == Family.A:
         return [(a, b, 1) for a, b in pairs]
@@ -394,7 +407,6 @@ def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
 
     Raises OrderLimitExceeded when the group order exceeds the guard.
     """
-    check_order(spec)
     return RankedGroup(spec).elements()
 
 
@@ -449,10 +461,13 @@ class RankedGroup:
     built on demand.  ``actions`` tabulates right multiplication by moves.
     ``memo`` maps a statistic to its values by rank: at every rank for a
     ``make_statistic`` statistic, on the supports asked about otherwise.
+    OrderLimitExceeded, before anything is built, when the group order
+    exceeds the guard.
     """
 
     def __init__(self, spec: GroupSpec):
         f, n = spec.family, spec.n
+        check_work(spec.order(), "group order")
         if f == Family.G:
             raise UnsupportedFamily("no element model for family G")
         self.spec = spec

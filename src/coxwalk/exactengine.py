@@ -45,7 +45,7 @@ from .elements import (
     Measure,
     RankedGroup,
     _BLOCK,
-    check_order,
+    check_walk_rank,
     check_work,
     generator_moves,
 )
@@ -136,13 +136,12 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     counts at w * g, summed over g; a new count is at most |R| * den.
     """
     check_step_count(t_max)
-    check_order(spec)
     moves = generator_moves(spec, gens)
-    if not moves:
-        raise InvalidRank(f"{spec} has no generators to walk on")
     n_gens = len(moves)
     check_work(spec.order() * n_gens * max(t_max, 1), "walk work estimate")
-    group = RankedGroup(spec)
+    group = RankedGroup(spec)  # its order guard goes first, for D1 too
+    if not moves:
+        raise InvalidRank(f"{spec} has no generators to walk on")
     actions = group.actions(moves)
     rows = max(1, _BLOCK // group.order)
 
@@ -336,10 +335,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     """
     if family not in (Family.A, Family.B, Family.D):
         raise UnsupportedFamily(f"pairwise engine supports families A, B, D, not {family}")
-    if family == Family.D and n < 2:
-        raise InvalidRank("family D needs n >= 2")
-    if n < 1 or (family == Family.A and n < 2):
-        raise InvalidRank(f"invalid rank {n} for family {family.value}")
+    check_walk_rank(family, n)
     check_step_count(t_max)
     check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
     layout = _layout(family, n)

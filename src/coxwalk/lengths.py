@@ -108,7 +108,7 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
     if measure == Measure.DESCENTS:
         if f == Family.B:
             return lambda w: _descents(w) + (w[:, 0] < 0)
-        if f == Family.D and n > 1:  # D1 is trivial and has no generators
+        if f == Family.D and n > 1:  # reads w(2), which D1's window lacks
             return lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
         return _descents
     if measure == Measure.ABSLENGTH:

@@ -25,17 +25,18 @@ computes its words for every trial of the block at once, maps them to
 choices and applies each move (a, b, s) as one gather and one scatter on
 the state array.  A trial that hits a rejection in any chunk took its
 later choices from the wrong words; after its block it is walked again
-from ``trial_choices``.  The statistic is evaluated over the block, and
-the per-trial values are summed with exactly rounded summation in trial
-order.  ``workers`` only splits the trial range into contiguous shares,
-processed in order, so the result is bit-identical for any number of
-workers.
+from ``trial_choices``.  The statistic is evaluated over the block and
+tallied as exact counts per value; the mean and variance are exact sums
+over the tally rounded once, as exactly rounded sums over the trials are.
+``workers`` only splits the trial range into contiguous shares, processed
+in order, so the result is bit-identical for any number of workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
-from math import fsum, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -262,7 +263,7 @@ def simulate(
         advance = partial(_walk_windows, moves=(a - 1, b - 1, s))
 
     statistic = block_statistic(spec, measure)
-    values: list[float] = []
+    tally: dict[int, int] = {}  # value -> trials that gave it
     for lo, hi in _blocks(trials, workers, min(_BLOCK_WORDS // 8, max(1, _BLOCK_STATE // width))):
         state = np.repeat(identity, hi - lo, axis=0)
         rejected = np.zeros(hi - lo, dtype=bool)
@@ -278,11 +279,13 @@ def simulate(
             one = identity.copy()
             advance(one, trial_choices(seed, lo + row, n_choices, t)[:, None])
             state[row] = one[0]
-        values += statistic(state).astype(float).tolist()
+        values, counts = np.unique(statistic(state), return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            tally[v] = tally.get(v, 0) + c
 
-    mean = fsum(values) / trials
-    # the values are few distinct integers: square each deviation once
-    square = {v: (v - mean) ** 2 for v in set(values)}
-    var = fsum(map(square.__getitem__, values)) / (trials - 1)
+    # the exact integer sum, rounded once as the per-trial fsum rounded it
+    mean = float(sum(v * c for v, c in tally.items())) / trials
+    # each value's squared deviation is the float the per-trial sum added c times
+    var = float(sum(Fraction((v - mean) ** 2) * c for v, c in tally.items())) / (trials - 1)
     stderr = sqrt(var / trials)
     return SimResult(mean, stderr, trials, seed, spec, gens, measure, t)

@@ -11,6 +11,7 @@ from coxwalk import (
     Gens,
     GroupSpec,
     InvalidRank,
+    InvalidStepCount,
     Measure,
     closed_form,
     expected_abslength_G_EH,
@@ -363,7 +364,64 @@ class TestLemmaClosedForm:
             assert rhs == lemma_bd_v(n, x, t + 1, i, j)
 
 
+# every closed form at the first rank outside its domain and the first
+# inside it, as t -> value
+DOMAIN_EDGES = {
+    "A_T": (lambda t: expected_length_A_T(1, t), lambda t: expected_length_A_T(2, t)),
+    "pair_prob_B": (lambda t: pair_prob_B(0, -1, 1, t), lambda t: pair_prob_B(1, -1, 1, t)),
+    "B_T": (lambda t: expected_length_B_T(0, t), lambda t: expected_length_B_T(1, t)),
+    "D_T": (lambda t: expected_length_D_T(1, t), lambda t: expected_length_D_T(2, t)),
+    "pair_prob_D": (lambda t: pair_prob_D(1, 1, 2, t), lambda t: pair_prob_D(2, 1, 2, t)),
+    "lemma_bd_v": (lambda t: lemma_bd_v(1, 3, t, 1, 2), lambda t: lemma_bd_v(2, 3, t, 1, 2)),
+    "I2_T": (lambda t: expected_length_I2_T(1, t), lambda t: expected_length_I2_T(2, t)),
+    "troili": (lambda t: expected_length_I2_S_troili(1, t),
+               lambda t: expected_length_I2_S_troili(2, t)),
+    "I2_S_abs": (lambda t: expected_abslength_I2_S(1, t),
+                 lambda t: expected_abslength_I2_S(2, t)),
+    "I2_T_abs": (lambda t: expected_abslength_I2_T(1, t),
+                 lambda t: expected_abslength_I2_T(2, t)),
+    "eriksen": (lambda t: expected_length_A_S_eriksen(0, t),
+                lambda t: expected_length_A_S_eriksen(1, t)),
+    "bm": (lambda t: expected_length_A_S_bm(0, t), lambda t: expected_length_A_S_bm(1, t)),
+    "EH(1,1)-G(2,1,1)": (lambda t: expected_abslength_G_EH(1, 1, t),
+                         lambda t: expected_abslength_G_EH(2, 1, t)),
+    "EH(0,3)-G(1,1,2)": (lambda t: expected_abslength_G_EH(0, 3, t),
+                         lambda t: expected_abslength_G_EH(1, 2, t)),
+}
+
+
+@pytest.mark.parametrize("outside, inside", DOMAIN_EDGES.values(), ids=DOMAIN_EDGES.keys())
+def test_domain_edges(outside, inside):
+    with pytest.raises(InvalidRank):
+        outside(3)
+    assert inside(3) is not None
+    # the walk length is checked before the rank
+    with pytest.raises(InvalidStepCount):
+        outside(-1)
+
+
 class TestDispatch:
+    def test_edge_specs(self):
+        # B1 and G(r,1,1) keep their cells; D1, which has no reflections, has none
+        edges = [
+            (GroupSpec(Family.B, 1), Measure.LENGTH, "B_T_length", expected_length_B_T(1, 3)),
+            (GroupSpec(Family.G, 1, 2), Measure.ABSLENGTH, "eh",
+             expected_abslength_G_EH(2, 1, 3)),
+            (GroupSpec(Family.D, 2), Measure.LENGTH, "D_T_length", expected_length_D_T(2, 3)),
+        ]
+        for spec, measure, tag, value in edges:
+            got, fn = formula_for(spec, Gens.REFLECTIONS, measure)
+            assert (got, fn(3)) == (tag, value)
+        for formula in ("auto", "paper"):
+            assert formula_for(GroupSpec(Family.D, 1), Gens.REFLECTIONS, Measure.LENGTH,
+                               formula) is None
+
+    def test_cells_take_the_plain_values(self):
+        # Gens and Measure members equal their string values; the cell table finds either
+        spec = GroupSpec(Family.I2, 5)
+        assert formula_for(spec, "simple", "abslength")[0] == "I2_S_abslength"
+        assert closed_form(spec, "reflections", "length", 3).value == expected_length_I2_T(5, 3)
+
     def test_cells(self):
         cases = {
             (Family.A, Gens.REFLECTIONS, Measure.LENGTH): "A_T_length",

@@ -231,6 +231,17 @@ class TestEnumerate:
         monkeypatch.setenv("COXWALK_GUARD_LIMIT", "6")
         assert len(enumerate_group(A3)) == 6
 
+    def test_ranked_group_refuses_before_building(self, monkeypatch):
+        # the guard sits in RankedGroup itself, ahead of the windows
+        def no_windows(n):
+            raise AssertionError("windows built for an over-order group")
+
+        monkeypatch.setattr("coxwalk.elements._perm_windows", no_windows)
+        monkeypatch.setenv("COXWALK_GUARD_LIMIT", "100")
+        with pytest.raises(OrderLimitExceeded) as exc:
+            RankedGroup(GroupSpec(Family.A, 6))
+        assert str(exc.value) == "group order 720 exceeds guard 100"
+
 
 class TestActionTables:
     def test_action_equals_multiply(self):
