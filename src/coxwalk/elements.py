@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import factorial
 from typing import Union
 
@@ -457,12 +458,13 @@ class RankedGroup:
     """A group of family A, B, D or I2 with its elements ranked 0..|W|-1.
 
     ``windows`` holds every element's window as one int8 (|W|, n) array in
-    rank order (None for I2), stored column by column; element objects are
-    built on demand.  ``actions`` tabulates right multiplication by moves.
+    rank order (None for I2), stored column by column and built on first
+    read; element objects are built on demand.  ``actions`` tabulates right
+    multiplication by moves.
     ``memo`` maps a statistic to its values by rank: at every rank for a
     ``make_statistic`` statistic, on the supports asked about otherwise.
-    OrderLimitExceeded, before anything is built, when the group order
-    exceeds the guard.
+    OrderLimitExceeded when the group order exceeds the guard; nothing is
+    built before the guard runs.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -472,18 +474,22 @@ class RankedGroup:
             raise UnsupportedFamily("no element model for family G")
         self.spec = spec
         self.order = spec.order()
-        self.windows = None
         # sign bits in the rank: all n in B, all but the last in D
         self._bits = {Family.B: n, Family.D: n - 1}.get(f, 0)
-        if f != Family.I2:
-            perms = _perm_windows(n)
-            s = np.arange(2**self._bits)[:, None] >> np.arange(n) & 1
-            if f == Family.D:
-                s[:, n - 1] = s.sum(axis=1) & 1  # parity fixes the last sign
-            signs = (1 - 2 * s).astype(np.int8)
-            full = np.repeat(perms, len(signs), axis=0) * np.tile(signs, (len(perms), 1))
-            self.windows = np.ascontiguousarray(full.T).T
         self.memo: dict = {}
+
+    @cached_property
+    def windows(self):
+        f, n = self.spec.family, self.spec.n
+        if f == Family.I2:
+            return None
+        perms = _perm_windows(n)
+        s = np.arange(2**self._bits)[:, None] >> np.arange(n) & 1
+        if f == Family.D:
+            s[:, n - 1] = s.sum(axis=1) & 1  # parity fixes the last sign
+        signs = (1 - 2 * s).astype(np.int8)
+        full = np.repeat(perms, len(signs), axis=0) * np.tile(signs, (len(perms), 1))
+        return np.ascontiguousarray(full.T).T
 
     def ranks(self, cols: np.ndarray) -> np.ndarray:
         """Rank of every window of this group held column-wise in the (n, N)

@@ -136,12 +136,12 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     counts at w * g, summed over g; a new count is at most |R| * den.
     """
     check_step_count(t_max)
+    group = RankedGroup(spec)  # its order guard runs before the moves are listed
     moves = generator_moves(spec, gens)
-    n_gens = len(moves)
-    check_work(spec.order() * n_gens * max(t_max, 1), "walk work estimate")
-    group = RankedGroup(spec)  # its order guard goes first, for D1 too
     if not moves:
         raise InvalidRank(f"{spec} has no generators to walk on")
+    n_gens = len(moves)
+    check_work(group.order * n_gens * max(t_max, 1), "walk work estimate")
     actions = group.actions(moves)
     rows = max(1, _BLOCK // group.order)
 

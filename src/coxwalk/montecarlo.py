@@ -25,18 +25,19 @@ computes its words for every trial of the block at once, maps them to
 choices and applies each move (a, b, s) as one gather and one scatter on
 the state array.  A trial that hits a rejection in any chunk took its
 later choices from the wrong words; after its block it is walked again
-from ``trial_choices``.  The statistic is evaluated over the block and
-tallied as exact counts per value; the mean and variance are exact sums
-over the tally rounded once, as exactly rounded sums over the trials are.
+from ``trial_choices``.  The statistic is evaluated over each block, and
+the values of all trials are counted per distinct value; the mean and
+variance are exact sums over those counts rounded once, as exactly rounded
+sums over the trials are.
 ``workers`` only splits the trial range into contiguous shares, processed
 in order, so the result is bit-identical for any number of workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import sqrt
+from operator import mul
 
 import numpy as np
 
@@ -263,7 +264,7 @@ def simulate(
         advance = partial(_walk_windows, moves=(a - 1, b - 1, s))
 
     statistic = block_statistic(spec, measure)
-    tally: dict[int, int] = {}  # value -> trials that gave it
+    blocks = []  # each block's statistic values
     for lo, hi in _blocks(trials, workers, min(_BLOCK_WORDS // 8, max(1, _BLOCK_STATE // width))):
         state = np.repeat(identity, hi - lo, axis=0)
         rejected = np.zeros(hi - lo, dtype=bool)
@@ -279,13 +280,15 @@ def simulate(
             one = identity.copy()
             advance(one, trial_choices(seed, lo + row, n_choices, t)[:, None])
             state[row] = one[0]
-        values, counts = np.unique(statistic(state), return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            tally[v] = tally.get(v, 0) + c
+        blocks.append(statistic(state))
 
+    values, counts = (col.tolist() for col in np.unique(np.concatenate(blocks), return_counts=True))
     # the exact integer sum, rounded once as the per-trial fsum rounded it
-    mean = float(sum(v * c for v, c in tally.items())) / trials
-    # each value's squared deviation is the float the per-trial sum added c times
-    var = float(sum(Fraction((v - mean) ** 2) * c for v, c in tally.items())) / (trials - 1)
+    mean = float(sum(map(mul, values, counts))) / trials
+    # each value's squared deviation p / 2^k is the float the per-trial sum
+    # added c times: sum them exactly over the largest 2^k, then round once
+    squares = [((v - mean) ** 2).as_integer_ratio() for v in values]
+    den = max(q for _, q in squares)
+    var = sum(p * c * (den // q) for (p, q), c in zip(squares, counts)) / den / (trials - 1)
     stderr = sqrt(var / trials)
     return SimResult(mean, stderr, trials, seed, spec, gens, measure, t)

@@ -101,6 +101,18 @@ class TestEvolveDistribution:
         with pytest.raises(OrderLimitExceeded):
             evolve_distribution(GroupSpec(Family.A, 10), Gens.REFLECTIONS, 3)
 
+    def test_order_guard_runs_before_the_moves_are_listed(self, monkeypatch):
+        # A60 has 1770 reflections; a huge rank must be refused before its
+        # move list (n^2 tuples in B) is built, as at any rank
+        def no_moves(spec, gens):
+            raise AssertionError("moves listed for an over-order group")
+
+        monkeypatch.setattr("coxwalk.exactengine.generator_moves", no_moves)
+        monkeypatch.setenv("COXWALK_GUARD_LIMIT", "100")
+        with pytest.raises(OrderLimitExceeded) as exc:
+            next(iterate_distributions(GroupSpec(Family.A, 60), Gens.REFLECTIONS, 3))
+        assert str(exc.value).startswith("group order ")
+
 
 class TestExpectation:
     def test_point_mass(self):
