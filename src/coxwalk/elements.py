@@ -12,11 +12,13 @@ perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
 and 2 * rot + flip in I2.  Enumeration, the action tables (only the base
 moves' tables are ranked, the rest conjugated from them) and the exact full
 engine work on these ranks; element objects are built from a rank on demand.
+``ranked_group`` keeps the last ranked group for the next walk on its spec.
 
 ``generator_moves`` is the one list of a walk's generators: integer moves
 (a, b, s) on window positions in A/B/D and rotation parts in I2.  The element
 lists ``reflections_of`` / ``simple_reflections_of``, Monte Carlo's moves and
-the full engine's action tables (``RankedGroup.actions``) all read it.
+the full engine's action tables (``RankedGroup.actions``) all read it, and
+``num_generators`` counts it without listing it.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -46,6 +48,9 @@ DEFAULT_GUARD_LIMIT = 10**7
 # entries per ranking call of RankedGroup.actions and per gathered block of a full-engine step
 _BLOCK = 2**15
 GUARD_ENV_VAR = "COXWALK_GUARD_LIMIT"
+# bits of the largest estimate a refusal writes in decimal: at most 4215
+# digits, under the 4300 to which Python limits int-to-str by default
+_SHOWN_BITS = 14000
 
 
 def guard_limit() -> int:
@@ -62,10 +67,13 @@ def guard_limit() -> int:
 
 
 def check_work(work: int, what: str) -> None:
-    """Raise OrderLimitExceeded when work, the estimate named what, exceeds the guard."""
+    """Raise OrderLimitExceeded when work, the estimate named what, exceeds the
+    guard.  An estimate past _SHOWN_BITS bits is shown by its bit length."""
     cap = guard_limit()
     if work > cap:
-        raise OrderLimitExceeded(f"{what} {work} exceeds guard {cap}")
+        bits = work.bit_length()
+        shown = work if bits <= _SHOWN_BITS else f"of {bits} bits"
+        raise OrderLimitExceeded(f"{what} {shown} exceeds guard {cap}")
 
 
 class Family(str, Enum):
@@ -338,6 +346,22 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+def num_generators(family: Family, n: int, gens: Gens) -> int:
+    """len(generator_moves) for the group (family, n), counted without
+    listing a move, so that a walk can check its size first."""
+    if family == Family.I2:
+        return 2 if gens == Gens.SIMPLE else n
+    if family == Family.G:
+        raise UnsupportedFamily(
+            "no element-level generators for family G; use the A/B model for r in {1, 2}"
+        )
+    if gens == Gens.SIMPLE:
+        return n - 1 if family == Family.A or not has_reflections(family, n) else n
+    if family == Family.A:
+        return n * (n - 1) // 2
+    return n * n if family == Family.B else n * (n - 1)
+
+
 def generator_moves(spec: GroupSpec, gens: Gens):
     """The walk's generators as moves, in their fixed order.
 
@@ -348,12 +372,8 @@ def generator_moves(spec: GroupSpec, gens: Gens):
     part: range(2) or range(m), so no list of m entries is built.
     """
     f, n = spec.family, spec.n
-    if f == Family.I2:
-        return range(2) if gens == Gens.SIMPLE else range(n)
-    if f == Family.G:
-        raise UnsupportedFamily(
-            "no element-level generators for family G; use the A/B model for r in {1, 2}"
-        )
+    if f in (Family.I2, Family.G):  # a rotation part is its index; G raises
+        return range(num_generators(f, n, gens))
     if gens == Gens.SIMPLE:
         adjacent = [(i, i + 1, 1) for i in range(1, n)]
         if f == Family.A:
@@ -460,11 +480,12 @@ class RankedGroup:
     ``windows`` holds every element's window as one int8 (|W|, n) array in
     rank order (None for I2), stored column by column and built on first
     read; element objects are built on demand.  ``actions`` tabulates right
-    multiplication by moves.
+    multiplication by moves, once per tuple of moves.
     ``memo`` maps a statistic to its values by rank: at every rank for a
     ``make_statistic`` statistic, on the supports asked about otherwise.
     OrderLimitExceeded when the group order exceeds the guard; nothing is
-    built before the guard runs.
+    built before the guard runs.  ``ranked_group`` shares one group, with
+    its tables and memo, between the walks on its spec.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -477,6 +498,7 @@ class RankedGroup:
         # sign bits in the rank: all n in B, all but the last in D
         self._bits = {Family.B: n, Family.D: n - 1}.get(f, 0)
         self.memo: dict = {}
+        self._actions: dict = {}
 
     @cached_property
     def windows(self):
@@ -527,26 +549,36 @@ class RankedGroup:
 
     def actions(self, moves) -> np.ndarray:
         """Right multiplication by the generators of ``generator_moves``
-        entries, as one int32 (len(moves), |W|) array whose row k holds the
-        rank of w * g_k at the rank of w (an involution).  A move (a, b, s)
-        maps the window columns as Monte Carlo does; an I2 rotation part r is
-        the reflection rho^r * sigma, a closed expression in the rank.
+        entries, as one read-only (len(moves), |W|) array whose row k holds
+        the rank of w * g_k at the rank of w (an involution).  Its dtype is
+        intp, numpy's index type, which a gather through it uses without a
+        conversion.  Built on the first call for a tuple of moves and kept
+        on the group.  A move (a, b, s) maps the window columns as Monte
+        Carlo does; an I2 rotation part r is the reflection rho^r * sigma, a
+        closed expression in the rank.
 
         Only the base moves (k, k+1, 1), (1, 1, -1) and (1, 2, -1) are ranked.
         Any other move is tau * m' * tau for an adjacent transposition tau and
         a move m' one step nearer the base: its table is act_tau[act_m'[act_tau]].
         SpecMismatch for a move that is not a reflection of the group."""
-        moves = list(moves)
+        moves = tuple(moves)
+        if (out := self._actions.get(moves)) is None:
+            out = self._actions[moves] = self._tabulate(moves)
+            out.flags.writeable = False
+        return out
+
+    def _tabulate(self, moves: tuple) -> np.ndarray:
+        """The table of ``actions``, built afresh."""
         reflections = generator_moves(self.spec, Gens.REFLECTIONS)
         if self.spec.family != Family.I2:  # a range in I2, whose test is O(1)
             reflections = set(reflections)
         if foreign := [move for move in moves if move not in reflections]:
             raise SpecMismatch(f"moves {foreign} are not generators of {self.spec}")
-        out = np.empty((len(moves), self.order), dtype=np.int32)
+        out = np.empty((len(moves), self.order), dtype=np.intp)
         if self.spec.family == Family.I2:
             # rank 2*rot + flip goes to 2*((rot +- r) % m) + 1 - flip
-            m, r = self.spec.n, np.asarray(moves, dtype=np.int32)[:, None]
-            pairs, rot = out.reshape(len(moves), m, 2), np.arange(m, dtype=np.int32)
+            m, r = self.spec.n, np.asarray(moves, dtype=np.intp)[:, None]
+            pairs, rot = out.reshape(len(moves), m, 2), np.arange(m, dtype=np.intp)
             pairs[:, :, 0] = (rot + r) % m * 2 + 1
             pairs[:, :, 1] = (rot - r) % m * 2
             return out
@@ -561,7 +593,7 @@ class RankedGroup:
                 elif a == 1 and b > 2:
                     plan[move] = (b - 1, b, 1), (1, b - 1, s)
                 todo += plan[move] or ()
-                tables.setdefault(move, np.empty(self.order, dtype=np.int32))
+                tables.setdefault(move, np.empty(self.order, dtype=np.intp))
         base = [move for move, link in plan.items() if link is None]
         wt, size, per = self.windows.T, self.order, max(1, _BLOCK // self.order)
         for lo in range(0, len(base), per):
@@ -579,3 +611,21 @@ class RankedGroup:
         for k, move in enumerate(moves):
             out[k] = tables[move]  # copies only the later rows of a repeated move
         return out
+
+
+_shared: RankedGroup | None = None  # the group ranked_group returned last
+
+
+def ranked_group(spec: GroupSpec) -> RankedGroup:
+    """RankedGroup(spec), the one of the previous call when that was on the
+    same spec.  A run of walks on one group thus ranks it, builds its action
+    tables and fills its ``memo`` once, and the one slot keeps at most one
+    group alive between walks.  The order guard runs on every call, before
+    the slot is read, so a guard lowered since the group was built refuses it."""
+    global _shared
+    check_work(spec.order(), "group order")
+    group = _shared
+    if group is None or group.spec != spec:
+        _shared = None  # the old group's tables go before the new ones are built
+        group = _shared = RankedGroup(spec)
+    return group

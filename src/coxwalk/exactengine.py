@@ -48,8 +48,10 @@ from .elements import (
     check_walk_rank,
     check_work,
     generator_moves,
+    num_generators,
+    ranked_group,
 )
-from .errors import InvalidRank, UnsupportedFamily, check_step_count
+from .errors import UnsupportedFamily, check_step_count
 from . import lengths
 
 _INT64_LIMIT = 2**63
@@ -130,19 +132,18 @@ class ExactDist:
 def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     """Yield the walk distribution at t = 0, 1, ..., t_max in order.
 
-    Work is t_max * |W| * |R| index operations after a one-time setup that
-    ranks the group and builds its action tables (``RankedGroup.actions``).
+    Work is t_max * |W| * |R| index operations after a setup that ranks the
+    group and builds its action tables (``RankedGroup.actions``), skipped
+    where the previous walk was on the same spec (``ranked_group``).
     Every generator is an involution, so the counts arriving at w are the
     counts at w * g, summed over g; a new count is at most |R| * den.
     """
     check_step_count(t_max)
-    group = RankedGroup(spec)  # its order guard runs before the moves are listed
-    moves = generator_moves(spec, gens)
-    if not moves:
-        raise InvalidRank(f"{spec} has no generators to walk on")
-    n_gens = len(moves)
+    group = ranked_group(spec)  # its order guard runs before the moves are listed
+    check_walk_rank(spec.family, spec.n, spec.r)
+    n_gens = num_generators(spec.family, spec.n, gens)
     check_work(group.order * n_gens * max(t_max, 1), "walk work estimate")
-    actions = group.actions(moves)
+    actions = group.actions(generator_moves(spec, gens))
     rows = max(1, _BLOCK // group.order)
 
     def step(counts):
@@ -172,7 +173,9 @@ def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fr
     window of the group, and each call is then one integer sum of counts
     times values.  Any other callable is evaluated on the support elements
     and memoized by rank, so each element is evaluated once per walk and
-    statistic object.  Both are memoized on the walk's group.
+    statistic object.  Both are memoized on the walk's group, which
+    ``ranked_group`` shares with the next walk on the same spec, so the
+    values outlive the walk.
     """
     group, counts = dist.group, dist.counts
     if isinstance(statistic, lengths.Statistic):
@@ -261,12 +264,6 @@ def _layout(family: Family, n: int) -> _Layout:
     return _Layout(labels, pos, domain, q_mask, inversions)
 
 
-def _num_reflections(family: Family, n: int) -> int:
-    if family == Family.A:
-        return n * (n - 1) // 2
-    return n * n if family == Family.B else n * (n - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class PairTable:
     """The probabilities Prob(w(i) < w(j)) of the walk after t steps, indexed
@@ -339,11 +336,12 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     check_step_count(t_max)
     check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
     layout = _layout(family, n)
-    nrefl = _num_reflections(family, n)
+    nrefl = num_generators(family, n, Gens.REFLECTIONS)
     # the reflections that fix i and j (those of rank n - 2), less the two
     # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
     # less the copy inside the sum over the sign pairs
-    c, c_sign = _num_reflections(family, n - 2) - 2, _num_reflections(family, n - 1) - 1
+    c = num_generators(family, n - 2, Gens.REFLECTIONS) - 2
+    c_sign = num_generators(family, n - 1, Gens.REFLECTIONS) - 1
     growth = abs(c) + abs(c_sign) + 4 * n + 4
     anti = (np.arange(2 * n), np.arange(2 * n)[::-1])
 

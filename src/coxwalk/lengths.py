@@ -63,10 +63,13 @@ def _cycles(w: np.ndarray) -> np.ndarray:
     # image of each point, and least the least position among its first
     # ``reach`` points
     step = (w - 1 + np.arange(0, k * n, n)[:, None]).ravel()
-    least, reach = np.tile(np.arange(n), k), 1
+    least, reach = np.tile(np.arange(n, dtype=step.dtype), k), 1
+    # both gathers of a round write to one spare array; mode "clip" (the
+    # indices are in range) lets take write to it unbuffered
+    spare = np.empty_like(step)
     while reach < n:
-        least = np.minimum(least, least[step])
-        step = step[step]
+        np.minimum(least, least.take(step, out=spare, mode="clip"), out=least)
+        step, spare = step.take(step, out=spare, mode="clip"), step
         reach *= 2
     return (least.reshape(k, n) == np.arange(n)).sum(axis=1)
 

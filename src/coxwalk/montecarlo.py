@@ -41,7 +41,15 @@ from operator import mul
 
 import numpy as np
 
-from .elements import Family, Gens, GroupSpec, Measure, generator_moves
+from .elements import (
+    Family,
+    Gens,
+    GroupSpec,
+    Measure,
+    check_walk_rank,
+    generator_moves,
+    num_generators,
+)
 from .errors import (
     InvalidRank,
     InvalidSeed,
@@ -248,18 +256,16 @@ def simulate(
     n = spec.n
     if spec.family == Family.I2 and n >= 2**62:
         raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
-    gen_moves = generator_moves(spec, gens)
-    n_choices = len(gen_moves)
-    if not n_choices:
-        raise InvalidRank(f"{spec} has no generators to walk on")
-    if n_choices > 2**32:
+    check_walk_rank(spec.family, n, spec.r)
+    n_choices = num_generators(spec.family, n, gens)
+    if n_choices > 2**32:  # checked before a move is listed
         raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")
     # one trial's starting state: the identity's rank in I2, else its window
     if spec.family == Family.I2:
         width, identity = 1, np.zeros(1, dtype=np.int64)
         advance = partial(_walk_dihedral, m=n)
     else:
-        a, b, s = np.array(gen_moves, dtype=np.intp).T
+        a, b, s = np.array(generator_moves(spec, gens), dtype=np.intp).T
         width, identity = n, np.arange(1, n + 1)[None, :]
         advance = partial(_walk_windows, moves=(a - 1, b - 1, s))
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 from fractions import Fraction
@@ -258,12 +259,42 @@ def test_mc_runs_beyond_enumeration(capsys):
         assert json.loads(out)["method"] == "mc"
 
 
+def test_table_past_decimal_orders_skips_the_exact_engine(capsys):
+    # A10000 has an order of 35660 digits, more than Python writes in
+    # decimal: the refusal gives its bit length, and the closed form and
+    # Monte Carlo fill their columns.  Simple generators, as Monte Carlo
+    # would list all 5 * 10^7 reflections of A10000
+    code, out, err = run(capsys, "table", "--family", "A", "--n", "10000", "--gens", "simple",
+                         "--t-max", "3", "--trials", "2")
+    assert code == 0 and "Traceback" not in err
+    assert "exact engine skipped: group order of 118459 bits exceeds guard" in err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["t", "closed_form", "exact", "mc_mean", "mc_stderr"]
+    assert [row[1] for row in rows[1:]] == ["0/1", "1/1", "19996/9999",
+                                             "2998500289979/999700029999"]
+    assert [row[2] for row in rows[1:]] == [""] * 4
+
+
+def test_mc_counts_generators_before_listing_them(capsys, monkeypatch):
+    # B100000 has 10^10 reflections, past the 2^32 choices of one draw; it
+    # is refused from their count, before any of the n^2 moves is listed
+    def no_moves(spec, gens):
+        raise AssertionError("moves listed before the size check")
+
+    monkeypatch.setattr("coxwalk.montecarlo.generator_moves", no_moves)
+    code, out, err = run(capsys, "eval", "--family", "B", "--n", "100000", "--t", "2",
+                         "--engine", "mc")
+    _assert_usage_error(code, out, err)
+    assert err == "error: at most 2**32 generators per draw, got 10000000000\n"
+
+
 def test_no_generators_names_the_group(capsys):
-    for engine in ("exact-full", "mc"):
+    # D1 has no reflections: every engine refuses it with one message
+    for engine in ("exact-full", "exact-pair", "mc"):
         code, out, err = run(capsys, "eval", "--family", "D", "--n", "1", "--t", "2",
                              "--engine", engine)
         _assert_usage_error(code, out, err)
-        assert "D1 has no generators" in err and "GroupSpec(" not in err
+        assert err == "error: family D needs n >= 2\n", engine
 
 
 def test_parser_built_once():

@@ -22,7 +22,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
-from coxwalk.elements import generator_moves
+from coxwalk.elements import generator_moves, num_generators
 
 A3 = GroupSpec(Family.A, 3)
 B2 = GroupSpec(Family.B, 2)
@@ -259,10 +259,10 @@ class TestActionTables:
             for gens, gen_list in ((Gens.SIMPLE, simple_reflections_of(spec)),
                                    (Gens.REFLECTIONS, reflections_of(spec))):
                 moves = list(generator_moves(spec, gens))
-                assert len(moves) == len(gen_list)
+                assert len(moves) == len(gen_list) == num_generators(spec.family, spec.n, gens)
                 actions = group.actions(moves)
                 assert actions.shape == (len(moves), group.order)
-                assert actions.dtype == np.int32
+                assert actions.dtype == np.intp
                 for move, g, row in zip(moves, gen_list, actions.tolist()):
                     assert [rank_of[multiply(w, g)] for w in elements] == row, (spec, move)
                     # alone, a move builds its links as scratch tables

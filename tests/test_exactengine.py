@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
+from coxwalk import elements
 from coxwalk.elements import generator_moves
 from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
@@ -547,6 +550,60 @@ def test_guard_admits_its_estimate_and_refuses_one_less(monkeypatch, call, estim
     with pytest.raises(OrderLimitExceeded) as exc:
         call()
     assert str(exc.value) == message
+
+
+class TestSharedGroup:
+    """Walks share the last walked group (``elements.ranked_group``)."""
+
+    def test_lowered_guard_refuses_the_kept_group(self, monkeypatch):
+        spec = GroupSpec(Family.A, 5)
+        group = evolve_distribution(spec, Gens.REFLECTIONS, 1).group
+        assert evolve_distribution(spec, Gens.SIMPLE, 1).group is group
+        monkeypatch.setenv("COXWALK_GUARD_LIMIT", "119")
+        with pytest.raises(OrderLimitExceeded) as exc:
+            next(iterate_distributions(spec, Gens.REFLECTIONS, 1))
+        assert str(exc.value) == "group order 120 exceeds guard 119"
+
+    def test_action_tables_are_built_once_and_read_only(self):
+        spec = GroupSpec(Family.B, 3)
+        group = evolve_distribution(spec, Gens.REFLECTIONS, 1).group
+        for gens in Gens:
+            table = group.actions(generator_moves(spec, gens))
+            assert table is group.actions(list(generator_moves(spec, gens)))
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+    def test_alternating_walks_match_fresh_groups(self, monkeypatch):
+        x, y = GroupSpec(Family.B, 3), GroupSpec(Family.I2, 6)
+        walks = [(x, Gens.REFLECTIONS), (y, Gens.SIMPLE), (x, Gens.REFLECTIONS),
+                 (x, Gens.SIMPLE), (y, Gens.REFLECTIONS), (y, Gens.SIMPLE)]
+
+        def walk(spec, gens):
+            stats = [make_statistic(spec, measure) for measure in Measure]
+            dists = list(iterate_distributions(spec, gens, 6))
+            return dists[0].group, [
+                (d.counts.tolist(), d.counts.dtype, d.den, [expectation(d, s) for s in stats])
+                for d in dists
+            ]
+
+        shared = [walk(*w) for w in walks]
+        fresh = []
+        for w in walks:
+            monkeypatch.setattr(elements, "_shared", None)
+            fresh.append(walk(*w))
+        assert [results for _, results in shared] == [results for _, results in fresh]
+        groups = [group for group, _ in shared]
+        # one slot: the next walk on the spec reuses it, a walk between builds anew
+        assert groups[3] is groups[2] and groups[5] is groups[4]
+        assert groups[2] is not groups[0] and groups[4] is not groups[1]
+
+    def test_one_group_is_kept(self):
+        first = evolve_distribution(GroupSpec(Family.A, 4), Gens.REFLECTIONS, 2)
+        kept = weakref.ref(first.group)
+        del first
+        evolve_distribution(GroupSpec(Family.A, 5), Gens.REFLECTIONS, 2)
+        gc.collect()
+        assert kept() is None
 
 
 def _inversions_over_probs(dist):
