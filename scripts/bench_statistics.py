@@ -33,9 +33,10 @@ set-up (ranking the group and building its action tables), and are the
 largest such walks the default guard admits in each family.  The troili
 routes time Troili's closed form beyond perfbench's closed-cli grid
 (m <= 10, t <= 960): a long walk in a small group, a large m whose images
-reach the walk, and m >= t, where none does.  The eriksen route times
-Eriksen's expansion for A9 simple generators at t = 400 with cold
-coefficient caches, far past closed-cli's grid (n <= 6, t <= 40).  The mc
+reach the walk, and m >= t, where none does.  The eriksen routes time
+Eriksen's expansion for A9 simple generators at t = 400 with cold factor
+caches, far past closed-cli's grid (n <= 6, t <= 40); A6 at t = 1000 is a
+longer walk still, where the big-integer terms of one evaluation dominate.  The mc
 routes time Monte Carlo: A40 and B20 at t = 400 are long walks whose trials
 fill one block, so the per-step cost dominates; I2(12) reflections at
 t = 200 is a walk where the cost is all stream words (its moves are sums);
@@ -108,6 +109,8 @@ ROUTES = {
                                "--t", "2000", "--formula", "troili"],
     "eriksen A9 t=400": ["--family", "A", "--n", "9", "--gens", "simple", "--t", "400",
                          "--formula", "eriksen"],
+    "eriksen A6 t=1000": ["--family", "A", "--n", "6", "--gens", "simple", "--t", "1000",
+                          "--formula", "eriksen"],
 }
 
 PERFBENCH = ROOT / "perfbench"

@@ -239,51 +239,58 @@ def expected_length_I2_S_troili(m, t: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# entries per Eriksen cache: enough that one generator count evaluated over
-# t = 0..1023, as `table` does, reuses every coefficient of the smaller t
+# entries per Eriksen factor cache: enough that one generator count evaluated
+# over t = 0..2047, as `table` does, reuses every factor of the smaller t
+# (s = 1..t needs a = 1..ceil(t/2) in the first factor and b = 0..t//2 in
+# the second)
 _ERIKSEN_CACHE = 1024
 
 
 @lru_cache(maxsize=_ERIKSEN_CACHE)
-def _eriksen_g(s: int, n: int) -> int:
-    """Inner coefficient of the lattice-walk expansion, for n generators and
-    s >= 1.
-
-    Both factors are method-of-images binomial sums with period p = n + 1.
-    The first is one scan of the odd row 2a - 1, a = ceil(s/2), from its
-    middle: C(2a-1, a+d) enters with sign (-1)^k and weight n - 2l, where
-    d = k*p + l and 0 <= l < p.  The second sums the even row 2b,
-    b = floor(s/2), at the images b + j*p, |j| <= b // p, with sign (-1)^j.
-    """
-    a, b, p = (s + 1) // 2, s // 2, n + 1
+def _eriksen_odd(a: int, n: int) -> int:
+    """First method-of-images factor of Eriksen's inner coefficient, for n
+    generators and a >= 1: one scan of the odd row 2a - 1 from its middle.
+    C(2a-1, a+d) enters with sign (-1)^k and weight n - 2l, where
+    d = k*p + l, 0 <= l < p and p = n + 1."""
+    p = n + 1
     first, c = 0, comb(2 * a - 1, a)
     for d in range(a):
         k, l = divmod(d, p)
         first += (-1 if k % 2 else 1) * (n - 2 * l) * c
         c = c * (a - 1 - d) // (a + d + 1)  # C(2a-1, a+d+1)
-    second = sum(
-        (-1 if j % 2 else 1) * comb(2 * b, b + j * p) for j in range(-(b // p), b // p + 1)
-    )
-    return first * second
+    return first
 
 
 @lru_cache(maxsize=_ERIKSEN_CACHE)
-def _eriksen_h(r: int, n: int) -> int:
+def _eriksen_even(b: int, n: int) -> int:
+    """Second factor: the even row 2b summed at the images b + j*p,
+    |j| <= b // p, with sign (-1)^j, where p = n + 1."""
+    p = n + 1
     return sum(
-        comb(r - 1, s - 1) * (-4) ** (r - s) * _eriksen_g(s, n) for s in range(1, r + 1)
+        (-1 if j % 2 else 1) * comb(2 * b, b + j * p) for j in range(-(b // p), b // p + 1)
     )
 
 
 def expected_length_A_S_eriksen(n_gens: int, t: int) -> Fraction:
     """Exact expected inversion count after t uniform adjacent transpositions
     on the symmetric group with n_gens generators (n_gens + 1 letters), by
-    Eriksen's binomial expansion (2005): the sum over 1 <= r <= t of
-    C(t, r) h(r) / n^r, accumulated as one integer over n^t in Horner form."""
+    Eriksen's binomial expansion (2005).
+
+    The expansion is the sum over 1 <= r <= t of C(t, r) h(r) / n^r, where
+    h(r) = ((E - 4)^(r-1) g)(1) for the shift E g(s) = g(s + 1) and the inner
+    coefficient g(s) = _eriksen_odd(ceil(s/2)) * _eriksen_even(floor(s/2)).
+    Over n^t the numerator is (P(E) g)(1) with
+    P(E) = ((E + n - 4)^t - n^t) / (E - 4), whose coefficients come from one
+    synthetic division: P_{t-1} = A_t and P_{k-1} = A_k + 4 P_k, where
+    A_k = C(t, k) (n - 4)^(t - k).  That is t big-integer terms."""
     _check(t, Family.A, n_gens + 1)
     n = n_gens
-    num = 0
-    for r in range(1, t + 1):
-        num = num * n + comb(t, r) * _eriksen_h(r, n)
+    num, p, c, power = 0, 0, 1, 1  # p = P_k, c = C(t, k), power = (n - 4)^(t - k)
+    for k in range(t, 0, -1):
+        p = c * power + 4 * p  # P_{k-1}
+        num += p * _eriksen_odd((k + 1) // 2, n) * _eriksen_even(k // 2, n)
+        c = c * k // (t - k + 1)
+        power *= n - 4
     return Fraction(num, n**t)
 
 

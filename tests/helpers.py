@@ -3,8 +3,8 @@
 These deliberately avoid the package's engines: expectations are computed by
 enumerating every generator tuple, word lengths by a fresh breadth-first
 search, Troili's dihedral sum term by term with math.comb, and Eriksen's
-inner coefficient image by image, so that engine bugs cannot mask each
-other.
+expansion as its double sum over image-by-image inner coefficients, so that
+engine bugs cannot mask each other.
 """
 import math
 from fractions import Fraction
@@ -119,3 +119,18 @@ def eriksen_g_by_images(s, n):
         second += (-1 if j % 2 else 1) * math.comb(2 * b, b + j * (n + 1))
         j -= 1
     return first * second
+
+
+def eriksen_double_sums(n, t_max):
+    """Eriksen's (2005) expected inversion count after t = 0..t_max adjacent
+    transpositions with n generators, as the literal double sum
+    sum_r C(t, r) h(r) / n^r with h(r) = sum_s C(r-1, s-1) (-4)^(r-s) g(s)."""
+    g = [None] + [eriksen_g_by_images(s, n) for s in range(1, t_max + 1)]
+    h = [None] + [
+        sum(math.comb(r - 1, s - 1) * (-4) ** (r - s) * g[s] for s in range(1, r + 1))
+        for r in range(1, t_max + 1)
+    ]
+    return [
+        sum((Fraction(math.comb(t, r), n**r) * h[r] for r in range(1, t + 1)), Fraction(0))
+        for t in range(t_max + 1)
+    ]

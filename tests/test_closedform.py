@@ -33,6 +33,7 @@ from coxwalk import (
 from helpers import (
     bfs_word_length,
     brute_force_expectation,
+    eriksen_double_sums,
     eriksen_g_by_images,
     troili_double_sums,
 )
@@ -252,23 +253,27 @@ class TestAdjacentWalk:
         assert expected_length_A_S_eriksen(2, 3) == Fraction(3, 2)
 
     def test_eriksen_equals_sum_of_fractions(self):
-        # the one-integer Horner sum equals the term-by-term Fraction sum
-        from coxwalk.closedform import _eriksen_h
+        # the synthetic-division sum equals the literal double sum, n = 4
+        # (where the base n - 4 vanishes) and t = 0 included
+        for n in range(1, 9):
+            reference = eriksen_double_sums(n, 80)
+            for t, expected in enumerate(reference):
+                assert expected_length_A_S_eriksen(n, t) == expected, (n, t)
 
-        for n in range(1, 7):
-            for t in range(61):
-                terms = (Fraction(math.comb(t, r), n**r) * _eriksen_h(r, n)
-                         for r in range(1, t + 1))
-                assert expected_length_A_S_eriksen(n, t) == sum(terms, Fraction(0)), (n, t)
+    def test_eriksen_agrees_with_bm_at_long_walks(self):
+        for n in (2, 5, 8, 12):
+            exact = float(expected_length_A_S_eriksen(n, 400))
+            assert abs(exact - expected_length_A_S_bm(n, 400)) < 1e-9, n
 
     def test_eriksen_g_scan_equals_image_sums(self):
-        # the one-scan coefficient equals the image-by-image reference; the
-        # uncached function is called, so every (s, n) is computed afresh
-        from coxwalk.closedform import _eriksen_g
+        # the product of the two factors equals the image-by-image reference;
+        # the uncached functions are called, so every (s, n) is computed afresh
+        from coxwalk.closedform import _eriksen_even, _eriksen_odd
 
         for n in range(1, 13):
             for s in range(1, 301):
-                assert _eriksen_g.__wrapped__(s, n) == eriksen_g_by_images(s, n), (s, n)
+                g = _eriksen_odd.__wrapped__((s + 1) // 2, n) * _eriksen_even.__wrapped__(s // 2, n)
+                assert g == eriksen_g_by_images(s, n), (s, n)
 
     def test_bm_small(self):
         assert abs(expected_length_A_S_bm(1, 2)) < 1e-12
@@ -282,19 +287,24 @@ class TestAdjacentWalk:
         assert abs(expected_length_A_S_bm(16, 10**6) - 68.0) < 1e-9
 
     def test_eriksen_caches_bounded_and_reused(self):
-        from coxwalk.closedform import _eriksen_g, _eriksen_h
+        from coxwalk.closedform import _eriksen_even, _eriksen_odd
 
-        caches = (_eriksen_g, _eriksen_h)
+        caches = (_eriksen_odd, _eriksen_even)
         for cache in caches:
             cache.cache_clear()
         before = [expected_length_A_S_eriksen(4, t) for t in range(121)]
-        # a t-grid computes each coefficient once: the later t reuse the earlier
-        assert [c.cache_info().misses for c in caches] == [120, 120]
+        # a t-grid computes each factor once, for a = 1..60 and b = 0..60
+        assert [c.cache_info().misses for c in caches] == [60, 61]
+        hits = [c.cache_info().hits for c in caches]
+        assert [expected_length_A_S_eriksen(4, t) for t in range(121)] == before
+        # a second t-grid reuses every factor
+        assert [c.cache_info().misses for c in caches] == [60, 61]
+        assert [c.cache_info().hits - h for c, h in zip(caches, hits)] == [7260, 7260]
         for n in range(1, 13):
-            expected_length_A_S_eriksen(n, 100)  # 1200 (r, n) pairs per cache
+            expected_length_A_S_eriksen(n, 240)  # 1440 (a, n) and (b, n) pairs
         for cache in caches:
             info = cache.cache_info()
-            assert info.maxsize is not None and info.currsize <= info.maxsize < 1200
+            assert info.maxsize is not None and info.currsize <= info.maxsize < 1440
         assert [expected_length_A_S_eriksen(4, t) for t in range(121)] == before
 
 

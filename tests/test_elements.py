@@ -245,17 +245,19 @@ class TestEnumerate:
 
 class TestActionTables:
     def test_action_equals_multiply(self):
-        # every generator move's rank table, against the element product; the
-        # conjugation chains are longest in A6, B5 and D6
+        # every generator move's rank table, against a table built without
+        # conjugation chains (the move applied to every window, then ranked)
+        # and against the element product: at every rank of the groups of
+        # order <= 384, at a fixed sample of ranks in the larger A6, B5, D5
+        # and D6, where the chains are longest
         specs = ([GroupSpec(Family.A, n) for n in range(2, 7)]
                  + [GroupSpec(Family.B, n) for n in range(1, 6)]
                  + [GroupSpec(Family.D, n) for n in range(1, 7)]
                  + [GroupSpec(Family.I2, m) for m in (2, 3, 5, 8)])
         for spec in specs:
             group = RankedGroup(spec)
-            elements = group.elements()
-            # rank_of once per element; every product is one of them
-            rank_of = {w: group.rank_of(w) for w in elements}
+            sample = range(group.order) if group.order <= 384 else range(0, group.order, 97)
+            elements = [group.element(k) for k in sample]
             for gens, gen_list in ((Gens.SIMPLE, simple_reflections_of(spec)),
                                    (Gens.REFLECTIONS, reflections_of(spec))):
                 moves = list(generator_moves(spec, gens))
@@ -263,10 +265,19 @@ class TestActionTables:
                 actions = group.actions(moves)
                 assert actions.shape == (len(moves), group.order)
                 assert actions.dtype == np.intp
-                for move, g, row in zip(moves, gen_list, actions.tolist()):
-                    assert [rank_of[multiply(w, g)] for w in elements] == row, (spec, move)
+                for move, g, row in zip(moves, gen_list, actions):
+                    products = [multiply(w, g) for w in elements]
+                    if spec.family == Family.I2:
+                        got = [group.rank_of(wg) for wg in products]
+                    else:
+                        a, b, s = move
+                        cols = group.windows.T.copy()
+                        cols[[b - 1, a - 1]] = group.windows.T[[a - 1, b - 1]] * s
+                        assert np.array_equal(group.ranks(cols), row), (spec, move)
+                        got = group.ranks(np.array([wg.window for wg in products], dtype=np.int8).T)
+                    assert np.array_equal(got, row[sample]), (spec, move)
                     # alone, a move builds its links as scratch tables
-                    assert group.actions([move])[0].tolist() == row, (spec, move)
+                    assert np.array_equal(group.actions([move])[0], row), (spec, move)
 
     def test_repeated_moves_get_equal_rows(self):
         group = RankedGroup(GroupSpec(Family.B, 3))
