@@ -81,7 +81,7 @@ def expected_length_A_T(n_letters: int, t: int) -> Fraction:
 def pair_prob_A(n_letters: int, i: int, j: int, t: int) -> Fraction:
     """Probability that positions i < j hold an inversion after t uniform
     transpositions.  Depends on (i, j) only through j - i."""
-    check_step_count(t)
+    _check(t, Family.A, n_letters)
     n = n_letters
     if not 1 <= i < j <= n:
         raise IndexError(f"need 1 <= i < j <= {n}, got ({i}, {j})")

@@ -26,11 +26,12 @@ distribution level, but every element-level test assumes this one.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import factorial
+from math import factorial, inf
 from typing import Union
 
 import numpy as np
@@ -87,7 +88,15 @@ class Family(str, Enum):
 def check_rank(family: Family, n: int, r: int = 1) -> None:
     """Raise InvalidRank unless (n, r) names a group of the family.  It runs
     on every closed-form call, so it compares the family with the members'
-    string values, far cheaper than reading members off the Enum class."""
+    string values, far cheaper than reading members off the Enum class.
+    n and r must be integers (Python or numpy); I2 also takes m = math.inf,
+    the infinite dihedral group of the dihedral closed forms."""
+    try:
+        operator.index(r)
+        if n != inf or family != "I2":
+            operator.index(n)
+    except TypeError:
+        raise InvalidRank(f"rank parameters must be integers, got n={n!r}, r={r!r}") from None
     if family == "A" and n < 2:
         raise InvalidRank(f"family A needs at least 2 letters, got {n}")
     if family in ("B", "D") and n < 1:

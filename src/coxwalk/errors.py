@@ -1,5 +1,7 @@
 """Exceptions shared across the package, and the one walk-length check."""
 
+import operator
+
 
 class CoxwalkError(Exception):
     """Base class for package errors."""
@@ -10,7 +12,8 @@ class InvalidRank(CoxwalkError, ValueError):
 
 
 class InvalidStepCount(CoxwalkError, ValueError):
-    """Walk length t outside the domain of an engine or formula (t < 0)."""
+    """Walk length t outside the domain of an engine or formula (not an
+    integer, or t < 0)."""
 
 
 class InvalidTrialCount(CoxwalkError, ValueError):
@@ -51,6 +54,11 @@ class OrderLimitExceeded(CoxwalkError, RuntimeError):
 
 
 def check_step_count(t: int) -> None:
-    """Reject a walk length below 0; every engine and closed form calls this."""
+    """Reject a walk length that is not an integer (Python or numpy) or is
+    below 0; every engine and closed form calls this."""
+    try:
+        operator.index(t)
+    except TypeError:
+        raise InvalidStepCount(f"t must be an integer, got {t!r}") from None
     if t < 0:
         raise InvalidStepCount(f"t must be >= 0, got {t}")

@@ -19,12 +19,13 @@ engine keeps counts = |R|^t * P over the ranks of ``elements.RankedGroup``
 block of generators at a time.  The pairwise state, U = |R|^t * P in one
 numpy table, scales as O(n^2) and so reaches ranks far beyond full enumeration.
 
-Also here: the row-plus-column summation operator Q of the pairwise step.
-``apply_Q_A`` and ``apply_Q_BD`` apply that same Q to pair-table arrays, on
-which it satisfies the projection identities Q.Q = n.Q (antisymmetric
-tables) and Q.Q = (2n-2).Q (doubly symmetric signed-pair tables) used by the
-pairwise closed forms.  The pair step, its tables, ``pair_probability`` and
-Q all read one cached index layout per (family, n), ``_layout``.
+Also here: the row-plus-column summation operator Q of the pairwise
+recurrence, which the pair step evaluates as one row sum (see
+``iterate_pairtables``) and ``apply_Q_A`` / ``apply_Q_BD`` apply to
+pair-table arrays, where Q.Q = n.Q (antisymmetric tables) and
+Q.Q = (2n-2).Q (doubly symmetric signed-pair tables), as the pairwise
+closed forms use.  The pair engine, its tables, ``pair_probability`` and Q
+all read one cached index layout per (family, n), ``_layout``.
 """
 from __future__ import annotations
 
@@ -67,14 +68,14 @@ def _exact(num: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _walk(start: np.ndarray, step: Callable, n_gens: int, growth: int, t_max: int):
-    """Yield read-only (num, den) for t = 0..t_max: num = start, then step(num)
-    per step, over den = n_gens^t.  A step from cells in [0, den] computes no
-    value beyond growth * den in magnitude."""
+    """Yield read-only (num, den) for t = 0..t_max: num = start, then
+    step(num, den) per step, over den = n_gens^t.  A step from cells in
+    [0, den] computes no value beyond growth * den in magnitude."""
     num, den = start, 1
     num.flags.writeable = False
     yield num, den
     for _ in range(t_max):
-        num = step(_exact(num, den * growth))
+        num = step(_exact(num, den * growth), den)
         num.flags.writeable = False
         den *= n_gens
         yield num, den
@@ -146,7 +147,7 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     actions = group.actions(generator_moves(spec, gens))
     rows = max(1, _BLOCK // group.order)
 
-    def step(counts):
+    def step(counts, den):
         new = counts[actions[:rows]].sum(axis=0)
         for lo in range(rows, n_gens, rows):
             new += counts[actions[lo:lo + rows]].sum(axis=0)
@@ -228,7 +229,7 @@ def make_statistic(spec: GroupSpec, measure: Measure) -> lengths.Statistic:
 @dataclass(frozen=True, eq=False, slots=True)
 class _Layout:
     """Index layout of a (family, n) pair table, shared read-only by the pair
-    step, its tables, ``pair_probability`` and Q.  ``labels``: the labels
+    engine, its tables, ``pair_probability`` and Q.  ``labels``: the labels
     along each axis in increasing order, 1..n in A and -n..-1, 1..n in B and
     D (so positions p and 2n-1-p carry i and -i); ``pos``: label -> position,
     KeyError off the labels; ``domain``: the cells i != j, in D also
@@ -302,7 +303,7 @@ class PairTable:
         a, b = layout.pos[i], layout.pos[j]
         if not layout.domain[a, b]:
             raise KeyError((i, j))
-        return Fraction(int(self.num[a, b]), self.den)
+        return Fraction(self.num.item(a, b), self.den)
 
     def expected_length(self) -> Fraction:
         """Expected inversion-type length: the sum of Prob(w(i) > w(j)) over
@@ -318,17 +319,26 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     """Yield the pair tables for t = 0, 1, ..., t_max in order.
 
     The state is the integer table U = |R|^t * P.  One step maps it to
-    c*U + U^T (+ U[-j,-i] for B and D) + Q(U), less U[-i,j] + U[i,-j] in D;
-    the sign pairs (-i, i) of B follow their own rule.  Off-domain cells stay
-    zero, and no step divides or takes a gcd.
+    c*U + U^T (+ U[-j,-i] for B and D) + Q(U), less U[-i,j] + U[i,-j] in D,
+    on the cells |i| != |j|; B's sign pairs (i, -i) map to
+    c_sign*U[i,-i] + the sum of U[k,-k], and every other cell stays zero.
+    No step divides or takes a gcd.
+
+    The step evaluates that map on two rules every table keeps: U + U^T =
+    den on the domain, and U[-j,-i] = U in B and D.  With r_i the row sum
+    of U over Q's mask, Q's column sum at j is (n-1)*den - r_j in A and
+    r_{-j} in B and D, so the map is (c-1)*U + r_i - r_j + n*den in A and
+    c*U + den + r_i + r_{-j} in B and D: one row sum and a few passes.
 
     U is int64 while den * (|c| + |c_sign| + 4n + 4) < 2^63 before a step,
     and Python ints from the first step where that fails.  Every cell of U
-    lies in [0, den], so in that step |c*U| <= |c|*den; each masked sum in
-    Q(U) runs over at most 2n cells, so Q(U) <= 4n*den; U^T, U[-j,-i] and
-    the two cells D subtracts add at most 4*den; and B's sign pairs
-    c_sign*U + sum(U[-i, i]) stay within (|c_sign| + 2n)*den.  So neither
-    an intermediate nor a new cell reaches 2^63.
+    lies in [0, den], and a row has at most 2n - 1 nonzero cells, so in
+    that step, in units of den: |(c-1)*U| <= |c| + 1 and |c*U| <= |c|;
+    n*den + r_i (A) and den + r_i (B, D) are at most 2n; r_j and r_{-j}
+    are at most 2n - 1; D's two cells sum to at most 2; and B's sign pairs,
+    c_sign*U plus a sum of 2n cells, are at most |c_sign| + 2n.  So every
+    intermediate is at most |c| + 4n + 1 or |c_sign| + 2n, and neither it
+    nor a new cell reaches 2^63.
     """
     if family not in (Family.A, Family.B, Family.D):
         raise UnsupportedFamily(f"pairwise engine supports families A, B, D, not {family}")
@@ -343,16 +353,21 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     c = num_generators(family, n - 2, Gens.REFLECTIONS) - 2
     c_sign = num_generators(family, n - 1, Gens.REFLECTIONS) - 1
     growth = abs(c) + abs(c_sign) + 4 * n + 4
-    anti = (np.arange(2 * n), np.arange(2 * n)[::-1])
 
-    def step(u):
-        new = c * u + u.T + _q(u, layout.q_mask)
-        if family != Family.A:
-            new += u[::-1, ::-1].T  # U[-j, -i]
+    def step(u, den):
+        r = u.sum(axis=1)  # over Q's mask once B's sign cells are taken off
+        if family == Family.A:
+            new = (c - 1) * u + (r + n * den)[:, None] - r
+            np.fill_diagonal(new, 0)
+            return new
+        sign = u[:, ::-1].diagonal()  # U[i, -i]
+        if family == Family.B:
+            r -= sign
+        new = c * u + (r + den)[:, None] + r[::-1]  # r[::-1] holds r_{-j}
         if family == Family.D:
             new -= u[::-1, :] + u[:, ::-1]  # U[-i, j] and U[i, -j]
-        if family == Family.B:
-            new[anti] = c_sign * u[anti] + u[anti].sum()
+        np.fill_diagonal(new, 0)
+        np.fill_diagonal(new[:, ::-1], c_sign * sign + sign.sum() if family == Family.B else 0)
         return new
 
     # the labels increase along each axis, so i < j above the diagonal
@@ -375,8 +390,8 @@ def evolve_pairtable(family: Family, n: int, t: int) -> PairTable:
 
 def _q(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row sum plus column sum at every cell of mask, both sums taken over
-    the cells of mask; zero off mask.  The one Q of the pair engine and of
-    apply_Q_A / apply_Q_BD."""
+    the cells of mask; zero off mask.  The one Q, of apply_Q_A / apply_Q_BD
+    and of the pair recurrence that ``iterate_pairtables`` evaluates."""
     m = np.where(mask, u, 0)
     return np.where(mask, m.sum(axis=1)[:, None] + m.sum(axis=0)[None, :], 0)
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -526,3 +527,59 @@ class TestNegativeSteps:
             for t in (-1, -5):
                 with pytest.raises(cw.InvalidStepCount):
                     call(t)
+
+
+class TestNonIntegralArguments:
+    def test_reported_cases_raise(self):
+        a5 = GroupSpec(Family.A, 5)
+        for measure in (Measure.ABSLENGTH, Measure.LENGTH):
+            with pytest.raises(InvalidStepCount):
+                closed_form(a5, Gens.REFLECTIONS, measure, 2.5)
+        with pytest.raises(InvalidRank):
+            GroupSpec(Family.A, 4.5)
+        with pytest.raises(InvalidRank):
+            GroupSpec(Family.G, 3, 1.5)
+        with pytest.raises(InvalidStepCount):
+            expected_length_A_S_eriksen(3, 2.5)
+        with pytest.raises(InvalidStepCount):
+            expected_length_A_S_bm(3, 2.5)
+        with pytest.raises(InvalidStepCount):
+            cw.simulate(a5, Gens.REFLECTIONS, Measure.LENGTH, 2.5, 10, 1)
+
+    def test_every_evaluator_and_engine_reject(self):
+        # (n, t) -> a value; t = 2.0 and n = 4.0 are floats, not integers
+        calls = [
+            lambda n, t: expected_length_A_T(n, t),
+            lambda n, t: pair_prob_A(n, 1, 2, t),
+            lambda n, t: expected_length_B_T(n, t),
+            lambda n, t: pair_prob_B(n, 1, 2, t),
+            lambda n, t: expected_length_D_T(n, t),
+            lambda n, t: pair_prob_D(n, 1, 2, t),
+            lambda n, t: expected_length_I2_T(n, t),
+            lambda n, t: expected_abslength_I2_S(n, t),
+            lambda n, t: expected_abslength_I2_T(n, t),
+            lambda n, t: expected_length_I2_S_troili(n, t),
+            lambda n, t: expected_length_A_S_eriksen(n, t),
+            lambda n, t: expected_length_A_S_bm(n, t),
+            lambda n, t: expected_abslength_G_EH(2, n, t),
+            lambda n, t: lemma_bd_v(n, 1, t, 1, 2),
+            lambda n, t: cw.evolve_pairtable(Family.B, n, t),
+            lambda n, t: cw.evolve_distribution(GroupSpec(Family.B, n), Gens.REFLECTIONS, t),
+            lambda n, t: cw.simulate(GroupSpec(Family.B, n), Gens.SIMPLE, Measure.LENGTH, t, 10, 1),
+        ]
+        for call in calls:
+            call(4, 2)
+            for t in (2.5, 2.0, Fraction(2)):
+                with pytest.raises(InvalidStepCount):
+                    call(4, t)
+            for n in (4.5, 4.0):
+                with pytest.raises(InvalidRank):
+                    call(n, 2)
+
+    def test_numpy_integers_and_infinite_m_accepted(self):
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert expected_length_A_T(np.int64(5), k) == expected_length_A_T(5, 3)
+            assert GroupSpec(Family.G, k, np.int64(2)) == GroupSpec(Family.G, 3, 2)
+        assert expected_length_I2_S_troili(INF, 6) == expected_length_I2_S_troili(10**6, 6)
+        with pytest.raises(InvalidRank):
+            GroupSpec(Family.A, INF)  # only the dihedral family has m = inf

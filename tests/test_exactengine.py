@@ -38,7 +38,7 @@ from coxwalk import (
     simple_reflections_of,
 )
 from coxwalk import elements
-from coxwalk.elements import generator_moves
+from coxwalk.elements import generator_moves, num_generators
 from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
 
@@ -205,6 +205,27 @@ class TestPairTables:
                     assert p[(j, i)] == 1 - val
                     if (-j, -i) in p:
                         assert p[(-j, -i)] == val
+
+    def test_tables_keep_the_complement_and_reflection_rules(self):
+        # the step is written on U(i,j) + U(j,i) = den on the domain and,
+        # in B and D, U(-j,-i) = U(i,j); every yielded table keeps both,
+        # before and after its numerators leave int64
+        for family, n, t_max in (
+            (Family.A, 3, 40), (Family.A, 7, 16), (Family.B, 1, 6), (Family.B, 2, 32),
+            (Family.B, 5, 16), (Family.D, 2, 64), (Family.D, 5, 16),
+        ):
+            lab = np.arange(1, n + 1) if family == Family.A else np.r_[-n:0, 1:n + 1]
+            i, j = lab[:, None], lab[None, :]
+            domain = abs(i) != abs(j) if family == Family.D else i != j
+            dtypes = set()
+            for table in iterate_pairtables(family, n, t_max):
+                u = table.num.astype(object)
+                assert ((u + u.T)[domain] == table.den).all(), (family, n, table.t)
+                assert not u[~domain].any()
+                if family != Family.A:
+                    assert u[::-1, ::-1].T.tolist() == u.tolist(), (family, n, table.t)
+                dtypes.add(table.num.dtype)
+            assert np.dtype(object) in dtypes or n == 1, (family, n)
 
     def test_u_tables_are_integral(self):
         # scaled by |R|^t the recurrence is integer valued
@@ -402,32 +423,43 @@ class TestOperators:
             assert apply_Q_BD(qv).tolist() == ((2 * n - 2) * qv).tolist()
 
     def test_pair_engine_step_uses_the_same_q(self):
-        # one type A step of the pair engine: U' = c*U + U^T + Q(U) on the
-        # off-diagonal cells, with c = C(n-2, 2) - 2
-        n = 6
-        u0, u1 = (t.num for t in iterate_pairtables(Family.A, n, 1))
-        c = (n - 2) * (n - 3) // 2 - 2
-        assert u1.tolist() == (c * u0 + u0.T + apply_Q_A(u0)).tolist()
-        # a B or D step: U'(i,j) = c*U(i,j) + U(j,i) + U(-j,-i) + Q(U)(i,j),
-        # less U(-i,j) + U(i,-j) in D, on every cell with |i| != |j| (B's
-        # sign pairs (i, -i) follow their own rule); c is the number of
-        # reflections of rank n - 2 less 2
-        n = 4
-        p = lambda x: _pos(n, x)
-        labels = [x for x in range(-n, n + 1) if x]
-        for family, c in ((Family.B, (n - 2) ** 2 - 2), (Family.D, (n - 2) * (n - 3) - 2)):
-            tables = list(iterate_pairtables(family, n, 3))
+        # every step of every walk, int64 and Python-int tables alike:
+        # U'(i,j) = c*U(i,j) + U(j,i) (+ U(-j,-i) in B and D) + Q(U)(i,j),
+        # less U(-i,j) + U(i,-j) in D, where c is the number of reflections
+        # of rank n - 2 less 2; B's sign pairs follow their own rule,
+        # U'(i,-i) = c_sign*U(i,-i) + the sum of U(k,-k), where c_sign is the
+        # number of reflections of rank n - 1 less 1; every other cell with
+        # |i| = |j| stays zero
+        c_of = {
+            Family.A: lambda n: (n - 2) * (n - 3) // 2 - 2,
+            Family.B: lambda n: (n - 2) ** 2 - 2,
+            Family.D: lambda n: (n - 2) * (n - 3) - 2,
+        }
+        walks = [(Family.A, n, 40) for n in (2, 3, 6, 12)]
+        walks += [(Family.B, n, 32) for n in (1, 2, 4, 7)]
+        walks += [(Family.D, n, 64) for n in (2, 3, 5)]
+        for family, n, t_max in walks:
+            c = c_of[family](n)
+            tables = list(iterate_pairtables(family, n, t_max))
             for before, after in zip(tables, tables[1:]):
-                u, q = before.num, apply_Q_BD(before.num)
-                for i in labels:
-                    for j in labels:
-                        if abs(i) == abs(j):
-                            continue
-                        want = c * u[p(i), p(j)] + u[p(j), p(i)] + u[p(-j), p(-i)] + q[p(i), p(j)]
-                        if family == Family.D:
-                            want -= u[p(-i), p(j)] + u[p(i), p(-j)]
-                        assert after.num[p(i), p(j)] == want, (family, before.t, i, j)
-
+                u = before.num.astype(object)
+                if family == Family.A:
+                    want = c * u + u.T + apply_Q_A(u)
+                else:
+                    want = c * u + u.T + u[::-1, ::-1].T + apply_Q_BD(u)
+                if family == Family.D:
+                    want -= u[::-1, :] + u[:, ::-1]
+                if family == Family.B:
+                    sign = [u[_pos(n, i), _pos(n, -i)] for i in range(-n, n + 1) if i]
+                    for i in range(1, n + 1):
+                        for a, b in ((i, -i), (-i, i)):
+                            want[_pos(n, a), _pos(n, b)] = (
+                                ((n - 1) ** 2 - 1) * u[_pos(n, a), _pos(n, b)] + sum(sign)
+                            )
+                assert after.num.tolist() == want.tolist(), (family, n, before.t)
+            # Python-int tables are covered wherever den grows
+            many = num_generators(family, n, Gens.REFLECTIONS) > 1
+            assert tables[-1].num.dtype == (object if many else np.int64), (family, n)
 
 def test_dihedral_walk_statistic_lookup():
     m = 4
