@@ -41,12 +41,18 @@ routes time Monte Carlo: A40 and B20 at t = 400 are long walks whose trials
 fill one block, so the per-step cost dominates; I2(12) reflections at
 t = 200 is a walk where the cost is all stream words (its moves are sums);
 A10 at t = 5 over 10^5 trials is per-trial bound; and B11/D12 absolute
-length and I2(10^7) show the peak RSS of wide states and large ranks.
+length and I2(10^7) show the peak RSS of wide states and large ranks.  The
+cli route is A10 length at t = 12, an O(1) closed form, so its time is all
+``cli.main``: each child's one call builds the eval parser, as the first
+call of every process does.  The eh routes time Eriksen and Hultman's
+expansion for A12 and B9 absolute length at t = 200, far past closed-cli's
+grid (A5, B3, B4, t <= 12).
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src \
         --tree after=src --only troili --repeats 11 --out BENCH_closed.json
 
-runs only the routes whose name contains "troili".
+runs only the routes whose name contains "troili"; --only repeats, and
+then a route runs if its name contains any of the texts.
 """
 from __future__ import annotations
 
@@ -111,6 +117,11 @@ ROUTES = {
                          "--formula", "eriksen"],
     "eriksen A6 t=1000": ["--family", "A", "--n", "6", "--gens", "simple", "--t", "1000",
                           "--formula", "eriksen"],
+    "cli A10 t=12 length": ["--family", "A", "--n", "10", "--t", "12"],
+    "eh A12 t=200": ["--family", "A", "--n", "12", "--measure", "abslength", "--t", "200",
+                     "--formula", "eh"],
+    "eh B9 t=200": ["--family", "B", "--n", "9", "--measure", "abslength", "--t", "200",
+                    "--formula", "eh"],
 }
 
 PERFBENCH = ROOT / "perfbench"
@@ -166,8 +177,8 @@ def main() -> int:
                     help="a source tree (the directory holding coxwalk/); repeatable")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--out", default=str(ROOT / "BENCH_statistics.json"))
-    ap.add_argument("--only", default="", metavar="TEXT",
-                    help="run only the routes whose name contains TEXT")
+    ap.add_argument("--only", action="append", default=None, metavar="TEXT",
+                    help="run only the routes whose name contains TEXT; repeatable")
     args = ap.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree)
 
@@ -187,7 +198,7 @@ def main() -> int:
     }
     mismatch = False
     for name, argv in ROUTES.items():
-        if args.only not in name:
+        if args.only and not any(text in name for text in args.only):
             continue
         row = {"argv": ["eval", *argv]}
         runs = {label: [] for label in trees}

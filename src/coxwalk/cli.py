@@ -36,7 +36,6 @@ from .exactengine import (
     make_statistic,
 )
 from .montecarlo import simulate
-from .verify import SUITES, run_suite
 
 
 def _warn(msg: str) -> None:
@@ -204,11 +203,10 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    names = args.suite or list(SUITES)
+    from .verify import SUITES, run_suite
+
     failures = 0
-    for name in names:
-        if name not in SUITES:
-            parser.error(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    for name in args.suite or list(SUITES):
         for res in run_suite(name):
             status = "PASS" if res.ok else "FAIL"
             print(f"[{status}] {name}: {res.name} ({res.detail})")
@@ -217,53 +215,57 @@ def _cmd_verify(args, parser) -> int:
     return 0 if failures == 0 else 1
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    ``main`` call."""
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate one expectation"),
+    "table": (_cmd_table, "closed/exact/mc comparison over a t grid"),
+    "verify": (_cmd_verify, "run cross-check suites"),
+}
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The ``coxwalk`` parser: only the command names and their help lines."""
     parser = argparse.ArgumentParser(
         prog="coxwalk",
         description="Expected length of products of random reflections: "
         "closed forms, exact engines, Monte Carlo, and cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate one expectation")
-    _add_group_flags(p_eval)
-    p_eval.add_argument("--t", type=int, required=True)
-    _add_method_flags(p_eval)
-    p_eval.add_argument(
-        "--engine",
-        choices=["closed", "exact-full", "exact-pair", "mc"],
-        default="closed",
-    )
-    p_eval.add_argument("--format", choices=["csv", "json"], default="json")
-
-    p_table = sub.add_parser("table", help="closed/exact/mc comparison over a t grid")
-    _add_group_flags(p_table)
-    p_table.add_argument("--t-max", type=int, required=True, dest="t_max")
-    _add_method_flags(p_table)
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p_verify = sub.add_parser("verify", help="run cross-check suites")
-    p_verify.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        help=f"suite name ({', '.join(SUITES)}); repeatable; default all",
-    )
+    for name, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line)
     return parser
 
 
+@lru_cache(maxsize=len(_COMMANDS))
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``coxwalk <command>``, built on the command's first call
+    and shared by every later ``main`` call."""
+    p = argparse.ArgumentParser(prog=f"coxwalk {command}")
+    if command == "verify":
+        from .verify import SUITES
+
+        # choices reads the live mapping: every name is checked before any suite runs
+        p.add_argument("--suite", action="append", choices=SUITES, metavar="SUITE",
+                       help=f"suite name ({', '.join(SUITES)}); repeatable; default all")
+        return p
+    _add_group_flags(p)
+    is_eval = command == "eval"
+    p.add_argument("--t" if is_eval else "--t-max", type=int, required=True)
+    _add_method_flags(p)
+    if is_eval:
+        p.add_argument("--engine", choices=["closed", "exact-full", "exact-pair", "mc"],
+                       default="closed")
+    p.add_argument("--format", choices=["csv", "json"], default="json" if is_eval else "csv")
+    return p
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        _top_parser().parse_args(argv)  # exits: help, or no command, or an unknown one
+    parser = build_parser(argv[0])
+    args = parser.parse_args(argv[1:])
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        if args.command == "table":
-            return _cmd_table(args, parser)
-        return _cmd_verify(args, parser)
+        return _COMMANDS[argv[0]][0](args, parser)
     except CoxwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

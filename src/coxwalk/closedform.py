@@ -324,35 +324,27 @@ def expected_abslength_G_EH(r: int, n: int, t: int) -> Fraction:
     """Expected minimal reflection-word length after t uniform reflections in
     the r-colored permutation group on n letters, by the character expansion
     of Eriksen and Hultman (2005).  r = 1 is the symmetric group on n
-    letters; r = 2 the signed permutations of rank n."""
+    letters; r = 2 the signed permutations of rank n.
+
+    Every term, the harmonic head n - H_n / r included, is (c / d) (N / denom)^t
+    with small integers c, d and N; over L denom^t, with L = lcm(d), the sum is
+    one integer, sum c (L / d) N^t, and one Fraction is formed at the end."""
     _check(t, Family.G, n, r)
     denom = r * comb(n + 1, 2) - n
-    total = n - Fraction(sum(Fraction(1, k) for k in range(1, n + 1)), r)
+    terms = [(n, 1, denom)] + [(-1, r * k, denom) for k in range(1, n + 1)]  # (c, d, N)
     for p in range(1, n):
         for q in range(1, min(p, n - p) + 1):
-            a_pq = (
-                (-1) ** (n - p - q + 1)
-                * Fraction((p - q + 1) ** 2, (n - q + 1) ** 2 * (n - p))
-                * comb(n, p)
-                * comb(n - p - 1, q - 1)
-            )
-            base = Fraction(
-                r * (comb(p, 2) + comb(q - 1, 2) - comb(n - p - q + 2, 2) + n) - n,
-                denom,
-            )
-            total += Fraction(a_pq, r) * base**t
+            c = (-1) ** (n - p - q + 1) * (p - q + 1) ** 2 * comb(n, p) * comb(n - p - 1, q - 1)
+            base = r * (comb(p, 2) + comb(q - 1, 2) - comb(n - p - q + 2, 2) + n) - n
+            terms.append((c, r * (n - q + 1) ** 2 * (n - p), base))
     if r > 1:
         for p in range(n):
             for q in range(1, n - p + 1):
-                b_pq = Fraction((-1) ** (n - p - q + 1), n - p) * comb(n, p) * comb(
-                    n - p - 1, q - 1
-                )
-                base = Fraction(
-                    r * (comb(p, 2) + comb(q, 2) - comb(n - p - q + 1, 2) + p) - n,
-                    denom,
-                )
-                total += Fraction(r - 1, r) * b_pq * base**t
-    return total
+                c = (r - 1) * (-1) ** (n - p - q + 1) * comb(n, p) * comb(n - p - 1, q - 1)
+                base = r * (comb(p, 2) + comb(q, 2) - comb(n - p - q + 1, 2) + p) - n
+                terms.append((c, r * (n - p), base))
+    lcm = math.lcm(*(d for _, d, _ in terms))
+    return Fraction(sum(c * (lcm // d) * base**t for c, d, base in terms), lcm * denom**t)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's engines: expectations are computed by
 enumerating every generator tuple, word lengths by a fresh breadth-first
-search, Troili's dihedral sum term by term with math.comb, and Eriksen's
-expansion as its double sum over image-by-image inner coefficients, so that
+search, Troili's dihedral sum term by term with math.comb, Eriksen's
+expansion as its double sum over image-by-image inner coefficients, and
+Eriksen and Hultman's character expansion term by term in Fractions, so that
 engine bugs cannot mask each other.
 """
 import math
@@ -134,3 +135,41 @@ def eriksen_double_sums(n, t_max):
         sum((Fraction(math.comb(t, r), n**r) * h[r] for r in range(1, t + 1)), Fraction(0))
         for t in range(t_max + 1)
     ]
+
+
+def eh_double_sums(r, n, ts):
+    """Eriksen and Hultman's (2005) expected absolute length after each t in
+    ts uniform reflections of the r-colored permutation group on n letters,
+    as the literal double sums of Fraction terms."""
+    denom = r * math.comb(n + 1, 2) - n
+    head = n - Fraction(sum(Fraction(1, k) for k in range(1, n + 1)), r)
+    terms = []  # (coefficient, base), both Fractions
+    for p in range(1, n):
+        for q in range(1, min(p, n - p) + 1):
+            a_pq = (
+                (-1) ** (n - p - q + 1)
+                * Fraction((p - q + 1) ** 2, (n - q + 1) ** 2 * (n - p))
+                * math.comb(n, p)
+                * math.comb(n - p - 1, q - 1)
+            )
+            base = Fraction(
+                r * (math.comb(p, 2) + math.comb(q - 1, 2) - math.comb(n - p - q + 2, 2) + n)
+                - n,
+                denom,
+            )
+            terms.append((Fraction(a_pq, r), base))
+    if r > 1:
+        for p in range(n):
+            for q in range(1, n - p + 1):
+                b_pq = (
+                    Fraction((-1) ** (n - p - q + 1), n - p)
+                    * math.comb(n, p)
+                    * math.comb(n - p - 1, q - 1)
+                )
+                base = Fraction(
+                    r * (math.comb(p, 2) + math.comb(q, 2) - math.comb(n - p - q + 1, 2) + p)
+                    - n,
+                    denom,
+                )
+                terms.append((Fraction(r - 1, r) * b_pq, base))
+    return [head + sum((a * base**t for a, base in terms), Fraction(0)) for t in ts]

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -297,10 +301,183 @@ def test_no_generators_names_the_group(capsys):
         assert err == "error: family D needs n >= 2\n", engine
 
 
-def test_parser_built_once():
+def test_parser_built_once(monkeypatch):
+    # each command's parser is built on the command's first call and reused;
+    # a call of one command builds no other command's parser
+    import argparse
+    from types import SimpleNamespace
+
     from coxwalk import cli
 
-    assert cli.build_parser() is cli.build_parser()
+    built = []
+
+    class Recording(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Recording))
+    try:
+        for _ in range(2):
+            assert main(["eval", "--family", "A", "--n", "4", "--t", "2"]) == 0
+        assert built == ["coxwalk eval"]
+        assert main(["table", "--family", "A", "--n", "3", "--t-max", "1",
+                     "--trials", "10"]) == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(["verify", "--suite", "nosuch"])
+        assert built == ["coxwalk eval", "coxwalk table", "coxwalk verify"]
+        assert cli.build_parser("eval") is cli.build_parser("eval")
+    finally:
+        cli.build_parser.cache_clear()
+
+
+HELP = {
+    (): """\
+usage: coxwalk [-h] {eval,table,verify} ...
+
+Expected length of products of random reflections: closed forms, exact
+engines, Monte Carlo, and cross-checks.
+
+positional arguments:
+  {eval,table,verify}
+    eval               evaluate one expectation
+    table              closed/exact/mc comparison over a t grid
+    verify             run cross-check suites
+
+options:
+  -h, --help           show this help message and exit
+""",
+    ("eval",): """\
+usage: coxwalk eval [-h] --family {A,B,D,I2,G} [--n N] [--m N] [--r R]
+                    [--gens {simple,reflections}]
+                    [--measure {length,abslength,descents}] --t T
+                    [--formula {auto,eriksen,bm,troili,eh,paper}]
+                    [--trials TRIALS] [--seed SEED]
+                    [--engine {closed,exact-full,exact-pair,mc}]
+                    [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --family {A,B,D,I2,G}
+  --n N                 letters (A, G), rank (B, D), or m (I2)
+  --m N                 alias for --n under I2
+  --r R                 color count, family G only
+  --gens {simple,reflections}
+  --measure {length,abslength,descents}
+  --t T
+  --formula {auto,eriksen,bm,troili,eh,paper}
+  --trials TRIALS
+  --seed SEED
+  --engine {closed,exact-full,exact-pair,mc}
+  --format {csv,json}
+""",
+    ("table",): """\
+usage: coxwalk table [-h] --family {A,B,D,I2,G} [--n N] [--m N] [--r R]
+                     [--gens {simple,reflections}]
+                     [--measure {length,abslength,descents}] --t-max T_MAX
+                     [--formula {auto,eriksen,bm,troili,eh,paper}]
+                     [--trials TRIALS] [--seed SEED] [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --family {A,B,D,I2,G}
+  --n N                 letters (A, G), rank (B, D), or m (I2)
+  --m N                 alias for --n under I2
+  --r R                 color count, family G only
+  --gens {simple,reflections}
+  --measure {length,abslength,descents}
+  --t-max T_MAX
+  --formula {auto,eriksen,bm,troili,eh,paper}
+  --trials TRIALS
+  --seed SEED
+  --format {csv,json}
+""",
+    ("verify",): """\
+usage: coxwalk verify [-h] [--suite SUITE]
+
+options:
+  -h, --help     show this help message and exit
+  --suite SUITE  suite name (typeA, typeB, typeD, dihedral, known-formulas,
+                 operators, montecarlo); repeatable; default all
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=["coxwalk", "eval", "table", "verify"])
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+TOP_USAGE = "usage: coxwalk [-h] {eval,table,verify} ...\n"
+EVAL_USAGE = "usage: coxwalk eval [-h] --family {A,B,D,I2,G} [--n N] [--m N] [--r R]\n"
+EVAL_ARGS = ["eval", "--family", "A", "--n", "4", "--t", "2"]
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    ([], TOP_USAGE, "coxwalk: error: the following arguments are required: command"),
+    (["nosuch"], TOP_USAGE, "coxwalk: error: argument command: invalid choice: 'nosuch'"),
+    (["eval", "--family", "Z", "--n", "3", "--t", "1"], EVAL_USAGE,
+     "coxwalk eval: error: argument --family: invalid choice: 'Z'"),
+    (["eval", "--family", "A", "--n", "3"], EVAL_USAGE,
+     "coxwalk eval: error: the following arguments are required: --t"),
+    ([*EVAL_ARGS, "--bogus"], EVAL_USAGE,
+     "coxwalk eval: error: unrecognized arguments: --bogus"),
+    (["eval", "--family", "A", "--n", "x", "--t", "1"], EVAL_USAGE,
+     "coxwalk eval: error: argument --n: invalid int value: 'x'"),
+    (["table", "--family", "A", "--n", "3", "--t-max", "1.5"],
+     "usage: coxwalk table [-h] --family {A,B,D,I2,G} [--n N] [--m N] [--r R]\n",
+     "coxwalk table: error: argument --t-max: invalid int value: '1.5'"),
+    # errors raised after parsing name the command's usage too
+    (["eval", "--family", "A", "--t", "1"], EVAL_USAGE,
+     "coxwalk eval: error: --n (or --m for I2) is required"),
+    ([*EVAL_ARGS, "--r", "2"], EVAL_USAGE,
+     "coxwalk eval: error: --r is only valid with --family G"),
+], ids=["no-command", "unknown-command", "bad-choice", "missing-flag", "unknown-flag",
+        "non-integer", "table-non-integer", "missing-n", "r-outside-G"])
+def test_usage_error_lines(capsys, argv, usage, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(usage), err
+    assert err.splitlines()[-1].startswith(message), err
+
+
+def test_verify_checks_every_suite_name_first(capsys):
+    # a bad name anywhere in the list stops the command before any suite runs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "dihedral", "--suite", "nosuch"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: coxwalk verify [-h] [--suite SUITE]\n")
+    assert "invalid choice: 'nosuch'" in err
+
+
+def test_eval_does_not_import_verify():
+    # a fresh interpreter: importing the CLI and running eval or table leaves
+    # the verify suites unimported
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "import coxwalk.cli\n"
+        "assert 'coxwalk.verify' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    coxwalk.cli.main(['eval', '--family', 'A', '--n', '4', '--t', '2'])\n"
+        "    coxwalk.cli.main(['table', '--family', 'A', '--n', '3', '--t-max', '1',"
+        " '--trials', '10'])\n"
+        "assert 'coxwalk.verify' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _rarely(draw, value, other):

@@ -36,6 +36,7 @@ from helpers import (
     brute_force_expectation,
     eriksen_double_sums,
     eriksen_g_by_images,
+    eh_double_sums,
     troili_double_sums,
 )
 
@@ -320,6 +321,15 @@ class TestColoredGroups:
 
     def test_frozen_value(self):
         assert expected_abslength_G_EH(1, 4, 3) == Fraction(17, 9)
+
+    def test_eh_equals_sum_of_fractions(self):
+        # the one integer sum over L * denom^t equals the term-by-term
+        # Fraction sums, t = 0 (every base to the power 0) included
+        ts = list(range(41)) + [200]
+        for r in range(1, 6):
+            for n in range(2 if r == 1 else 1, 10):
+                for t, expected in zip(ts, eh_double_sums(r, n, ts)):
+                    assert expected_abslength_G_EH(r, n, t) == expected, (r, n, t)
 
     def test_invalid_rank(self):
         with pytest.raises(InvalidRank):
