@@ -40,9 +40,11 @@ longer walk still, where the big-integer terms of one evaluation dominate.  The 
 routes time Monte Carlo: A40 and B20 at t = 400 are long walks whose trials
 fill one block, so the per-step cost dominates; I2(12) reflections at
 t = 200 is a walk where the cost is all stream words (its moves are sums);
-A10 at t = 5 over 10^5 trials is per-trial bound; and B11/D12 absolute
-length and I2(10^7) show the peak RSS of wide states and large ranks.  The
-cli route is A10 length at t = 12, an O(1) closed form, so its time is all
+A10 at t = 5 over 10^5 trials is per-trial bound; B6 at t = 6 over 5000
+trials is a short walk like perfbench's mc-grid median cells, where a
+statistic summed along the rows of the state takes about half the time;
+and B11/D12 absolute length and I2(10^7) show the peak RSS of wide states
+and large ranks.  The cli route is A10 length at t = 12, an O(1) closed form, so its time is all
 ``cli.main``: each child's one call builds the eval parser, as the first
 call of every process does.  The eh routes time Eriksen and Hultman's
 expansion for A12 and B9 absolute length at t = 200, far past closed-cli's
@@ -99,6 +101,8 @@ ROUTES = {
                                            "--engine", "mc", "--trials", "3000"],
     "mc A10 t=5 length": ["--family", "A", "--n", "10", "--t", "5", "--engine", "mc",
                           "--trials", str(10**5)],
+    "mc B6 t=6 length": ["--family", "B", "--n", "6", "--t", "6", "--engine", "mc",
+                         "--trials", "5000"],
     "exact-pair A60 t=60 length": ["--family", "A", "--n", "60", "--t", "60",
                                    "--engine", "exact-pair"],
     "exact-pair B60 t=60 length": ["--family", "B", "--n", "60", "--t", "60",

@@ -17,7 +17,7 @@ class InvalidStepCount(CoxwalkError, ValueError):
 
 
 class InvalidTrialCount(CoxwalkError, ValueError):
-    """Monte Carlo trial count below the two needed for a standard error."""
+    """Monte Carlo trial count not an integer, or below the 2 a standard error needs."""
 
 
 class InvalidSeed(CoxwalkError, ValueError):

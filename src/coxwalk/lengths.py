@@ -5,10 +5,13 @@ a block of elements.
 A block is a (k, n) array of windows in A, B and D, row r holding
 w(1)..w(n), and a length-k array of ranks 2 * rot + flip in I2.  The exact
 full-distribution engine evaluates a statistic once over every window of the
-group and Monte Carlo over its final walk states.  ``Statistic`` (built by
-``make_statistic``) is the one per-element entry: called on one element it
-evaluates a one-row block, after the membership test that ranks use too, so
-an element of another group raises SpecMismatch.
+group and Monte Carlo over its final walk states.  Length and descents sum
+comparisons of columns per row, so ``block_statistic``'s functions take the
+block column-major (``np.asfortranarray``), whatever layout the caller holds,
+and sum down contiguous columns; cycles are found by gathers, in any layout.
+``Statistic`` (built by ``make_statistic``) is the one per-element entry:
+called on one element it evaluates a one-row block, after the membership
+test that ranks use too, so an element of another group raises SpecMismatch.
 
 * Word length equals the inversion count in type A, the count over pairs
   with j >= |i| in type B and over pairs with j > |i| in type D: inversions
@@ -102,23 +105,27 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
         if measure == Measure.ABSLENGTH:
             return lambda k: np.where(k & 1, 1, np.where(k == 0, 0, 2))
         return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)
-    if measure == Measure.LENGTH:
-        if f == Family.A:
-            return _inversions
-        if f == Family.B:
-            return lambda w: _inversions(w) + _negative_sum_pairs(w) + (w < 0).sum(axis=1)
-        return lambda w: _inversions(w) + _negative_sum_pairs(w)
-    if measure == Measure.DESCENTS:
-        if f == Family.B:
-            return lambda w: _descents(w) + (w[:, 0] < 0)
-        if f == Family.D and n > 1:  # reads w(2), which D1's window lacks
-            return lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
-        return _descents
     if measure == Measure.ABSLENGTH:
         if f == Family.A:
             return lambda w: n - _cycles(w)
         return lambda w: n - _even_cycles(w)
-    raise ValueError(f"unknown measure {measure!r}")
+    if measure == Measure.LENGTH:
+        if f == Family.A:
+            per_row = _inversions
+        elif f == Family.B:
+            per_row = lambda w: _inversions(w) + _negative_sum_pairs(w) + (w < 0).sum(axis=1)
+        else:
+            per_row = lambda w: _inversions(w) + _negative_sum_pairs(w)
+    elif measure == Measure.DESCENTS:
+        if f == Family.B:
+            per_row = lambda w: _descents(w) + (w[:, 0] < 0)
+        elif f == Family.D and n > 1:  # reads w(2), which D1's window lacks
+            per_row = lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
+        else:
+            per_row = _descents
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    return lambda w: per_row(np.asfortranarray(w))
 
 
 def _row(spec: GroupSpec, w: GroupElement) -> np.ndarray:

@@ -16,16 +16,17 @@ Choice index k is generator k of ``elements.generator_moves``, the list
 that also orders ``reflections_of`` and ``simple_reflections_of``.
 
 ``simulate`` walks the trials in blocks: contiguous trial ranges of up to
-_BLOCK_WORDS / 8 = 4096 trials, fewer where trials times n would pass
+_BLOCK_WORDS / 8 = 8192 trials, fewer where trials times n would pass
 _BLOCK_STATE, each carrying its states (a (trials, n) window array, or the
 ranks 2 * rot + flip in I2) through the whole walk.  A block advances one chunk
 of steps at a time: a multiple of 8 steps, so a whole number of counter
 blocks per trial, with at most _BLOCK_WORDS words over the block.  A chunk
 computes its words for every trial of the block at once, maps them to
-choices and applies each move (a, b, s) as one gather and one scatter on
-the state array.  A trial that hits a rejection in any chunk took its
-later choices from the wrong words; after its block it is walked again
-from ``trial_choices``.  The statistic is evaluated over each block, and
+choices and the choices to the flat state indices of entries a and b of
+every row; a step then applies its moves (a, b, s) as two gathers and two
+scatters on the state array.  A trial that hits a rejection in any chunk
+took its later choices from the wrong words; after its block it is walked
+again from ``trial_choices``.  The statistic is evaluated over each block, and
 the values of all trials are counted per distinct value; the mean and
 variance are exact sums over those counts rounded once, as exactly rounded
 sums over the trials are.
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import sqrt
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -70,7 +71,7 @@ _MULTIPLIERS = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
 _M = (_MULTIPLIERS & _LOW32, _MULTIPLIERS >> _32, _MULTIPLIERS)
 _W1 = np.uint64(_PHILOX_W[1])
 # bound on stream words drawn per chunk (rows times steps)
-_BLOCK_WORDS = 2**15
+_BLOCK_WORDS = 2**16
 # bound on state entries per block (rows times n)
 _BLOCK_STATE = 2**17
 
@@ -193,8 +194,8 @@ def _draws(seed: int, lo: int, hi: int, n_choices: int, first_step: int, steps: 
 def _blocks(trials: int, workers: int, rows: int):
     """Contiguous (lo, hi) trial ranges of at most ``rows`` trials, as even
     as possible, in trial order, within each worker's share of the trial
-    range."""
-    workers = max(workers, 1)
+    range; at most one share per trial, as any more would be empty."""
+    workers = min(max(workers, 1), trials)
     bounds = [trials * w // workers for w in range(workers + 1)]
     for start, stop in zip(bounds, bounds[1:]):
         count = -(-(stop - start) // rows)
@@ -210,18 +211,19 @@ def _walk_windows(state: np.ndarray, choices: np.ndarray, moves) -> None:
     ``generator_moves``."""
     rows, n = state.shape
     a, b, s = moves
-    # the flat state indices of entries a and b of every row, per step
-    pairs = np.empty((len(choices), 2, rows), dtype=np.intp)
-    np.take(a, choices, out=pairs[:, 0])
-    np.take(b, choices, out=pairs[:, 1])
-    pairs += np.arange(0, rows * n, n)
+    # the flat state indices of entries a and b of every row, per step, as
+    # one array filled in place: each large temporary costs page faults
+    ia, ib = ab = np.stack((a, b)).take(choices, axis=1)
+    ab += np.arange(0, rows * n, n)
     flat = state.reshape(-1)
+    # both gathers are read before either scatter writes, so a sign change
+    # (a, a, -1) writes -w(a) twice
     if (s == 1).all():  # transpositions only: skip the sign product
-        for pair in pairs:
-            flat[pair[::-1].reshape(-1)] = flat[pair.reshape(-1)]
+        for i, j in zip(ia, ib):
+            flat[i], flat[j] = flat[j], flat[i]
     else:
-        for pair, sign in zip(pairs, np.take(s, choices)):
-            flat[pair[::-1].reshape(-1)] = (flat[pair] * sign).reshape(-1)
+        for i, j, sign in zip(ia, ib, s[choices]):
+            flat[i], flat[j] = flat[j] * sign, flat[i] * sign
 
 
 def _walk_dihedral(rank: np.ndarray, choices: np.ndarray, m: int) -> None:
@@ -247,8 +249,13 @@ def simulate(
 
     Identical (spec, gens, measure, t, trials, seed) give a bit-identical
     result for any number of workers.  A seed outside [0, 2^64) raises
-    InvalidSeed.
+    InvalidSeed, and a trial count that is not an integer or is below 2
+    InvalidTrialCount.
     """
+    try:
+        trials = index(trials)
+    except TypeError:
+        raise InvalidTrialCount(f"trials must be an integer, got {trials!r}") from None
     if trials < 2:
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
     check_step_count(t)

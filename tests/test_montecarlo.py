@@ -1,3 +1,4 @@
+import tracemalloc
 from math import fsum, sqrt
 
 import numpy as np
@@ -10,6 +11,7 @@ from coxwalk import (
     Gens,
     GroupSpec,
     InvalidSeed,
+    InvalidTrialCount,
     InvalidTrialIndex,
     Measure,
     RankedGroup,
@@ -105,8 +107,29 @@ def test_result_fields():
 
 
 def test_trials_validation():
-    with pytest.raises(ValueError):
-        simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 1, trials=1, seed=0)
+    for trials in (1, 0, -3, 2.5, 2.0, "5", None):
+        with pytest.raises(InvalidTrialCount) as info:
+            simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 1, trials=trials, seed=0)
+        assert isinstance(info.value, CoxwalkError) and isinstance(info.value, ValueError)
+    want = simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 3, trials=40, seed=0)
+    got = simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 3, trials=np.int64(40), seed=0)
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+
+def test_workers_beyond_trials_allocate_no_shares():
+    # every share past one per trial is empty, so a million workers over 10
+    # trials must not list a million share bounds (about 15 MB)
+    spec = GroupSpec(Family.A, 4)
+    want = simulate(spec, Gens.REFLECTIONS, Measure.LENGTH, 6, trials=10, seed=3)
+    tracemalloc.start()
+    try:
+        got = simulate(spec, Gens.REFLECTIONS, Measure.LENGTH, 6, trials=10, seed=3,
+                       workers=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
 
 def numpy_bitgen(seed, k, first_block):
@@ -219,6 +242,42 @@ def test_block_statistic_matches_make_statistic(spec, measure):
     assert got.tolist() == [statistic(w) for w in enumerate_group(spec)]
 
 
+@pytest.mark.parametrize("spec", [GroupSpec(Family.A, n) for n in range(2, 8)]
+                         + [GroupSpec(Family.B, n) for n in range(1, 6)]
+                         + [GroupSpec(Family.D, n) for n in range(2, 7)])
+def test_block_statistic_any_layout(spec):
+    # the statistic reads a block in any memory layout: C-ordered (Monte
+    # Carlo's state), column-major, strided row slices and a column window
+    # of a wider array all give the C-ordered block's values
+    windows = RankedGroup(spec).windows.astype(np.int64)
+    wide = np.zeros((len(windows), spec.n + 3), dtype=np.int64)
+    wide[:, 1:spec.n + 1] = windows
+    for measure in Measure:
+        statistic = block_statistic(spec, measure)
+        want = statistic(np.ascontiguousarray(windows))
+        assert (statistic(np.asfortranarray(windows)) == want).all(), measure
+        assert (statistic(windows[1::3]) == want[1::3]).all(), measure
+        assert (statistic(windows[::-2]) == want[::-2]).all(), measure
+        assert (statistic(wide[:, 1:spec.n + 1]) == want).all(), measure
+
+
+@pytest.mark.parametrize("spec, gens", [(GroupSpec(Family.A, 6), Gens.REFLECTIONS),
+                                        (GroupSpec(Family.B, 5), Gens.REFLECTIONS),
+                                        (GroupSpec(Family.D, 5), Gens.SIMPLE)])
+def test_walk_of_many_rows_equals_walk_of_each_row(spec, gens):
+    # a multi-row walk writes every row in place, as walking it alone does
+    a, b, s = np.array(generator_moves(spec, gens), dtype=np.intp).T
+    moves = a - 1, b - 1, s
+    choices = np.random.default_rng(5).integers(0, len(a), size=(24, 37))
+    state = np.repeat(np.arange(1, spec.n + 1)[None, :], 37, axis=0)
+    _walk_windows(state, choices, moves)
+    for row in range(37):
+        one = np.arange(1, spec.n + 1)[None, :].copy()
+        _walk_windows(one, choices[:, row:row + 1], moves)
+        assert state[row].tolist() == one[0].tolist(), row
+    assert (state != np.arange(1, spec.n + 1)).any()
+
+
 @pytest.mark.parametrize("spec", [GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),
                                   GroupSpec(Family.D, 4), GroupSpec(Family.D, 1),
                                   GroupSpec(Family.B, 1), GroupSpec(Family.I2, 5)])
@@ -317,9 +376,12 @@ def test_chunks_match_per_trial_walks(monkeypatch, spec, gens, measure):
 
 
 def test_chunks_at_full_size_match_per_trial_walks():
-    # 2000 trials fill one block of 16-step chunks; with three workers they
-    # are blocks of 666 or 667 rows and 48-step chunks.  t = 2 * 48 + 3
-    # ends past a boundary of both
+    # 2000 trials fill one block of 32-step chunks; with three workers they
+    # are blocks of 666 or 667 rows and 96-step chunks.  t = 3 * 32 + 3 =
+    # 96 + 3 ends past a boundary of both
+    for rows, chunk in ((2000, 32), (667, 96), (666, 96)):
+        assert 8 * (montecarlo._BLOCK_WORDS // (8 * rows)) == chunk
+    assert [lo for lo, _ in montecarlo._blocks(2000, 3, 8192)] == [0, 666, 1333]
     spec = GroupSpec(Family.I2, 12)
     want = per_trial_reference(spec, Gens.REFLECTIONS, Measure.LENGTH, 99, 2000, seed=4)
     for workers in (1, 3):
