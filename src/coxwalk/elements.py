@@ -4,14 +4,14 @@ integer ranks.
 Elements are immutable and hashable.  Permutations are stored in one-line
 window notation, signed permutations as a length-n window with the negative
 half of the domain implicit through w(-i) = -w(i), dihedral elements as a
-(rotation, flip) pair.
+(rotation, flip) pair.  The two kinds of window share one implementation.
 
 ``RankedGroup`` numbers every element of a group 0..|W|-1, the identity 0:
-the Lehmer rank of the window in A, perm-rank * 2^n + sign bits in B,
-perm-rank * 2^(n-1) + the sign bits but the last (which parity fixes) in D,
-and 2 * rot + flip in I2.  Enumeration, the action tables (only the base
-moves' tables are ranked, the rest conjugated from them) and the exact full
-engine work on these ranks; element objects are built from a rank on demand.
+the Lehmer rank of |w| shifted past its sign bits (none in A, all n in B,
+all but the last in D, which parity fixes), and 2 * rot + flip in I2.
+Enumeration, the action tables (only the base moves' tables are ranked, the
+rest conjugated from them) and the exact full engine work on these ranks;
+element objects are built from a rank on demand.
 ``ranked_group`` keeps the last ranked group for the next walk on its spec.
 
 ``generator_moves`` is the one list of a walk's generators: integer moves
@@ -210,83 +210,62 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class Permutation:
+class _Window:
+    """A window w(1)..w(n), read with w(-i) = -w(i).  ``_signed`` admits
+    negative entries and i in -n..-1; ``_kind`` names the window in messages."""
+
+    window: tuple[int, ...]
+
+    def __post_init__(self):
+        entries = map(abs, self.window) if self._signed else self.window
+        if sorted(entries) != list(range(1, len(self.window) + 1)):
+            raise ValueError(f"not a {self._kind} window: {self.window}")
+
+    @property
+    def n(self) -> int:
+        return len(self.window)
+
+    def value(self, i: int) -> int:
+        """Image of i for i in 1..n, and in a signed window for i in -n..-1;
+        IndexError for any other i."""
+        if 0 < i <= self.n:
+            return self.window[i - 1]
+        if self._signed and 0 < -i <= self.n:
+            return -self.window[-i - 1]
+        raise IndexError(f"{i} is outside the domain of {self}")
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            raise SpecMismatch(f"{self._kind} sizes differ")
+        w = self.window
+        return type(self)(tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in other.window))
+
+    def inverse(self):
+        inv = [0] * self.n
+        for i, x in enumerate(self.window, 1):
+            inv[abs(x) - 1] = i if x > 0 else -i
+        return type(self)(tuple(inv))
+
+
+class Permutation(_Window):
     """Permutation of 1..n in one-line notation: window[i-1] is the image
     of i."""
 
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        if tuple(sorted(self.window)) != tuple(range(1, len(self.window) + 1)):
-            raise ValueError(f"not a permutation window: {self.window}")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    def value(self, i: int) -> int:
-        return self.window[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise SpecMismatch("permutation sizes differ")
-        return Permutation(tuple(self.window[x - 1] for x in other.window))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, x in enumerate(self.window):
-            inv[x - 1] = i + 1
-        return Permutation(tuple(inv))
+    _signed, _kind = False, "permutation"
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Window):
     """Signed permutation stored as the positive window w(1)..w(n); the
     negative half of the domain is implicit through w(-i) = -w(i)."""
 
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        absw = tuple(sorted(abs(x) for x in self.window))
-        if absw != tuple(range(1, len(self.window) + 1)):
-            raise ValueError(f"not a signed permutation window: {self.window}")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    def value(self, i: int) -> int:
-        """Image of i for i in [-n, n] without 0."""
-        if i > 0:
-            return self.window[i - 1]
-        return -self.window[-i - 1]
-
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for x in self.window if x < 0)
+    _signed, _kind = True, "signed permutation"
 
     @property
     def in_type_d(self) -> bool:
         """True iff the number of negative window entries is even."""
-        return self.negative_count % 2 == 0
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise SpecMismatch("signed permutation sizes differ")
-        return SignedPermutation(tuple(self.value(x) for x in other.window))
-
-    def inverse(self) -> "SignedPermutation":
-        inv = [0] * self.n
-        for i, x in enumerate(self.window):
-            if x > 0:
-                inv[x - 1] = i + 1
-            else:
-                inv[-x - 1] = -(i + 1)
-        return SignedPermutation(tuple(inv))
+        return sum(x < 0 for x in self.window) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -525,8 +504,6 @@ class RankedGroup:
     def ranks(self, cols: np.ndarray) -> np.ndarray:
         """Rank of every window of this group held column-wise in the (n, N)
         array cols."""
-        if self.spec.family == Family.A:
-            return _perm_rank(cols)
         rank = _perm_rank(np.abs(cols)) << self._bits
         for i in range(self._bits):
             rank += (cols[i] < 0).astype(np.int64) << i

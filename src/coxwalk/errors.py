@@ -17,7 +17,8 @@ class InvalidStepCount(CoxwalkError, ValueError):
 
 
 class InvalidTrialCount(CoxwalkError, ValueError):
-    """Monte Carlo trial count not an integer, or below the 2 a standard error needs."""
+    """Monte Carlo trial count not an integer, or below the 2 a standard error
+    needs, or a worker count (the split of the trials) not an integer."""
 
 
 class InvalidSeed(CoxwalkError, ValueError):

@@ -13,14 +13,16 @@ and sum down contiguous columns; cycles are found by gathers, in any layout.
 called on one element it evaluates a one-row block, after the membership
 test that ranks use too, so an element of another group raises SpecMismatch.
 
-* Word length equals the inversion count in type A, the count over pairs
-  with j >= |i| in type B and over pairs with j > |i| in type D: inversions
-  plus the pairs i < j with w(i) + w(j) < 0, plus in B the negative entries.
-* Absolute length is n minus the number of cycles of w with an even number
-  of sign changes, the codimension of its fixed space (Carter 1972).  Such a
-  cycle lifts to two cycles on -n..n and an odd one to one, so the count is
-  the lift's cycles less those of |w|; A has no signs, and the count is all
-  cycles.
+* Word length is the inversion count inv(w), the pairs i < j with
+  w(i) > w(j) on the window, in type A; inv(w) less the sum of the negative
+  entries w(i) in type B, and inv(w) less the sum of w(i) + 1 over them in
+  type D (Bjorner and Brenti, Combinatorics of Coxeter Groups, 8.1-8.2).
+* Absolute length is n minus the number of cycles of |w| with an even number
+  of sign changes (negative entries), the codimension of the fixed space
+  (Carter 1972); A has no signs, and every cycle counts.  One pointer-doubling
+  pass gives each position its cycle's leader; B and D then count each
+  cycle's negative entries with one bincount over the leaders of the
+  negative positions.
 * Descents are the positions i with w(i) > w(i + 1), plus w(1) < 0 in B and
   w(1) + w(2) < 0 in D (the generator acting on positions 1 and 2).
 * In I2(m), with x = rank - 2 * flip, the word length is min(|x|, 2m - x);
@@ -47,25 +49,21 @@ def _inversions(w: np.ndarray) -> np.ndarray:
     return sum(((w[:, :-d] > w[:, d:]).sum(axis=1) for d in range(1, w.shape[1])), start)
 
 
-def _negative_sum_pairs(w: np.ndarray) -> np.ndarray:
-    """Pairs i < j with w(i) + w(j) < 0, per row."""
-    start = np.zeros(len(w), dtype=np.intp)
-    return sum(((w[:, :-d] + w[:, d:] < 0).sum(axis=1) for d in range(1, w.shape[1])), start)
-
-
 def _descents(w: np.ndarray) -> np.ndarray:
     """Positions i with w(i) > w(i + 1), per row."""
     return (w[:, :-1] > w[:, 1:]).sum(axis=1)
 
 
-def _cycles(w: np.ndarray) -> np.ndarray:
-    """Cycles of each row's permutation of 1..n, fixed points included: the
-    positions that are the least of their orbit, found by pointer doubling."""
+def _absolute_length(w: np.ndarray, signed: bool) -> np.ndarray:
+    """n less the cycles of each row's |w|, in B and D less only those with
+    an even number of negative entries.  A cycle's leader is its least
+    position, found by pointer doubling."""
     k, n = w.shape
     # on the flattened block, step holds the flat index of the reach-th
     # image of each point, and least the least position among its first
     # ``reach`` points
-    step = (w - 1 + np.arange(0, k * n, n)[:, None]).ravel()
+    offsets = np.arange(0, k * n, n)[:, None]
+    step = (np.abs(w) - 1 + offsets).ravel()
     least, reach = np.tile(np.arange(n, dtype=step.dtype), k), 1
     # both gathers of a round write to one spare array; mode "clip" (the
     # indices are in range) lets take write to it unbuffered
@@ -74,17 +72,13 @@ def _cycles(w: np.ndarray) -> np.ndarray:
         np.minimum(least, least.take(step, out=spare, mode="clip"), out=least)
         step, spare = step.take(step, out=spare, mode="clip"), step
         reach *= 2
-    return (least.reshape(k, n) == np.arange(n)).sum(axis=1)
-
-
-def _even_cycles(w: np.ndarray) -> np.ndarray:
-    """Cycles of each signed row with an even number of sign changes: the
-    cycles of its lift, a permutation of the points 1..n (+i) and n+1..2n
-    (-i), less the cycles of |w|."""
-    n = w.shape[1]
-    w = w.astype(np.intp)
-    lift = np.concatenate([np.where(w > 0, w, n - w), np.where(w > 0, n + w, -w)], axis=1)
-    return _cycles(lift) - _cycles(np.abs(w))
+    least = least.reshape(k, n)
+    length = n - (least == np.arange(n)).sum(axis=1)
+    if signed:
+        # a cycle with an odd number of negative entries is not counted
+        odd = np.bincount((least + offsets)[w < 0], minlength=k * n) & 1
+        length += odd.reshape(k, n).sum(axis=1)
+    return length
 
 
 def _dihedral_length(k: np.ndarray, m: int) -> np.ndarray:
@@ -106,16 +100,14 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
             return lambda k: np.where(k & 1, 1, np.where(k == 0, 0, 2))
         return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)
     if measure == Measure.ABSLENGTH:
-        if f == Family.A:
-            return lambda w: n - _cycles(w)
-        return lambda w: n - _even_cycles(w)
+        return lambda w: _absolute_length(w, f != Family.A)
     if measure == Measure.LENGTH:
         if f == Family.A:
             per_row = _inversions
         elif f == Family.B:
-            per_row = lambda w: _inversions(w) + _negative_sum_pairs(w) + (w < 0).sum(axis=1)
+            per_row = lambda w: _inversions(w) - np.minimum(w, 0).sum(axis=1)
         else:
-            per_row = lambda w: _inversions(w) + _negative_sum_pairs(w)
+            per_row = lambda w: _inversions(w) - np.minimum(w + 1, 0).sum(axis=1)
     elif measure == Measure.DESCENTS:
         if f == Family.B:
             per_row = lambda w: _descents(w) + (w[:, 0] < 0)

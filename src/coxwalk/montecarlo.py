@@ -236,6 +236,14 @@ def _walk_dihedral(rank: np.ndarray, choices: np.ndarray, m: int) -> None:
     rank[:] = 2 * (rot % m) + len(choices) % 2
 
 
+def _count(name: str, value) -> int:
+    """value as an int; InvalidTrialCount, naming it, unless it is an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidTrialCount(f"{name} must be an integer, got {value!r}") from None
+
+
 def simulate(
     spec: GroupSpec,
     gens: Gens,
@@ -249,13 +257,10 @@ def simulate(
 
     Identical (spec, gens, measure, t, trials, seed) give a bit-identical
     result for any number of workers.  A seed outside [0, 2^64) raises
-    InvalidSeed, and a trial count that is not an integer or is below 2
-    InvalidTrialCount.
+    InvalidSeed, and a trial count that is not an integer or is below 2, or
+    a worker count that is not an integer, InvalidTrialCount.
     """
-    try:
-        trials = index(trials)
-    except TypeError:
-        raise InvalidTrialCount(f"trials must be an integer, got {trials!r}") from None
+    trials, workers = _count("trials", trials), _count("workers", workers)
     if trials < 2:
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
     check_step_count(t)

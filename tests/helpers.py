@@ -4,12 +4,15 @@ These deliberately avoid the package's engines: expectations are computed by
 enumerating every generator tuple, word lengths by a fresh breadth-first
 search, Troili's dihedral sum term by term with math.comb, Eriksen's
 expansion as its double sum over image-by-image inner coefficients, and
-Eriksen and Hultman's character expansion term by term in Fractions, so that
-engine bugs cannot mask each other.
+Eriksen and Hultman's character expansion term by term in Fractions, and the
+B/D length and absolute length of signed windows by pair counts and by the
+cycles of a lift to 2n points, so that engine bugs cannot mask each other.
 """
 import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from coxwalk import multiply
 
@@ -57,6 +60,38 @@ def bfs_word_length(identity, generators, order=None):
                     nxt.append(wg)
         frontier = nxt
     return dist
+
+
+def signed_length_by_pairs(w, family):
+    """B or D word length of each row of the signed windows w: its
+    inversions, plus the pairs i < j with w(i) + w(j) < 0, plus in B its
+    negative entries."""
+    w = np.asarray(w, dtype=np.int64)
+    i, j = np.triu_indices(w.shape[1], 1)
+    length = (w[:, i] > w[:, j]).sum(axis=1) + (w[:, i] + w[:, j] < 0).sum(axis=1)
+    return length + (w < 0).sum(axis=1) if family == "B" else length
+
+
+def _cycle_count(p):
+    """Cycles of each row of the (k, N) array of permutations of 0..N-1: the
+    points least in their orbit, found by N plain steps."""
+    rows, least, image = np.arange(len(p))[:, None], np.arange(p.shape[1]), p
+    for _ in range(p.shape[1]):
+        least = np.minimum(least, image)
+        image = p[rows, image]
+    return (least == np.arange(p.shape[1])).sum(axis=1)
+
+
+def signed_abs_length_by_lift(w):
+    """Absolute length of each row of the signed windows w: n less its cycles
+    with an even number of sign changes.  Such a cycle lifts to two cycles
+    of the points +1..+n, -1..-n and an odd one to one, so their count is the
+    lift's cycles less those of |w|."""
+    w = np.asarray(w, dtype=np.int64)
+    n = w.shape[1]
+    # point +i is index i - 1 and point -i index n + i - 1
+    lift = np.concatenate([np.where(w > 0, w, n - w), np.where(w > 0, n + w, -w)], axis=1) - 1
+    return n - (_cycle_count(lift) - _cycle_count(np.abs(w) - 1))
 
 
 def troili_double_sums(m, t_max):

@@ -81,6 +81,15 @@ class TestWindows:
         assert w.value(1) == -2 and w.value(-1) == 2
         assert w.value(2) == 1 and w.value(-2) == -1
 
+    def test_value_outside_the_domain_raises(self):
+        # 0, -1 and n + 1 must not wrap around the window by Python's negative indexing
+        a, b = Permutation((2, 1, 3)), SignedPermutation((2, -1, 3))
+        for w, outside in ((a, (0, -1, 4)), (b, (0, -4, 4))):
+            for i in outside:
+                with pytest.raises(IndexError):
+                    w.value(i)
+        assert b.value(-1) == -2 and b.value(-3) == -3
+
     def test_type_d_flag(self):
         assert SignedPermutation((-1, -2)).in_type_d
         assert not SignedPermutation((-1, 2)).in_type_d

@@ -21,7 +21,8 @@ from coxwalk import (
     simple_reflections_of,
 )
 from coxwalk.elements import generator_moves
-from helpers import bfs_word_length
+from coxwalk.lengths import block_statistic
+from helpers import bfs_word_length, signed_abs_length_by_lift, signed_length_by_pairs
 
 
 class TestInversions:
@@ -267,3 +268,31 @@ def test_closed_expressions_equal_bfs_oracle(spec):
         # the one-row path on a spread of elements
         step = 1 if group.order <= 400 else 13
         assert [stat(w) for w in elements[::step]] == expected[::step], measure
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(Family.B, n) for n in range(1, 7)]
+                         + [GroupSpec(Family.D, n) for n in range(2, 7)], ids=str)
+def test_signed_statistics_equal_pair_and_lift_references(spec):
+    # every window of the group, as the full engine holds them (int8, column-major)
+    windows = RankedGroup(spec).windows
+    length = block_statistic(spec, Measure.LENGTH)(windows)
+    assert length.tolist() == signed_length_by_pairs(windows, spec.family).tolist()
+    absolute = block_statistic(spec, Measure.ABSLENGTH)(windows)
+    assert absolute.tolist() == signed_abs_length_by_lift(windows).tolist()
+
+
+@pytest.mark.parametrize("family", [Family.B, Family.D])
+@pytest.mark.parametrize("n", [3, 12, 40])
+def test_random_signed_blocks_equal_pair_and_lift_references(family, n):
+    rng = np.random.default_rng(n)
+    w = rng.permuted(np.tile(np.arange(1, n + 1), (300, 1)), axis=1)
+    w *= rng.choice([-1, 1], size=w.shape)
+    if family == Family.D:
+        w[:, 0] *= np.prod(np.sign(w), axis=1)  # an even number of negative entries
+    spec = GroupSpec(family, n)
+    length = signed_length_by_pairs(w, family).tolist()
+    absolute = signed_abs_length_by_lift(w).tolist()
+    # Monte Carlo's row-major state and a column-major block
+    for block in (w, np.asfortranarray(w)):
+        assert block_statistic(spec, Measure.LENGTH)(block).tolist() == length
+        assert block_statistic(spec, Measure.ABSLENGTH)(block).tolist() == absolute

@@ -116,6 +116,18 @@ def test_trials_validation():
     assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
 
+def test_workers_validation():
+    for workers in (2.5, "2", None):
+        with pytest.raises(InvalidTrialCount, match="workers") as info:
+            simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 1, trials=10, seed=0,
+                     workers=workers)
+        assert isinstance(info.value, CoxwalkError) and isinstance(info.value, ValueError)
+    want = simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 3, trials=40, seed=0)
+    got = simulate(A10, Gens.REFLECTIONS, Measure.LENGTH, 3, trials=40, seed=0,
+                   workers=np.int64(2))
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+
 def test_workers_beyond_trials_allocate_no_shares():
     # every share past one per trial is empty, so a million workers over 10
     # trials must not list a million share bounds (about 15 MB)
