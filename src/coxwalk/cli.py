@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .closedform import FORMULAS, closed_form, formula_for
-from .elements import Family, Gens, GroupSpec, Measure
+from .elements import Family, Gens, GroupSpec, Measure, check_walk_rank
 from .errors import CoxwalkError, OrderLimitExceeded, UnsupportedFamily
 from .exactengine import (
     evolve_distribution,
@@ -55,16 +55,17 @@ def _json_value(value):
 
 
 def _build_spec(args, parser) -> GroupSpec:
-    """The group of the flags; a rank outside the family's domain raises
-    InvalidRank for ``main`` to report."""
+    """The group of the flags; a rank outside the family's domain, or D1,
+    which has no reflections to walk on, raises InvalidRank for ``main`` to
+    report before any engine or closed form is looked up."""
     family = Family(args.family)
     if args.n is None:
         parser.error("--n (or --m for I2) is required")
-    if family == Family.G:
-        return GroupSpec(family, args.n, args.r if args.r is not None else 1)
-    if args.r is not None:
+    if args.r is not None and family != Family.G:
         parser.error("--r is only valid with --family G")
-    return GroupSpec(family, args.n)
+    spec = GroupSpec(family, args.n, 1 if args.r is None else args.r)
+    check_walk_rank(family, spec.n, spec.r)
+    return spec
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:

@@ -127,8 +127,8 @@ def check_walk_rank(family: Family, n: int, r: int = 1) -> None:
 class Gens(str, Enum):
     """Which generating set drives the walk."""
 
-    # hash as the value the member equals, so that member-keyed dicts (such
-    # as closedform's cell table) find the plain strings too
+    # hash as the value the member equals, so that member-keyed dicts (closedform's
+    # cell table, RankedGroup's action tables) find the plain strings too
     __hash__ = str.__hash__
     SIMPLE = "simple"
     REFLECTIONS = "reflections"
@@ -468,7 +468,7 @@ class RankedGroup:
     ``windows`` holds every element's window as one int8 (|W|, n) array in
     rank order (None for I2), stored column by column and built on first
     read; element objects are built on demand.  ``actions`` tabulates right
-    multiplication by moves, once per tuple of moves.
+    multiplication by the generators, once per generating set.
     ``memo`` maps a statistic to its values by rank: at every rank for a
     ``make_statistic`` statistic, on the supports asked about otherwise.
     OrderLimitExceeded when the group order exceeds the guard; nothing is
@@ -533,33 +533,26 @@ class RankedGroup:
         """Every element, in rank order."""
         return [self.element(k) for k in range(self.order)]
 
-    def actions(self, moves) -> np.ndarray:
-        """Right multiplication by the generators of ``generator_moves``
-        entries, as one read-only (len(moves), |W|) array whose row k holds
-        the rank of w * g_k at the rank of w (an involution).  Its dtype is
+    def actions(self, gens: Gens) -> np.ndarray:
+        """Right multiplication by the generators of gens, as one read-only
+        (n_gens, |W|) array whose row k holds the rank of w * g_k at the rank
+        of w (an involution), k in ``generator_moves`` order.  Its dtype is
         intp, numpy's index type, which a gather through it uses without a
-        conversion.  Built on the first call for a tuple of moves and kept
-        on the group.  A move (a, b, s) maps the window columns as Monte
-        Carlo does; an I2 rotation part r is the reflection rho^r * sigma, a
-        closed expression in the rank.
+        conversion.  Built on the first call for a generating set and kept on
+        the group.  A move (a, b, s) maps the window columns as Monte Carlo
+        does; an I2 rotation part r is the reflection rho^r * sigma, a closed
+        expression in the rank.
 
         Only the base moves (k, k+1, 1), (1, 1, -1) and (1, 2, -1) are ranked.
         Any other move is tau * m' * tau for an adjacent transposition tau and
-        a move m' one step nearer the base: its table is act_tau[act_m'[act_tau]].
-        SpecMismatch for a move that is not a reflection of the group."""
-        moves = tuple(moves)
-        if (out := self._actions.get(moves)) is None:
-            out = self._actions[moves] = self._tabulate(moves)
+        a move m' one step nearer the base: its row is act_tau[act_m'[act_tau]]."""
+        if (out := self._actions.get(gens)) is None:
+            out = self._actions[gens] = self._tabulate(generator_moves(self.spec, gens))
             out.flags.writeable = False
         return out
 
-    def _tabulate(self, moves: tuple) -> np.ndarray:
-        """The table of ``actions``, built afresh."""
-        reflections = generator_moves(self.spec, Gens.REFLECTIONS)
-        if self.spec.family != Family.I2:  # a range in I2, whose test is O(1)
-            reflections = set(reflections)
-        if foreign := [move for move in moves if move not in reflections]:
-            raise SpecMismatch(f"moves {foreign} are not generators of {self.spec}")
+    def _tabulate(self, moves) -> np.ndarray:
+        """The table of ``actions`` for the moves of one generating set, built afresh."""
         out = np.empty((len(moves), self.order), dtype=np.intp)
         if self.spec.family == Family.I2:
             # rank 2*rot + flip goes to 2*((rot +- r) % m) + 1 - flip
@@ -568,19 +561,15 @@ class RankedGroup:
             pairs[:, :, 0] = (rot + r) % m * 2 + 1
             pairs[:, :, 1] = (rot - r) % m * 2
             return out
-        # each table is its move's first output row, or scratch for a link no row asks for
-        tables, plan, todo = dict(zip(moves[::-1], out[::-1])), {}, list(moves)
-        while todo:
-            a, b, s = move = todo.pop()
-            if move not in plan:
-                plan[move] = None  # a base move
-                if a > 1 and (b, s) != (a + 1, 1):
-                    plan[move] = (a - 1, a, 1), (a - 1, b if b > a else a - 1, s)
-                elif a == 1 and b > 2:
-                    plan[move] = (b - 1, b, 1), (1, b - 1, s)
-                todo += plan[move] or ()
-                tables.setdefault(move, np.empty(self.order, dtype=np.intp))
-        base = [move for move, link in plan.items() if link is None]
+        # in a generator_moves set every link is a move of the same set:
+        # REFLECTIONS is closed under the two rules, and SIMPLE has only base moves
+        row, links = {move: k for k, move in enumerate(moves)}, {}
+        for a, b, s in moves:
+            if a > 1 and (b, s) != (a + 1, 1):
+                links[a, b, s] = (a - 1, a, 1), (a - 1, b if b > a else a - 1, s)
+            elif a == 1 and b > 2:
+                links[a, b, s] = (b - 1, b, 1), (1, b - 1, s)
+        base = [move for move in moves if move not in links]
         wt, size, per = self.windows.T, self.order, max(1, _BLOCK // self.order)
         for lo in range(0, len(base), per):
             block = base[lo:lo + per]
@@ -588,14 +577,12 @@ class RankedGroup:
             for j, (a, b, s) in enumerate(block):
                 cols[[b - 1, a - 1], j * size:(j + 1) * size] = wt[[a - 1, b - 1]] * s
             for move, rank in zip(block, self.ranks(cols).reshape(len(block), size)):
-                tables[move][:] = rank
+                out[row[move]] = rank
             del cols, rank  # freed before the next block is tiled
         # tau is a base move, and m' has a smaller a + b than its move
-        for move in sorted(plan.keys() - base, key=lambda move: move[0] + move[1]):
-            tau, prev = (tables[link] for link in plan[move])
-            tables[move][:] = tau[prev[tau]]
-        for k, move in enumerate(moves):
-            out[k] = tables[move]  # copies only the later rows of a repeated move
+        for move in sorted(links, key=lambda move: move[0] + move[1]):
+            tau, prev = (out[row[link]] for link in links[move])
+            out[row[move]] = tau[prev[tau]]
         return out
 
 

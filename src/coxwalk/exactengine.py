@@ -48,7 +48,6 @@ from .elements import (
     _BLOCK,
     check_walk_rank,
     check_work,
-    generator_moves,
     num_generators,
     ranked_group,
 )
@@ -134,17 +133,17 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     """Yield the walk distribution at t = 0, 1, ..., t_max in order.
 
     Work is t_max * |W| * |R| index operations after a setup that ranks the
-    group and builds its action tables (``RankedGroup.actions``), skipped
-    where the previous walk was on the same spec (``ranked_group``).
+    group and builds the table of gens (``RankedGroup.actions``), both kept
+    for the next walk on the same spec (``ranked_group``).
     Every generator is an involution, so the counts arriving at w are the
     counts at w * g, summed over g; a new count is at most |R| * den.
     """
     check_step_count(t_max)
-    group = ranked_group(spec)  # its order guard runs before the moves are listed
+    group = ranked_group(spec)  # its order guard runs before any table is built
     check_walk_rank(spec.family, spec.n, spec.r)
     n_gens = num_generators(spec.family, spec.n, gens)
     check_work(group.order * n_gens * max(t_max, 1), "walk work estimate")
-    actions = group.actions(generator_moves(spec, gens))
+    actions = group.actions(gens)
     rows = max(1, _BLOCK // group.order)
 
     def step(counts, den):

@@ -62,20 +62,23 @@ class _Tally:
         return CheckResult(name, False, self.first_bad)
 
 
+def _chain_agrees(tally: _Tally, spec: GroupSpec, gens: Gens, t_max: int, *cells) -> None:
+    """Over one walk, ``closed_form``'s value == the exact chain's expectation
+    at every t in 0..t_max, for each (measure, formula) cell: a check of the
+    closed form's routing through the cell table as well as of its value."""
+    stats = [(measure, formula, make_statistic(spec, measure)) for measure, formula in cells]
+    for t, dist in enumerate(iterate_distributions(spec, gens, t_max)):
+        for measure, formula, stat in stats:
+            tally.eq(cf.closed_form(spec, gens, measure, t, formula).value, expectation(dist, stat),
+                     f"{spec} {gens.value}/{measure.value} {formula} t={t}")
+
+
 def check_type_a_expectation() -> CheckResult:
     """Closed-form expected inversion count == full-distribution engine."""
     tally = _Tally()
     for n in CHAIN_A_NS:
-        spec = GroupSpec(Family.A, n)
-        stat = make_statistic(spec, Measure.LENGTH)
-        for t, dist in enumerate(
-            iterate_distributions(spec, Gens.REFLECTIONS, CHAIN_A_TMAX)
-        ):
-            tally.eq(
-                cf.expected_length_A_T(n, t),
-                expectation(dist, stat),
-                f"A n={n} t={t}",
-            )
+        _chain_agrees(tally, GroupSpec(Family.A, n), Gens.REFLECTIONS, CHAIN_A_TMAX,
+                      (Measure.LENGTH, "auto"))
     return tally.result("typeA expectation: closed form == exact chain")
 
 
@@ -160,17 +163,10 @@ def check_dihedral_closed_forms() -> CheckResult:
     """All four dihedral closed forms == full-distribution engine for
     m in 2..12, t in 0..20."""
     tally = _Tally()
-    tmax = 20
     for m in range(2, 13):
-        spec = GroupSpec(Family.I2, m)
-        len_stat = make_statistic(spec, Measure.LENGTH)
-        abs_stat = make_statistic(spec, Measure.ABSLENGTH)
-        for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, tmax)):
-            tally.eq(cf.expected_length_I2_T(m, t), expectation(dist, len_stat), f"T,len m={m} t={t}")
-            tally.eq(cf.expected_abslength_I2_T(m, t), expectation(dist, abs_stat), f"T,abs m={m} t={t}")
-        for t, dist in enumerate(iterate_distributions(spec, Gens.SIMPLE, tmax)):
-            tally.eq(cf.expected_length_I2_S_troili(m, t), expectation(dist, len_stat), f"S,len m={m} t={t}")
-            tally.eq(cf.expected_abslength_I2_S(m, t), expectation(dist, abs_stat), f"S,abs m={m} t={t}")
+        for gens in (Gens.REFLECTIONS, Gens.SIMPLE):
+            _chain_agrees(tally, GroupSpec(Family.I2, m), gens, 20,
+                          (Measure.LENGTH, "auto"), (Measure.ABSLENGTH, "auto"))
     return tally.result("dihedral: all four closed forms == exact chain")
 
 
@@ -179,14 +175,8 @@ def check_known_formula_concordance() -> CheckResult:
     (n_gens 1..5, t 0..30); trigonometric expansion agrees within 1e-9."""
     tally = _Tally()
     for n_gens in range(1, 6):
-        spec = GroupSpec(Family.A, n_gens + 1)
-        stat = make_statistic(spec, Measure.LENGTH)
-        for t, dist in enumerate(iterate_distributions(spec, Gens.SIMPLE, 30)):
-            tally.eq(
-                cf.expected_length_A_S_eriksen(n_gens, t),
-                expectation(dist, stat),
-                f"eriksen n={n_gens} t={t}",
-            )
+        _chain_agrees(tally, GroupSpec(Family.A, n_gens + 1), Gens.SIMPLE, 30,
+                      (Measure.LENGTH, "eriksen"))
     for n_gens in range(1, 9):
         for t in range(0, 51):
             exact = float(cf.expected_length_A_S_eriksen(n_gens, t))
@@ -203,24 +193,10 @@ def check_eriksen_hultman() -> CheckResult:
     symmetric groups, r = 2 on the signed permutations), plus the t = 0 and
     t = 1 pins."""
     tally = _Tally()
-    for n in range(2, 6):
-        spec = GroupSpec(Family.A, n)
-        stat = make_statistic(spec, Measure.ABSLENGTH)
-        for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, 8)):
-            tally.eq(
-                cf.expected_abslength_G_EH(1, n, t),
-                expectation(dist, stat),
-                f"EH r=1 n={n} t={t}",
-            )
-    for n in range(1, 4):
-        spec = GroupSpec(Family.B, n)
-        stat = make_statistic(spec, Measure.ABSLENGTH)
-        for t, dist in enumerate(iterate_distributions(spec, Gens.REFLECTIONS, 8)):
-            tally.eq(
-                cf.expected_abslength_G_EH(2, n, t),
-                expectation(dist, stat),
-                f"EH r=2 n={n} t={t}",
-            )
+    for family, ns in ((Family.A, range(2, 6)), (Family.B, range(1, 4))):
+        for n in ns:
+            _chain_agrees(tally, GroupSpec(family, n), Gens.REFLECTIONS, 8,
+                          (Measure.ABSLENGTH, "eh"))
     for r in range(1, 5):
         for n in range(1, 7):
             if r == 1 and n == 1:

@@ -293,12 +293,15 @@ def test_mc_counts_generators_before_listing_them(capsys, monkeypatch):
 
 
 def test_no_generators_names_the_group(capsys):
-    # D1 has no reflections: every engine refuses it with one message
-    for engine in ("exact-full", "exact-pair", "mc"):
-        code, out, err = run(capsys, "eval", "--family", "D", "--n", "1", "--t", "2",
-                             "--engine", engine)
+    # D1 has no reflections: every engine and table refuse it with one
+    # message, and no missing-closed-form warning before it
+    d1 = ("--family", "D", "--n", "1")
+    for argv in [("eval", *d1, "--t", "2", "--engine", engine)
+                 for engine in ("closed", "exact-full", "exact-pair", "mc")
+                 ] + [("table", *d1, "--t-max", "2")]:
+        code, out, err = run(capsys, *argv)
         _assert_usage_error(code, out, err)
-        assert err == "error: family D needs n >= 2\n", engine
+        assert err == "error: family D needs n >= 2\n", argv
 
 
 def test_parser_built_once(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxwalk as cw
+from coxwalk import closedform, verify
 from coxwalk import (
     Family,
     Gens,
@@ -482,6 +483,23 @@ class TestDispatch:
                 call()
         assert issubclass(cw.UnsupportedFamily, cw.CoxwalkError)
         assert issubclass(cw.UnsupportedFamily, ValueError)
+
+    @pytest.mark.parametrize("check, cell", [
+        ("check_type_a_expectation", (Family.A, Gens.REFLECTIONS, Measure.LENGTH)),
+        ("check_dihedral_closed_forms", (Family.I2, Gens.SIMPLE, Measure.LENGTH)),
+        ("check_dihedral_closed_forms", (Family.I2, Gens.REFLECTIONS, Measure.ABSLENGTH)),
+        ("check_known_formula_concordance", (Family.A, Gens.SIMPLE, Measure.LENGTH)),
+        ("check_eriksen_hultman", (Family.A, Gens.REFLECTIONS, Measure.ABSLENGTH)),
+        ("check_eriksen_hultman", (Family.B, Gens.REFLECTIONS, Measure.ABSLENGTH)),
+    ], ids=lambda x: x if isinstance(x, str) else "-".join(x))
+    def test_verify_reads_the_cell_table(self, monkeypatch, check, cell):
+        # verify holds each cell's routed formula to the exact chain: a cell
+        # whose formulas are off by one at t = 3 fails the check that reads it
+        wrong = tuple((tag, lambda s, t, fn=fn: fn(s, t) + (t == 3))
+                      for tag, fn in closedform._CELLS[cell])
+        monkeypatch.setitem(closedform._CELLS, cell, wrong)
+        res = getattr(verify, check)()
+        assert not res.ok and " t=3: " in res.detail, res.detail
 
     def test_bm_variant_selectable(self):
         res = closed_form(GroupSpec(Family.A, 5), Gens.SIMPLE, Measure.LENGTH, 4, "bm")

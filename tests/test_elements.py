@@ -271,7 +271,7 @@ class TestActionTables:
                                    (Gens.REFLECTIONS, reflections_of(spec))):
                 moves = list(generator_moves(spec, gens))
                 assert len(moves) == len(gen_list) == num_generators(spec.family, spec.n, gens)
-                actions = group.actions(moves)
+                actions = group.actions(gens)
                 assert actions.shape == (len(moves), group.order)
                 assert actions.dtype == np.intp
                 for move, g, row in zip(moves, gen_list, actions):
@@ -285,28 +285,6 @@ class TestActionTables:
                         assert np.array_equal(group.ranks(cols), row), (spec, move)
                         got = group.ranks(np.array([wg.window for wg in products], dtype=np.int8).T)
                     assert np.array_equal(got, row[sample]), (spec, move)
-                    # alone, a move builds its links as scratch tables
-                    assert np.array_equal(group.actions([move])[0], row), (spec, move)
-
-    def test_repeated_moves_get_equal_rows(self):
-        group = RankedGroup(GroupSpec(Family.B, 3))
-        moves = [(2, 3, -1), (1, 1, -1), (2, 3, -1)]
-        rows = group.actions(moves)
-        for move, row in zip(moves, rows):
-            assert np.array_equal(row, group.actions([move])[0])
-
-    @pytest.mark.parametrize("spec, move", [
-        (A3, (1, 1, -1)), (GroupSpec(Family.D, 3), (1, 1, -1)), (A3, (1, 4, 1)), (I5, 5),
-    ], ids=["A3-sign-change", "D3-sign-change", "A3-beyond-n", "I2(5)-rotation-5"])
-    def test_rejects_moves_that_are_not_generators(self, spec, move):
-        group = RankedGroup(spec)
-        with pytest.raises(SpecMismatch):
-            group.actions([move])
-        for gens in Gens:
-            moves = list(generator_moves(spec, gens))
-            assert group.actions(moves).shape == (len(moves), group.order)
-            with pytest.raises(SpecMismatch):
-                group.actions(moves + [move])
 
 
 class TestRanks:

@@ -38,7 +38,7 @@ from coxwalk import (
     simple_reflections_of,
 )
 from coxwalk import elements
-from coxwalk.elements import generator_moves, num_generators
+from coxwalk.elements import num_generators
 from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
 
@@ -110,7 +110,7 @@ class TestEvolveDistribution:
         def no_moves(spec, gens):
             raise AssertionError("moves listed for an over-order group")
 
-        monkeypatch.setattr("coxwalk.exactengine.generator_moves", no_moves)
+        monkeypatch.setattr("coxwalk.elements.generator_moves", no_moves)
         monkeypatch.setenv("COXWALK_GUARD_LIMIT", "100")
         with pytest.raises(OrderLimitExceeded) as exc:
             next(iterate_distributions(GroupSpec(Family.A, 60), Gens.REFLECTIONS, 3))
@@ -491,13 +491,12 @@ class TestRankedEngine:
         # B5 reflections: 25 rows of 3840 entries take more than one block;
         # the counts leave int64 after t = 13
         spec = GroupSpec(Family.B, 5)
-        moves = generator_moves(spec, Gens.REFLECTIONS)
         dists = list(iterate_distributions(spec, Gens.REFLECTIONS, 15))
-        rows = dists[0].group.actions(moves)
+        rows = dists[0].group.actions(Gens.REFLECTIONS)
         for t, (prev, dist) in enumerate(zip(dists, dists[1:]), start=1):
             expected = sum(prev.counts.astype(object)[row] for row in rows)
             assert np.array_equal(dist.counts, expected), t
-            int64 = prev.counts.dtype == np.int64 and prev.den * len(moves) < 2**63
+            int64 = prev.counts.dtype == np.int64 and prev.den * len(rows) < 2**63
             assert dist.counts.dtype == (np.int64 if int64 else object), t
         assert dists[13].counts.dtype == np.int64 and dists[14].counts.dtype == object
 
@@ -600,8 +599,8 @@ class TestSharedGroup:
         spec = GroupSpec(Family.B, 3)
         group = evolve_distribution(spec, Gens.REFLECTIONS, 1).group
         for gens in Gens:
-            table = group.actions(generator_moves(spec, gens))
-            assert table is group.actions(list(generator_moves(spec, gens)))
+            table = group.actions(gens)
+            assert table is group.actions(gens.value)
             with pytest.raises(ValueError):
                 table[0, 0] = 1
 

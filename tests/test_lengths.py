@@ -20,7 +20,6 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
-from coxwalk.elements import generator_moves
 from coxwalk.lengths import block_statistic
 from helpers import bfs_word_length, signed_abs_length_by_lift, signed_length_by_pairs
 
@@ -214,10 +213,10 @@ ORACLE_GROUPS = (
 )
 
 
-def rank_bfs(group, moves):
-    """Word length over the generators of the given ``generator_moves``
-    entries by rank, breadth-first over the group's right-action tables."""
-    actions = group.actions(moves)
+def rank_bfs(group, gens):
+    """Word length over the generators of gens by rank, breadth-first over
+    the group's right-action table."""
+    actions = group.actions(gens)
     dist = np.full(group.order, -1)
     dist[0], frontier, d = 0, np.zeros(1, dtype=np.intp), 0
     while frontier.size:
@@ -246,8 +245,7 @@ def bfs_statistics(spec):
                 descents[w if length[w] > length[ws] else ws] += 1
     if order * len(refl) > 200_000:
         group = RankedGroup(spec)
-        moves = generator_moves(spec, Gens.REFLECTIONS)
-        absolute = dict(zip(group.elements(), rank_bfs(group, moves).tolist()))
+        absolute = dict(zip(group.elements(), rank_bfs(group, Gens.REFLECTIONS).tolist()))
     else:
         absolute = bfs_word_length(spec.identity(), refl, order)
     return {Measure.LENGTH: length, Measure.ABSLENGTH: absolute, Measure.DESCENTS: descents}
