@@ -3,8 +3,9 @@ more source trees, written to BENCH_statistics.json (or --out).
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src --tree after=src
 
-Each route is one ``coxwalk eval`` command line, run through ``cli.main`` in
-a fresh interpreter with the tree on PYTHONPATH; the time is the median of
+Each route is one ``coxwalk`` command line, ``eval`` or ``verify``, run
+through ``cli.main`` in a fresh interpreter with the tree on PYTHONPATH; the
+time is the median of
 --repeats runs of ``cli.main`` alone (interpreter start and imports
 excluded), and each run also records the child's peak RSS (``ru_maxrss``,
 interpreter and imports included).  The child also times perfbench's
@@ -48,7 +49,10 @@ and large ranks.  The cli route is A10 length at t = 12, an O(1) closed form, so
 ``cli.main``: each child's one call builds the eval parser, as the first
 call of every process does.  The eh routes time Eriksen and Hultman's
 expansion for A12 and B9 absolute length at t = 200, far past closed-cli's
-grid (A5, B3, B4, t <= 12).
+grid (A5, B3, B4, t <= 12).  The verify routes time the typeB and typeD
+suites, which no perfbench workload runs: pair engine, full engine, closed
+forms and the pair theorem's checks; their value is the suite's stdout, one
+line per check with its comparison count.
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src \
         --tree after=src --only troili --repeats 11 --out BENCH_closed.json
@@ -70,62 +74,64 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROUTES = {
-    "exact A8 t=6 descents": ["--family", "A", "--n", "8", "--measure", "descents",
+    "exact A8 t=6 descents": ["eval", "--family", "A", "--n", "8", "--measure", "descents",
                               "--t", "6", "--engine", "exact-full"],
-    "exact B6 t=6 abslength": ["--family", "B", "--n", "6", "--measure", "abslength",
+    "exact B6 t=6 abslength": ["eval", "--family", "B", "--n", "6", "--measure", "abslength",
                                "--t", "6", "--engine", "exact-full"],
-    "exact A8 t=1 length": ["--family", "A", "--n", "8", "--measure", "length",
+    "exact A8 t=1 length": ["eval", "--family", "A", "--n", "8", "--measure", "length",
                             "--t", "1", "--engine", "exact-full"],
-    "exact B6 t=1 length": ["--family", "B", "--n", "6", "--measure", "length",
+    "exact B6 t=1 length": ["eval", "--family", "B", "--n", "6", "--measure", "length",
                             "--t", "1", "--engine", "exact-full"],
-    "exact D6 t=2 length": ["--family", "D", "--n", "6", "--measure", "length",
+    "exact D6 t=2 length": ["eval", "--family", "D", "--n", "6", "--measure", "length",
                             "--t", "2", "--engine", "exact-full"],
-    "exact A7 t=90 length": ["--family", "A", "--n", "7", "--measure", "length",
+    "exact A7 t=90 length": ["eval", "--family", "A", "--n", "7", "--measure", "length",
                              "--t", "90", "--engine", "exact-full"],
-    "exact B5 t=60 abslength": ["--family", "B", "--n", "5", "--measure", "abslength",
+    "exact B5 t=60 abslength": ["eval", "--family", "B", "--n", "5", "--measure", "abslength",
                                 "--t", "60", "--engine", "exact-full"],
-    "exact D5 t=100 length": ["--family", "D", "--n", "5", "--measure", "length",
+    "exact D5 t=100 length": ["eval", "--family", "D", "--n", "5", "--measure", "length",
                               "--t", "100", "--engine", "exact-full"],
-    "mc B11 t=20 abslength": ["--family", "B", "--n", "11", "--measure", "abslength",
+    "mc B11 t=20 abslength": ["eval", "--family", "B", "--n", "11", "--measure", "abslength",
                               "--t", "20", "--engine", "mc", "--trials", "10000"],
-    "mc D12 t=20 abslength": ["--family", "D", "--n", "12", "--measure", "abslength",
+    "mc D12 t=20 abslength": ["eval", "--family", "D", "--n", "12", "--measure", "abslength",
                               "--t", "20", "--engine", "mc", "--trials", "10000"],
-    "mc I2(10^7) simple t=100 length": ["--family", "I2", "--m", str(10**7), "--gens",
+    "mc I2(10^7) simple t=100 length": ["eval", "--family", "I2", "--m", str(10**7), "--gens",
                                         "simple", "--t", "100", "--engine", "mc",
                                         "--trials", "10000"],
-    "mc A40 t=400 length": ["--family", "A", "--n", "40", "--t", "400", "--engine", "mc",
+    "mc A40 t=400 length": ["eval", "--family", "A", "--n", "40", "--t", "400", "--engine", "mc",
                             "--trials", "2000"],
-    "mc B20 t=400 length": ["--family", "B", "--n", "20", "--t", "400", "--engine", "mc",
+    "mc B20 t=400 length": ["eval", "--family", "B", "--n", "20", "--t", "400", "--engine", "mc",
                             "--trials", "1000"],
-    "mc I2(12) reflections t=200 length": ["--family", "I2", "--m", "12", "--t", "200",
+    "mc I2(12) reflections t=200 length": ["eval", "--family", "I2", "--m", "12", "--t", "200",
                                            "--engine", "mc", "--trials", "3000"],
-    "mc A10 t=5 length": ["--family", "A", "--n", "10", "--t", "5", "--engine", "mc",
+    "mc A10 t=5 length": ["eval", "--family", "A", "--n", "10", "--t", "5", "--engine", "mc",
                           "--trials", str(10**5)],
-    "mc B6 t=6 length": ["--family", "B", "--n", "6", "--t", "6", "--engine", "mc",
+    "mc B6 t=6 length": ["eval", "--family", "B", "--n", "6", "--t", "6", "--engine", "mc",
                          "--trials", "5000"],
-    "exact-pair A60 t=60 length": ["--family", "A", "--n", "60", "--t", "60",
+    "exact-pair A60 t=60 length": ["eval", "--family", "A", "--n", "60", "--t", "60",
                                    "--engine", "exact-pair"],
-    "exact-pair B60 t=60 length": ["--family", "B", "--n", "60", "--t", "60",
+    "exact-pair B60 t=60 length": ["eval", "--family", "B", "--n", "60", "--t", "60",
                                    "--engine", "exact-pair"],
-    "exact-pair D40 t=60 length": ["--family", "D", "--n", "40", "--t", "60",
+    "exact-pair D40 t=60 length": ["eval", "--family", "D", "--n", "40", "--t", "60",
                                    "--engine", "exact-pair"],
-    "exact-pair B120 t=150 length": ["--family", "B", "--n", "120", "--t", "150",
+    "exact-pair B120 t=150 length": ["eval", "--family", "B", "--n", "120", "--t", "150",
                                      "--engine", "exact-pair"],
-    "troili I2(7) t=2000": ["--family", "I2", "--m", "7", "--gens", "simple",
+    "troili I2(7) t=2000": ["eval", "--family", "I2", "--m", "7", "--gens", "simple",
                             "--t", "2000", "--formula", "troili"],
-    "troili I2(500) t=960": ["--family", "I2", "--m", "500", "--gens", "simple",
+    "troili I2(500) t=960": ["eval", "--family", "I2", "--m", "500", "--gens", "simple",
                              "--t", "960", "--formula", "troili"],
-    "troili I2(2001) t=2000": ["--family", "I2", "--m", "2001", "--gens", "simple",
+    "troili I2(2001) t=2000": ["eval", "--family", "I2", "--m", "2001", "--gens", "simple",
                                "--t", "2000", "--formula", "troili"],
-    "eriksen A9 t=400": ["--family", "A", "--n", "9", "--gens", "simple", "--t", "400",
+    "eriksen A9 t=400": ["eval", "--family", "A", "--n", "9", "--gens", "simple", "--t", "400",
                          "--formula", "eriksen"],
-    "eriksen A6 t=1000": ["--family", "A", "--n", "6", "--gens", "simple", "--t", "1000",
+    "eriksen A6 t=1000": ["eval", "--family", "A", "--n", "6", "--gens", "simple", "--t", "1000",
                           "--formula", "eriksen"],
-    "cli A10 t=12 length": ["--family", "A", "--n", "10", "--t", "12"],
-    "eh A12 t=200": ["--family", "A", "--n", "12", "--measure", "abslength", "--t", "200",
+    "cli A10 t=12 length": ["eval", "--family", "A", "--n", "10", "--t", "12"],
+    "eh A12 t=200": ["eval", "--family", "A", "--n", "12", "--measure", "abslength", "--t", "200",
                      "--formula", "eh"],
-    "eh B9 t=200": ["--family", "B", "--n", "9", "--measure", "abslength", "--t", "200",
+    "eh B9 t=200": ["eval", "--family", "B", "--n", "9", "--measure", "abslength", "--t", "200",
                     "--formula", "eh"],
+    "verify typeB": ["verify", "--suite", "typeB"],
+    "verify typeD": ["verify", "--suite", "typeD"],
 }
 
 PERFBENCH = ROOT / "perfbench"
@@ -153,7 +159,7 @@ print(json.dumps({"code": code, "seconds": seconds,
 
 def run_once(src: str, argv: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(PERFBENCH), "eval", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(PERFBENCH), *argv], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"child failed on {argv}: {proc.stderr.strip()}")
@@ -172,7 +178,7 @@ def summarize(argv: list[str], runs: list[dict]) -> dict:
             "runs_ref_seconds": [r["ref_seconds"] for r in runs],
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
             "runs_peak_rss_mb": [r["peak_rss_mb"] for r in runs],
-            "value": json.loads(first["out"])}
+            "value": json.loads(first["out"]) if argv[0] == "eval" else first["out"]}
 
 
 def main() -> int:
@@ -204,7 +210,7 @@ def main() -> int:
     for name, argv in ROUTES.items():
         if args.only and not any(text in name for text in args.only):
             continue
-        row = {"argv": ["eval", *argv]}
+        row = {"argv": argv}
         runs = {label: [] for label in trees}
         for repeat in range(args.repeats):
             # trees take turns within each repeat, the first one alternating

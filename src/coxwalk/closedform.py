@@ -11,6 +11,7 @@ and at boundary ranks where a geometric base vanishes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -26,7 +27,7 @@ from .elements import (
     has_reflections,
     in_index_domain,
 )
-from .errors import UnsupportedFamily, check_step_count
+from .errors import InvalidPair, UnsupportedFamily, check_step_count
 
 Value = Union[Fraction, float]
 
@@ -60,48 +61,77 @@ class ExpectationResult:
 
 
 # ---------------------------------------------------------------------------
-# Walks over all reflections, measured by length (types A, B, D, I2)
+# Walks over all reflections, measured by length (types A, B, D): the pair
+# theorem's one two-eigenvalue form, half - c b1^t + (c - half) b2^t.  On an
+# inversion pair, half = 1/2 and c is the pair's (``_pair_c``, the one check
+# of an inversion pair's domain); the expected length sums the form over the N
+# inversion pairs, so half = N/2 and c is the sum of their c.
 # ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+
+def _index_pair(i: int, j: int) -> tuple[int, int]:
+    """(i, j) as ints; InvalidPair unless both are integers (Python or numpy)."""
+    try:
+        return operator.index(i), operator.index(j)
+    except TypeError:
+        raise InvalidPair(f"pair indices must be integers, got ({i!r}, {j!r})") from None
+
+
+def _pair_c(family: Family, n: int, i: int, j: int) -> Fraction:
+    """c of the inversion pair (i, j): (j - i)/n in A (1 <= i < j <= n),
+    (j - i - 1 + sgn i)/(2n - 2) in B and D (j > |i|), and 1/2 on B's sign
+    pairs (-i, i), 1 <= i <= n; InvalidPair for any other (i, j)."""
+    i, j = _index_pair(i, j)
+    if family == "A":
+        if 1 <= i < j <= n:
+            return Fraction(j - i, n)
+    elif family == "B" and i == -j and 1 <= j <= n:
+        return _HALF
+    elif i != 0 and abs(i) < j <= n:  # in rank 1, only B's sign pair passes
+        return Fraction(j - i - 1 + _sgn(i), 2 * (n - 1))
+    raise InvalidPair(f"({i}, {j}) is not an inversion pair of {family.value} with n={n}")
+
+
+def _pair_form(family: Family, n: int, t: int, pair: tuple | None = None) -> Fraction:
+    """The form on pair = (i, j), or else the expected length, after the
+    closed forms' domain check.  In B1, b1 = b2 = -1, so the length's c,
+    stated for n >= 2, drops out."""
+    _check(t, family, n)
+    if pair is not None:
+        half, c = _HALF, _pair_c(family, n, *pair)
+    elif family == "A":  # n(n-1)/2 pairs; their (j - i)/n sum to (n+1)(n-1)/6
+        half, c = Fraction(n * (n - 1), 4), Fraction((n + 1) * (n - 1), 6)
+    elif family == "B":  # D's pairs, plus n sign pairs of c = 1/2
+        half, c = Fraction(n * n, 2), Fraction(n * (n + 1), 3)
+    else:  # n(n-1) pairs j > |i|; their c sum to n(2n-1)/6
+        half, c = Fraction(n * (n - 1), 2), Fraction(n * (2 * n - 1), 6)
+    if family == "A":  # n letters
+        b1, b2 = 1 - Fraction(2, n - 1), 1 - Fraction(4, n - 1)
+    else:
+        b1, b2 = 1 - Fraction(2, n), 1 - Fraction(4, n)
+        if family == "B":
+            b2 += Fraction(2, n * n)
+    return half - c * b1**t + (c - half) * b2**t
 
 
 def expected_length_A_T(n_letters: int, t: int) -> Fraction:
     """Expected inversion count after t uniform transpositions on the
     symmetric group on n_letters letters."""
-    _check(t, Family.A, n_letters)
-    n = n_letters
-    b1 = 1 - Fraction(2, n - 1)
-    b2 = 1 - Fraction(4, n - 1)
-    return (
-        Fraction(n * (n - 1), 4)
-        - Fraction((n + 1) * (n - 1), 6) * b1**t
-        - Fraction((n - 1) * (n - 2), 12) * b2**t
-    )
+    return _pair_form(Family.A, n_letters, t)
 
 
 def pair_prob_A(n_letters: int, i: int, j: int, t: int) -> Fraction:
     """Probability that positions i < j hold an inversion after t uniform
     transpositions.  Depends on (i, j) only through j - i."""
-    _check(t, Family.A, n_letters)
-    n = n_letters
-    if not 1 <= i < j <= n:
-        raise IndexError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    b1 = 1 - Fraction(2, n - 1)
-    b2 = 1 - Fraction(4, n - 1)
-    d = Fraction(j - i, n)
-    return Fraction(1, 2) - d * b1**t + (d - Fraction(1, 2)) * b2**t
+    return _pair_form(Family.A, n_letters, t, (i, j))
 
 
 def expected_length_B_T(n: int, t: int) -> Fraction:
     """Expected signed-inversion length after t uniform reflections in the
     signed permutation group of rank n."""
-    _check(t, Family.B, n)
-    b1 = 1 - Fraction(2, n)
-    b2 = 1 - Fraction(4, n) + Fraction(2, n * n)
-    return (
-        Fraction(n * n, 2)
-        - Fraction(n * (n + 1), 3) * b1**t
-        - Fraction(n * (n - 2), 6) * b2**t
-    )
+    return _pair_form(Family.B, n, t)
 
 
 def pair_prob_B(n: int, i: int, j: int, t: int) -> Fraction:
@@ -111,40 +141,19 @@ def pair_prob_B(n: int, i: int, j: int, t: int) -> Fraction:
     Accepts either a generic pair with j > |i| (requires n >= 2) or a sign
     pair (-i, i) with 1 <= i <= n.
     """
-    _check(t, Family.B, n)
-    b1 = 1 - Fraction(2, n)
-    if i == -j and 1 <= j <= n:
-        return Fraction(1, 2) - Fraction(1, 2) * b1**t
-    if not (i != 0 and abs(i) < j <= n):  # in rank 1, only the sign pair passes
-        raise IndexError(f"need j > |i| or the pair (-i, i), got ({i}, {j})")
-    b2 = 1 - Fraction(4, n) + Fraction(2, n * n)
-    c = Fraction(j - i - 1 + _sgn(i), 2 * (n - 1))
-    return Fraction(1, 2) - c * b1**t + (c - Fraction(1, 2)) * b2**t
+    return _pair_form(Family.B, n, t, (i, j))
 
 
 def expected_length_D_T(n: int, t: int) -> Fraction:
     """Expected length after t uniform reflections in the even-signed
     permutation group of rank n >= 2."""
-    _check(t, Family.D, n)
-    b1 = 1 - Fraction(2, n)
-    b2 = 1 - Fraction(4, n)
-    return (
-        Fraction(n * (n - 1), 2)
-        - Fraction(n * (2 * n - 1), 6) * b1**t
-        - Fraction(n * (n - 2), 6) * b2**t
-    )
+    return _pair_form(Family.D, n, t)
 
 
 def pair_prob_D(n: int, i: int, j: int, t: int) -> Fraction:
     """Probability that w(i) > w(j), j > |i|, after t uniform reflections in
     rank-n even-signed permutations."""
-    _check(t, Family.D, n)
-    if not (i != 0 and abs(i) < j <= n):
-        raise IndexError(f"need j > |i|, got ({i}, {j})")
-    b1 = 1 - Fraction(2, n)
-    b2 = 1 - Fraction(4, n)
-    c = Fraction(j - i - 1 + _sgn(i), 2 * (n - 1))
-    return Fraction(1, 2) - c * b1**t + (c - Fraction(1, 2)) * b2**t
+    return _pair_form(Family.D, n, t, (i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +366,9 @@ def lemma_bd_v(n: int, x, t: int, i: int, j: int) -> Fraction:
     from v(i,j) = sign(j - i): a two-eigenvalue combination of (2n - 2 + x)^t
     and x^t.  Its rank rule is D's, n >= 2, for B as well."""
     _check(t, Family.D, n)
+    i, j = _index_pair(i, j)
     if not in_index_domain(n, i, j):
-        raise IndexError(f"({i}, {j}) is not an admissible pair for n={n}")
+        raise InvalidPair(f"({i}, {j}) is not an admissible pair for n={n}")
     x = Fraction(x)
     slope = Fraction(j - i - _sgn(j) + _sgn(i), n - 1)
     return slope * (2 * n - 2 + x) ** t + (_sgn(j - i) - slope) * x**t
@@ -414,8 +424,13 @@ def formula_for(
 
     ``formula`` narrows the choice: "auto" picks the exact variant, "paper"
     restricts to the direct theorems, and "eriksen", "bm", "troili", "eh"
-    force a specific published formula.
+    force a specific published formula; any other name is UnsupportedFamily.
     """
+    if formula not in FORMULAS:
+        raise UnsupportedFamily(
+            f"no closed form for family={spec.family.value} is named {formula!r}; "
+            f"choose from {', '.join(FORMULAS)}"
+        )
     if not has_reflections(spec.family, spec.n):
         return None
     for tag, fn in _CELLS.get((spec.family, gens, measure), ()):

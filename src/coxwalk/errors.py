@@ -16,6 +16,11 @@ class InvalidStepCount(CoxwalkError, ValueError):
     integer, or t < 0)."""
 
 
+class InvalidPair(CoxwalkError, IndexError):
+    """Index pair (i, j) not integers, or outside the pairs a closed form
+    covers."""
+
+
 class InvalidTrialCount(CoxwalkError, ValueError):
     """Monte Carlo trial count not an integer, or below the 2 a standard error
     needs, or a worker count (the split of the trials) not an integer."""

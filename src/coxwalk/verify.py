@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .elements import Family, Gens, GroupSpec, Measure, index_pairs
+from .elements import Family, Gens, GroupSpec, Measure
 from .exactengine import (
     _layout,
     apply_Q_A,
@@ -82,81 +82,55 @@ def check_type_a_expectation() -> CheckResult:
     return tally.result("typeA expectation: closed form == exact chain")
 
 
-def check_type_a_pairwise() -> CheckResult:
-    """Pair inversion probabilities: closed form == pairwise engine
-    (ranks up to 40), and pairwise engine == full-distribution marginals
-    (small ranks)."""
-    tally = _Tally()
-    for n in PAIR_NS:
-        pows = {}
-        for table in iterate_pairtables(Family.A, n, PAIR_TMAX):
-            t = table.t
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    key = (j - i, t)
-                    if key not in pows:
-                        pows[key] = cf.pair_prob_A(n, i, j, t)
-                    tally.eq(
-                        pows[key], 1 - table.entry(i, j), f"A pair n={n} ({i},{j}) t={t}"
-                    )
-    for n in CHAIN_A_NS:
-        spec = GroupSpec(Family.A, n)
-        tables = iterate_pairtables(Family.A, n, MARGINAL_TMAX)
-        for dist, table in zip(
-            iterate_distributions(spec, Gens.REFLECTIONS, MARGINAL_TMAX), tables
-        ):
-            for (i, j), p in table.entries.items():
-                tally.eq(
-                    pair_probability(dist, i, j), p, f"A marginal n={n} t={table.t}"
-                )
-    return tally.result("typeA pairwise: closed == pair engine == marginals")
-
-
-def _check_signed_family(family: Family) -> CheckResult:
-    """Shared body of the type B and type D criteria."""
-    if family == Family.B:
-        chain_ns, closed_exp, closed_pair = range(1, 5), cf.expected_length_B_T, cf.pair_prob_B
-    else:
-        chain_ns, closed_exp, closed_pair = range(2, 5), cf.expected_length_D_T, cf.pair_prob_D
-    tally = _Tally()
+def _check_pair_theorem(family: Family, chain_ns, pair_ns, closed_pair,
+                        name: str) -> CheckResult:
+    """The A/B/D pair theorem, one family: pair tables == the full engine's
+    marginals (chain_ns, t <= MARGINAL_TMAX), and over pair_ns and
+    t <= PAIR_TMAX every inversion pair of ``_layout`` == closed_pair and
+    ``closed_form``'s length == the pair tables' sum.  B and D also hold
+    the length to the exact chain; A's is ``check_type_a_expectation``."""
+    tally, f = _Tally(), family.value
     for n in chain_ns:
         spec = GroupSpec(family, n)
-        stat = make_statistic(spec, Measure.LENGTH)
-        tables = iterate_pairtables(family, n, MARGINAL_TMAX)
-        for (t, dist), table in zip(
-            enumerate(iterate_distributions(spec, Gens.REFLECTIONS, MARGINAL_TMAX)),
-            tables,
-        ):
-            tally.eq(closed_exp(n, t), expectation(dist, stat), f"{family.value} n={n} t={t}")
+        if family != Family.A:
+            _chain_agrees(tally, spec, Gens.REFLECTIONS, MARGINAL_TMAX, (Measure.LENGTH, "auto"))
+        dists = iterate_distributions(spec, Gens.REFLECTIONS, MARGINAL_TMAX)
+        for dist, table in zip(dists, iterate_pairtables(family, n, MARGINAL_TMAX)):
             for (i, j), p in table.entries.items():
-                tally.eq(pair_probability(dist, i, j), p, f"{family.value} marginal n={n} t={t} ({i},{j})")
-    pair_ns = ((1,) + PAIR_NS) if family == Family.B else PAIR_NS
+                tally.eq(pair_probability(dist, i, j), p,
+                         f"{f} marginal n={n} t={table.t} ({i},{j})")
     for n in pair_ns:
+        spec, layout = GroupSpec(family, n), _layout(family, n)
+        lab, width = layout.labels, len(layout.labels)
+        cells = [(lab[p // width], lab[p % width]) for p in layout.inversions.tolist()]
         for table in iterate_pairtables(family, n, PAIR_TMAX):
-            t = table.t
-            memo = {}
-            for (i, j) in index_pairs(n):
-                if j > abs(i):
-                    key = (i > 0, j - i, t)
-                    if key not in memo:
-                        memo[key] = closed_pair(n, i, j, t)
-                    tally.eq(memo[key], 1 - table.entry(i, j), f"{family.value} pair n={n} ({i},{j}) t={t}")
-            if family == Family.B:
-                diag = cf.pair_prob_B(n, -1, 1, t)
-                for i in range(1, n + 1):
-                    tally.eq(diag, 1 - table.entry(-i, i), f"B diag n={n} i={i} t={t}")
-            tally.eq(closed_exp(n, t), table.expected_length(), f"{family.value} pair-sum n={n} t={t}")
-    return tally.result(
-        f"type{family.value}: closed forms == chain == pair engine"
-    )
+            t, memo = table.t, {}
+            for i, j in cells:
+                key = (i > 0, j - i, i == -j)
+                if key not in memo:
+                    memo[key] = closed_pair(n, i, j, t)
+                tally.eq(memo[key], 1 - table.entry(i, j), f"{f} pair n={n} ({i},{j}) t={t}")
+            tally.eq(cf.closed_form(spec, Gens.REFLECTIONS, Measure.LENGTH, t).value,
+                     table.expected_length(), f"{f} pair-sum n={n} t={t}")
+    return tally.result(name)
+
+
+def check_type_a_pairwise() -> CheckResult:
+    """Pair inversion probabilities: closed form == pairwise engine and
+    closed-form length == the pair tables' sum (ranks up to 40), and
+    pairwise engine == full-distribution marginals (small ranks)."""
+    return _check_pair_theorem(Family.A, CHAIN_A_NS, PAIR_NS, cf.pair_prob_A,
+                               "typeA pairwise: closed == pair engine == marginals")
 
 
 def check_type_b() -> CheckResult:
-    return _check_signed_family(Family.B)
+    return _check_pair_theorem(Family.B, range(1, 5), (1,) + PAIR_NS, cf.pair_prob_B,
+                               "typeB: closed forms == chain == pair engine")
 
 
 def check_type_d() -> CheckResult:
-    return _check_signed_family(Family.D)
+    return _check_pair_theorem(Family.D, range(2, 5), PAIR_NS, cf.pair_prob_D,
+                               "typeD: closed forms == chain == pair engine")
 
 
 def check_dihedral_closed_forms() -> CheckResult:

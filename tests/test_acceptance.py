@@ -24,9 +24,10 @@ def test_criterion_01_type_a_expectation():
 
 
 def test_criterion_02_type_a_pairwise():
-    # pair probabilities == pairwise engine (ranks to 40, t to 30)
-    # and == full-distribution marginals (n <= 6, t <= 8)
-    _run(2, verify.check_type_a_pairwise, "36931 equalities")
+    # pair probabilities == pairwise engine and the closed-form length ==
+    # the pair tables' sum (ranks to 40, t to 30), and pairwise engine ==
+    # full-distribution marginals (n <= 6, t <= 8)
+    _run(2, verify.check_type_a_pairwise, "37148 equalities")
 
 
 def test_criterion_03_type_b():

@@ -484,6 +484,15 @@ class TestDispatch:
         assert issubclass(cw.UnsupportedFamily, cw.CoxwalkError)
         assert issubclass(cw.UnsupportedFamily, ValueError)
 
+    def test_unknown_formula_name_raises_unsupported_family(self):
+        # a name outside FORMULAS is refused, not read as a cell without a
+        # closed form, on every cell (D1, which has none, included)
+        for spec in (GroupSpec(Family.A, 3), GroupSpec(Family.D, 1)):
+            with pytest.raises(cw.UnsupportedFamily, match="'nope'; choose from auto, eriksen"):
+                formula_for(spec, Gens.REFLECTIONS, Measure.LENGTH, "nope")
+        with pytest.raises(cw.UnsupportedFamily, match="choose from auto, eriksen, bm"):
+            closed_form(GroupSpec(Family.I2, 5), Gens.SIMPLE, Measure.LENGTH, 2, "Troili")
+
     @pytest.mark.parametrize("check, cell", [
         ("check_type_a_expectation", (Family.A, Gens.REFLECTIONS, Measure.LENGTH)),
         ("check_dihedral_closed_forms", (Family.I2, Gens.SIMPLE, Measure.LENGTH)),
@@ -491,6 +500,9 @@ class TestDispatch:
         ("check_known_formula_concordance", (Family.A, Gens.SIMPLE, Measure.LENGTH)),
         ("check_eriksen_hultman", (Family.A, Gens.REFLECTIONS, Measure.ABSLENGTH)),
         ("check_eriksen_hultman", (Family.B, Gens.REFLECTIONS, Measure.ABSLENGTH)),
+        ("check_type_a_pairwise", (Family.A, Gens.REFLECTIONS, Measure.LENGTH)),
+        ("check_type_b", (Family.B, Gens.REFLECTIONS, Measure.LENGTH)),
+        ("check_type_d", (Family.D, Gens.REFLECTIONS, Measure.LENGTH)),
     ], ids=lambda x: x if isinstance(x, str) else "-".join(x))
     def test_verify_reads_the_cell_table(self, monkeypatch, check, cell):
         # verify holds each cell's routed formula to the exact chain: a cell
@@ -603,6 +615,32 @@ class TestNonIntegralArguments:
             for n in (4.5, 4.0):
                 with pytest.raises(InvalidRank):
                     call(n, 2)
+
+    def test_pair_indices_outside_the_domain_raise_invalid_pair(self):
+        # indices that are not integers, and pairs outside the domain, are
+        # InvalidPair: a CoxwalkError and still an IndexError
+        calls = [
+            lambda: pair_prob_A(4, 1.5, 2, 1),
+            lambda: pair_prob_A(4, 1.0, 3, 2),
+            lambda: pair_prob_B(4, 1, Fraction(2), 1),
+            lambda: pair_prob_D(4, -1.0, 3, 2),
+            lambda: lemma_bd_v(3, 1, 1, 1.5, 2),
+            lambda: pair_prob_A(4, 3, 3, 1),
+            lambda: pair_prob_B(3, 1, -2, 1),
+            lambda: pair_prob_D(3, -2, 2, 1),
+            lambda: lemma_bd_v(3, 1, 1, 2, -2),
+        ]
+        for call in calls:
+            with pytest.raises(cw.InvalidPair):
+                call()
+        assert issubclass(cw.InvalidPair, cw.CoxwalkError)
+        assert issubclass(cw.InvalidPair, IndexError)
+
+    def test_pair_indices_take_numpy_integers_and_bools(self):
+        for pp in (pair_prob_A, pair_prob_B, pair_prob_D):
+            assert pp(4, np.int64(1), np.int32(3), 2) == pp(4, 1, 3, 2)
+            assert pp(4, True, 2, 2) == pp(4, 1, 2, 2)
+        assert lemma_bd_v(3, 1, 2, True, np.int64(-2)) == lemma_bd_v(3, 1, 2, 1, -2)
 
     def test_numpy_integers_and_infinite_m_accepted(self):
         for k in (np.int64(3), np.int32(3), np.uint8(3)):
