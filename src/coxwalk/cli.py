@@ -58,13 +58,12 @@ def _build_spec(args, parser) -> GroupSpec:
     """The group of the flags; a rank outside the family's domain, or D1,
     which has no reflections to walk on, raises InvalidRank for ``main`` to
     report before any engine or closed form is looked up."""
-    family = Family(args.family)
     if args.n is None:
         parser.error("--n (or --m for I2) is required")
-    if args.r is not None and family != Family.G:
+    if args.r is not None and args.family != Family.G:
         parser.error("--r is only valid with --family G")
-    spec = GroupSpec(family, args.n, 1 if args.r is None else args.r)
-    check_walk_rank(family, spec.n, spec.r)
+    spec = GroupSpec(args.family, args.n, 1 if args.r is None else args.r)
+    check_walk_rank(spec.family, spec.n, spec.r)
     return spec
 
 

@@ -27,7 +27,7 @@ from .elements import (
     has_reflections,
     in_index_domain,
 )
-from .errors import InvalidPair, UnsupportedFamily, check_step_count
+from .errors import InvalidPair, UnsupportedFamily, as_member, check_step_count
 
 Value = Union[Fraction, float]
 
@@ -447,6 +447,7 @@ def closed_form(
     check_step_count(t)
     found = formula_for(spec, gens, measure, formula)
     if found is None:
+        gens, measure = as_member(Gens, gens), as_member(Measure, measure)
         raise UnsupportedFamily(
             f"no closed form for family={spec.family.value}, gens={gens.value}, "
             f"measure={measure.value} (formula={formula!r})"

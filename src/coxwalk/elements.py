@@ -43,6 +43,8 @@ from .errors import (
     OrderLimitExceeded,
     SpecMismatch,
     UnsupportedFamily,
+    as_member,
+    unknown_member,
 )
 
 DEFAULT_GUARD_LIMIT = 10**7
@@ -157,6 +159,7 @@ class GroupSpec:
     r: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "family", as_member(Family, self.family))
         check_rank(self.family, self.n, self.r)
 
     def __str__(self) -> str:
@@ -177,15 +180,12 @@ class GroupSpec:
 
     def order(self) -> int:
         f, n = self.family, self.n
-        if f == Family.A:
-            return factorial(n)
-        if f == Family.B:
-            return 2**n * factorial(n)
-        if f == Family.D:
-            return 2 ** (n - 1) * factorial(n)
         if f == Family.I2:
             return 2 * n
-        return self.r**n * factorial(n)
+        if f == Family.D:  # half of B: an even number of sign changes
+            return 2 ** (n - 1) * factorial(n)
+        # r^n * n! in G(r,1,n); A is G(1,1,n) (r is 1 outside G) and B is G(2,1,n)
+        return (2 if f == Family.B else self.r) ** n * factorial(n)
 
     def identity(self) -> "GroupElement":
         f, n = self.family, self.n
@@ -337,6 +337,8 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
 def num_generators(family: Family, n: int, gens: Gens) -> int:
     """len(generator_moves) for the group (family, n), counted without
     listing a move, so that a walk can check its size first."""
+    if gens != Gens.SIMPLE and gens != Gens.REFLECTIONS:
+        raise unknown_member(Gens, gens)
     if family == Family.I2:
         return 2 if gens == Gens.SIMPLE else n
     if family == Family.G:
@@ -360,8 +362,9 @@ def generator_moves(spec: GroupSpec, gens: Gens):
     part: range(2) or range(m), so no list of m entries is built.
     """
     f, n = spec.family, spec.n
-    if f in (Family.I2, Family.G):  # a rotation part is its index; G raises
-        return range(num_generators(f, n, gens))
+    count = num_generators(f, n, gens)  # UnsupportedFamily for G or an unknown gens
+    if f == Family.I2:  # a rotation part is its index
+        return range(count)
     if gens == Gens.SIMPLE:
         adjacent = [(i, i + 1, 1) for i in range(1, n)]
         if f == Family.A:

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, and the one walk-length check."""
+"""Exceptions shared across the package, the one walk-length check, and Enum lookup."""
 
 import operator
 
@@ -68,3 +68,17 @@ def check_step_count(t: int) -> None:
         raise InvalidStepCount(f"t must be an integer, got {t!r}") from None
     if t < 0:
         raise InvalidStepCount(f"t must be >= 0, got {t}")
+
+
+def as_member(enum, value):
+    """The member of enum that value is or names ("A" names Family.A), else unknown_member."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise unknown_member(enum, value) from None
+
+
+def unknown_member(enum, value) -> UnsupportedFamily:
+    """The error for a value that names no member of enum; it names them."""
+    names = ", ".join(m.value for m in enum)
+    return UnsupportedFamily(f"{value!r} names no {enum.__name__}; choose from {names}")

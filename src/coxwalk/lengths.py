@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .elements import Family, GroupElement, GroupSpec, Measure, RankedGroup, _check_member
-from .errors import SpecMismatch, UnsupportedFamily
+from .errors import SpecMismatch, UnsupportedFamily, unknown_member
 
 # rows of windows per block when a statistic runs over a whole group
 _ROWS = 2**10
@@ -98,7 +98,9 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
             return lambda k: _dihedral_length(k, n)
         if measure == Measure.ABSLENGTH:
             return lambda k: np.where(k & 1, 1, np.where(k == 0, 0, 2))
-        return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)
+        if measure == Measure.DESCENTS:
+            return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)
+        raise unknown_member(Measure, measure)
     if measure == Measure.ABSLENGTH:
         return lambda w: _absolute_length(w, f != Family.A)
     if measure == Measure.LENGTH:
@@ -116,7 +118,7 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
         else:
             per_row = _descents
     else:
-        raise ValueError(f"unknown measure {measure!r}")
+        raise unknown_member(Measure, measure)
     return lambda w: per_row(np.asfortranarray(w))
 
 

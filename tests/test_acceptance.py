@@ -59,8 +59,9 @@ def test_criterion_07_eriksen_hultman():
 
 
 def test_criterion_08_operator_identities():
-    # Q.Q = n.Q (n <= 8) and Q.Q = (2n-2).Q (n <= 6), 100 random inputs each
-    _run(8, verify.check_operator_identities, "1200 equalities")
+    # Q.Q = n.Q and Q.Q = (2n-2).Q on a basis of each pair-table space at
+    # every pair-engine rank (2 to 40): n(n-1)/2 tables in A, n(n-1) in B/D
+    _run(8, verify.check_operator_identities, "3513 equalities")
 
 
 def test_criterion_09_translation_invariance():

@@ -484,6 +484,18 @@ class TestDispatch:
         assert issubclass(cw.UnsupportedFamily, cw.CoxwalkError)
         assert issubclass(cw.UnsupportedFamily, ValueError)
 
+    def test_missing_cell_message_takes_the_plain_values(self):
+        # a missing cell named by member strings is reported in the members'
+        # words, and a gens or measure that names no member names the choices
+        for family, measure in ((Family.B, "length"), (Family.A, "abslength")):
+            with pytest.raises(cw.UnsupportedFamily,
+                               match=f"family={family.value}, gens=simple, measure={measure} "):
+                closed_form(GroupSpec(family, 3), "simple", measure, 2)
+        with pytest.raises(cw.UnsupportedFamily, match="'bogus' names no Gens; choose from simple"):
+            closed_form(GroupSpec(Family.A, 3), "bogus", "length", 2)
+        with pytest.raises(cw.UnsupportedFamily, match="'bogus' names no Measure; choose from"):
+            closed_form(GroupSpec("I2", 5), Gens.SIMPLE, "bogus", 2)
+
     def test_unknown_formula_name_raises_unsupported_family(self):
         # a name outside FORMULAS is refused, not read as a cell without a
         # closed form, on every cell (D1, which has none, included)

@@ -37,7 +37,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
-from coxwalk import elements
+from coxwalk import elements, verify
 from coxwalk.elements import num_generators
 from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
@@ -421,6 +421,24 @@ class TestOperators:
                             v[_pos(n, c), _pos(n, d)] = val
             qv = apply_Q_BD(v)
             assert apply_Q_BD(qv).tolist() == ((2 * n - 2) * qv).tolist()
+
+    @pytest.mark.parametrize("wrong_n, family", [(25, Family.A), (40, Family.D)])
+    def test_verify_proves_the_identities_at_every_pair_rank(self, monkeypatch, wrong_n, family):
+        # a Q off by one in one cell at a single rank, past the small ranks a
+        # sample would cover, fails the basis check
+        name = "apply_Q_A" if family == Family.A else "apply_Q_BD"
+        right = getattr(verify, name)
+
+        def wrong(v):
+            q = right(v)
+            if len(v) == (wrong_n if family == Family.A else 2 * wrong_n):
+                q = q.copy()
+                q[0, 1] += 1
+            return q
+
+        monkeypatch.setattr(verify, name, wrong)
+        res = verify.check_operator_identities()
+        assert not res.ok and f" n={wrong_n} " in res.detail, res.detail
 
     def test_pair_engine_step_uses_the_same_q(self):
         # every step of every walk, int64 and Python-int tables alike:
