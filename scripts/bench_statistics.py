@@ -49,10 +49,11 @@ and large ranks.  The cli route is A10 length at t = 12, an O(1) closed form, so
 ``cli.main``: each child's one call builds the eval parser, as the first
 call of every process does.  The eh routes time Eriksen and Hultman's
 expansion for A12 and B9 absolute length at t = 200, far past closed-cli's
-grid (A5, B3, B4, t <= 12).  The verify routes time the typeB and typeD
-suites, which no perfbench workload runs: pair engine, full engine, closed
-forms and the pair theorem's checks; their value is the suite's stdout, one
-line per check with its comparison count.
+grid (A5, B3, B4, t <= 12).  The verify routes time the typeA, typeB,
+typeD and operators suites, which no perfbench workload runs: pair engine,
+full engine, closed forms, the pair theorem's checks and its proof on a basis
+of the pair tables, and the Q identities on the same basis; their value is
+the suite's stdout, one line per check with its comparison count.
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src \
         --tree after=src --only troili --repeats 11 --out BENCH_closed.json
@@ -130,8 +131,10 @@ ROUTES = {
                      "--formula", "eh"],
     "eh B9 t=200": ["eval", "--family", "B", "--n", "9", "--measure", "abslength", "--t", "200",
                     "--formula", "eh"],
+    "verify typeA": ["verify", "--suite", "typeA"],
     "verify typeB": ["verify", "--suite", "typeB"],
     "verify typeD": ["verify", "--suite", "typeD"],
+    "verify operators": ["verify", "--suite", "operators"],
 }
 
 PERFBENCH = ROOT / "perfbench"

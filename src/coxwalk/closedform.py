@@ -46,7 +46,7 @@ def _check(t: int, family: Family, n: int, r: int = 1) -> None:
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """A computed expectation with its provenance."""
+    """A computed expectation with its provenance (gens, measure as members)."""
 
     value: Value
     group: GroupSpec
@@ -107,13 +107,15 @@ def _pair_form(family: Family, n: int, t: int, pair: tuple | None = None) -> Fra
         half, c = Fraction(n * n, 2), Fraction(n * (n + 1), 3)
     else:  # n(n-1) pairs j > |i|; their c sum to n(2n-1)/6
         half, c = Fraction(n * (n - 1), 2), Fraction(n * (2 * n - 1), 6)
-    if family == "A":  # n letters
-        b1, b2 = 1 - Fraction(2, n - 1), 1 - Fraction(4, n - 1)
-    else:
-        b1, b2 = 1 - Fraction(2, n), 1 - Fraction(4, n)
-        if family == "B":
-            b2 += Fraction(2, n * n)
+    b1, b2 = _pair_bases(family, n)
     return half - c * b1**t + (c - half) * b2**t
+
+
+def _pair_bases(family: Family, n: int) -> tuple[Fraction, Fraction]:
+    """The form's two bases (b1, b2) on (family, n), n letters in A."""
+    if family == "A":
+        return 1 - Fraction(2, n - 1), 1 - Fraction(4, n - 1)
+    return 1 - Fraction(2, n), 1 - Fraction(4, n) + (Fraction(2, n * n) if family == "B" else 0)
 
 
 def expected_length_A_T(n_letters: int, t: int) -> Fraction:
@@ -424,8 +426,9 @@ def formula_for(
 
     ``formula`` narrows the choice: "auto" picks the exact variant, "paper"
     restricts to the direct theorems, and "eriksen", "bm", "troili", "eh"
-    force a specific published formula; any other name is UnsupportedFamily.
-    """
+    force a specific published formula; any other name, or a gens or
+    measure naming no member, is UnsupportedFamily."""
+    gens, measure = as_member(Gens, gens), as_member(Measure, measure)
     if formula not in FORMULAS:
         raise UnsupportedFamily(
             f"no closed form for family={spec.family.value} is named {formula!r}; "
@@ -445,9 +448,9 @@ def closed_form(
     """Evaluate the closed form for this cell, raising UnsupportedFamily when
     the cell has none or formula names no formula of the cell."""
     check_step_count(t)
+    gens, measure = as_member(Gens, gens), as_member(Measure, measure)
     found = formula_for(spec, gens, measure, formula)
     if found is None:
-        gens, measure = as_member(Gens, gens), as_member(Measure, measure)
         raise UnsupportedFamily(
             f"no closed form for family={spec.family.value}, gens={gens.value}, "
             f"measure={measure.value} (formula={formula!r})"

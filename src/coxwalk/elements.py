@@ -44,7 +44,6 @@ from .errors import (
     SpecMismatch,
     UnsupportedFamily,
     as_member,
-    unknown_member,
 )
 
 DEFAULT_GUARD_LIMIT = 10**7
@@ -337,8 +336,7 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
 def num_generators(family: Family, n: int, gens: Gens) -> int:
     """len(generator_moves) for the group (family, n), counted without
     listing a move, so that a walk can check its size first."""
-    if gens != Gens.SIMPLE and gens != Gens.REFLECTIONS:
-        raise unknown_member(Gens, gens)
+    gens = as_member(Gens, gens)
     if family == Family.I2:
         return 2 if gens == Gens.SIMPLE else n
     if family == Family.G:

@@ -71,14 +71,11 @@ def check_step_count(t: int) -> None:
 
 
 def as_member(enum, value):
-    """The member of enum that value is or names ("A" names Family.A), else unknown_member."""
+    """The member of enum that value is or names ("A" names Family.A), else UnsupportedFamily."""
+    if type(value) is enum:  # before enum's lookup, which costs 0.4 us
+        return value
     try:
         return enum(value)
     except ValueError:
-        raise unknown_member(enum, value) from None
-
-
-def unknown_member(enum, value) -> UnsupportedFamily:
-    """The error for a value that names no member of enum; it names them."""
-    names = ", ".join(m.value for m in enum)
-    return UnsupportedFamily(f"{value!r} names no {enum.__name__}; choose from {names}")
+        names = ", ".join(m.value for m in enum)
+    raise UnsupportedFamily(f"{value!r} names no {enum.__name__}; choose from {names}")

@@ -20,8 +20,8 @@ block of generators at a time.  The pairwise state, U = |R|^t * P in one
 numpy table, scales as O(n^2) and so reaches ranks far beyond full enumeration.
 
 Also here: the row-plus-column summation operator Q of the pairwise
-recurrence, which the pair step evaluates as one row sum (see
-``iterate_pairtables``) and ``apply_Q_A`` / ``apply_Q_BD`` apply to
+recurrence, which the pair step (``_pair_step``, also run by ``verify``'s
+proof) evaluates as one row sum and ``apply_Q_A`` / ``apply_Q_BD`` apply to
 pair-table arrays, where Q.Q = n.Q (antisymmetric tables) and
 Q.Q = (2n-2).Q (doubly symmetric signed-pair tables), as the pairwise
 closed forms use.  The pair engine, its tables, ``pair_probability`` and Q
@@ -276,7 +276,7 @@ class PairTable:
     table of a walk: reads find cells through ``layout.pos`` and
     ``layout.domain`` without a lookup by family.  Every cell of ``num`` off
     ``layout.domain`` is zero.  ``num`` is read-only, int64 while the
-    engine's step bound holds (see ``iterate_pairtables``) and object
+    engine's step bound holds (see ``_pair_step``) and object
     (Python ints) beyond it.
     """
 
@@ -314,8 +314,8 @@ class PairTable:
         return Fraction(top - int(cells.sum()), self.den)
 
 
-def iterate_pairtables(family: Family, n: int, t_max: int):
-    """Yield the pair tables for t = 0, 1, ..., t_max in order.
+def _pair_step(family: Family, n: int):
+    """(step, growth): the pair engine's step(U, den) and its ``_walk`` bound.
 
     The state is the integer table U = |R|^t * P.  One step maps it to
     c*U + U^T (+ U[-j,-i] for B and D) + Q(U), less U[-i,j] + U[i,-j] in D,
@@ -328,6 +328,7 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     of U over Q's mask, Q's column sum at j is (n-1)*den - r_j in A and
     r_{-j} in B and D, so the map is (c-1)*U + r_i - r_j + n*den in A and
     c*U + den + r_i + r_{-j} in B and D: one row sum and a few passes.
+    It is linear in (U, den) jointly, which ``verify``'s pair proof relies on.
 
     U is int64 while den * (|c| + |c_sign| + 4n + 4) < 2^63 before a step,
     and Python ints from the first step where that fails.  Every cell of U
@@ -339,19 +340,11 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
     intermediate is at most |c| + 4n + 1 or |c_sign| + 2n, and neither it
     nor a new cell reaches 2^63.
     """
-    if family not in (Family.A, Family.B, Family.D):
-        raise UnsupportedFamily(f"pairwise engine supports families A, B, D, not {family}")
-    check_walk_rank(family, n)
-    check_step_count(t_max)
-    check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
-    layout = _layout(family, n)
-    nrefl = num_generators(family, n, Gens.REFLECTIONS)
     # the reflections that fix i and j (those of rank n - 2), less the two
     # copies of U[i,j] inside Q(U); for B's (-i, i), those of rank n - 1,
     # less the copy inside the sum over the sign pairs
     c = num_generators(family, n - 2, Gens.REFLECTIONS) - 2
     c_sign = num_generators(family, n - 1, Gens.REFLECTIONS) - 1
-    growth = abs(c) + abs(c_sign) + 4 * n + 4
 
     def step(u, den):
         r = u.sum(axis=1)  # over Q's mask once B's sign cells are taken off
@@ -369,8 +362,21 @@ def iterate_pairtables(family: Family, n: int, t_max: int):
         np.fill_diagonal(new[:, ::-1], c_sign * sign + sign.sum() if family == Family.B else 0)
         return new
 
+    return step, abs(c) + abs(c_sign) + 4 * n + 4
+
+
+def iterate_pairtables(family: Family, n: int, t_max: int):
+    """Yield the pair tables for t = 0..t_max: ``_pair_step``'s walk from P(i, j) = [i < j]."""
+    if family not in (Family.A, Family.B, Family.D):
+        raise UnsupportedFamily(f"pairwise engine supports families A, B, D, not {family}")
+    check_walk_rank(family, n)
+    check_step_count(t_max)
+    check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
+    layout = _layout(family, n)
+    step, growth = _pair_step(family, n)
     # the labels increase along each axis, so i < j above the diagonal
     start = np.triu(layout.domain, 1).astype(np.int64)
+    nrefl = num_generators(family, n, Gens.REFLECTIONS)
     for t, (u, den) in enumerate(_walk(start, step, nrefl, growth, t_max)):
         yield PairTable(family, n, t, u, den, layout)
 

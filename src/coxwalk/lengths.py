@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .elements import Family, GroupElement, GroupSpec, Measure, RankedGroup, _check_member
-from .errors import SpecMismatch, UnsupportedFamily, unknown_member
+from .errors import SpecMismatch, UnsupportedFamily, as_member
 
 # rows of windows per block when a statistic runs over a whole group
 _ROWS = 2**10
@@ -93,14 +93,13 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
     f, n = spec.family, spec.n
     if f == Family.G:
         raise UnsupportedFamily("no element-level statistics for family G")
+    measure = as_member(Measure, measure)
     if f == Family.I2:
         if measure == Measure.LENGTH:
             return lambda k: _dihedral_length(k, n)
         if measure == Measure.ABSLENGTH:
             return lambda k: np.where(k & 1, 1, np.where(k == 0, 0, 2))
-        if measure == Measure.DESCENTS:
-            return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)
-        raise unknown_member(Measure, measure)
+        return lambda k: (k != 0).astype(np.intp) + (_dihedral_length(k, n) == n)  # descents
     if measure == Measure.ABSLENGTH:
         return lambda w: _absolute_length(w, f != Family.A)
     if measure == Measure.LENGTH:
@@ -110,15 +109,12 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
             per_row = lambda w: _inversions(w) - np.minimum(w, 0).sum(axis=1)
         else:
             per_row = lambda w: _inversions(w) - np.minimum(w + 1, 0).sum(axis=1)
-    elif measure == Measure.DESCENTS:
-        if f == Family.B:
-            per_row = lambda w: _descents(w) + (w[:, 0] < 0)
-        elif f == Family.D and n > 1:  # reads w(2), which D1's window lacks
-            per_row = lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
-        else:
-            per_row = _descents
+    elif f == Family.B:  # descents from here on
+        per_row = lambda w: _descents(w) + (w[:, 0] < 0)
+    elif f == Family.D and n > 1:  # reads w(2), which D1's window lacks
+        per_row = lambda w: _descents(w) + (w[:, 0] + w[:, 1] < 0)
     else:
-        raise unknown_member(Measure, measure)
+        per_row = _descents
     return lambda w: per_row(np.asfortranarray(w))
 
 
@@ -147,6 +143,7 @@ class Statistic:
     block: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "measure", as_member(Measure, self.measure))
         object.__setattr__(self, "block", block_statistic(self.spec, self.measure))
 
     def __call__(self, w: GroupElement) -> int:

@@ -56,6 +56,7 @@ from .errors import (
     InvalidSeed,
     InvalidTrialCount,
     InvalidTrialIndex,
+    as_member,
     check_step_count,
 )
 from .lengths import block_statistic
@@ -84,7 +85,7 @@ def _check_seed(seed: int) -> None:
 @dataclass(frozen=True)
 class SimResult:
     """Sample mean and normal-approximation standard error of the walk
-    statistic over independent trials."""
+    statistic over independent trials (gens, measure as members)."""
 
     mean: float
     stderr: float
@@ -269,6 +270,7 @@ def simulate(
     if spec.family == Family.I2 and n >= 2**62:
         raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
     check_walk_rank(spec.family, n, spec.r)
+    gens, measure = as_member(Gens, gens), as_member(Measure, measure)
     n_choices = num_generators(spec.family, n, gens)
     if n_choices > 2**32:  # checked before a move is listed
         raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")

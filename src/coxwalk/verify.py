@@ -3,8 +3,9 @@ the Monte Carlo estimator to one another.
 
 Every check compares two independent routes to the same quantity and demands
 exact rational equality (or the stated float tolerance where one side is
-float valued).  The CLI ``verify`` subcommand runs whole suites and prints
-one line per check; the acceptance test module asserts each check.
+float valued); the A/B/D pair check proves its cells at every t on the pair
+engine's own step, ``_pair_step``.  ``coxwalk verify`` prints one line per
+check, and the acceptance test module asserts each check.
 """
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .elements import Family, Gens, GroupSpec, Measure
+from .elements import Family, Gens, GroupSpec, Measure, num_generators
 from .exactengine import (
     _layout,
+    _pair_step,
     apply_Q_A,
     apply_Q_BD,
     expectation,
@@ -80,13 +82,34 @@ def check_type_a_expectation() -> CheckResult:
     return tally.result("typeA expectation: closed form == exact chain")
 
 
+def _basis(family: Family, n: int):
+    """Yield ((i, j), v) per inversion cell: v is 1 on (i, j) and (-j, -i), -1 on (j, i) and
+    (-i, -j), a basis of the tables with v(j,i) = -v(i,j) and, in B/D, v(-j,-i) = v(i,j)."""
+    layout = _layout(family, n)
+    lab, size = layout.labels, len(layout.labels)
+    for a, b in zip(*np.divmod(layout.inversions, size)):
+        v = np.zeros((size, size), dtype=np.int64)
+        v[a, b], v[b, a] = 1, -1
+        if family != Family.A:  # position -1 - p carries -i where p carries i
+            v[-1 - b, -1 - a], v[-1 - a, -1 - b] = 1, -1
+        yield (lab[a], lab[b]), v
+
+
 def _check_pair_theorem(family: Family, chain_ns, pair_ns, closed_pair,
                         name: str) -> CheckResult:
     """The A/B/D pair theorem, one family: pair tables == the full engine's
-    marginals (chain_ns, t <= MARGINAL_TMAX), and over pair_ns and
-    t <= PAIR_TMAX every inversion pair of ``_layout`` == closed_pair and
-    ``closed_form``'s length == the pair tables' sum.  B and D also hold
-    the length to the exact chain; A's is ``check_type_a_expectation``."""
+    marginals (chain_ns, t <= MARGINAL_TMAX; B and D: length == the chain
+    too); at each rank of pair_ns, every inversion pair == closed_pair at
+    every t, and the length through ``closed_form``'s cell table == the
+    tables' sum at t <= PAIR_TMAX.  Every t: ``_pair_step`` is linear in
+    (U, den); with L = step(., 0), (1) fixed point: step(domain, 2) ==
+    |R| domain, so U_t = den_t/2 domain + L^t(W), W = start - domain/2 =
+    half the sum of the ``_basis`` tables; (2) quadratic: (L - |R|b1)(L -
+    |R|b2) == 0 on that basis, in int64 (entries < 2^32), with |R|b1, |R|b2
+    integers and (b1, b2) = ``_pair_bases``, so every cell is 1/2 + a b1^t
+    + b b2^t; (3) three values of t: the closed pair is k + a b1^t + b b2^t,
+    and as 1, b1, b2 are distinct, t = 0, 1 and 2 fix a sequence of that
+    shape (in B1, b1 = b2, and t = 0, 1, 2 fix k + (a + b t) b1^t too)."""
     tally, f = _Tally(), family.value
     for n in chain_ns:
         spec = GroupSpec(family, n)
@@ -98,25 +121,30 @@ def _check_pair_theorem(family: Family, chain_ns, pair_ns, closed_pair,
                 tally.eq(pair_probability(dist, i, j), p,
                          f"{f} marginal n={n} t={table.t} ({i},{j})")
     for n in pair_ns:
-        spec, layout = GroupSpec(family, n), _layout(family, n)
-        lab, width = layout.labels, len(layout.labels)
-        cells = [(lab[p // width], lab[p % width]) for p in layout.inversions.tolist()]
+        spec, step = GroupSpec(family, n), _pair_step(family, n)[0]
+        nrefl = num_generators(family, n, Gens.REFLECTIONS)
+        s1, s2 = (nrefl * b for b in cf._pair_bases(family, n))
+        tally.ok(s1.denominator == s2.denominator == 1, f"{f} bases n={n} |R|b = {s1}, {s2}")
+        domain = _layout(family, n).domain.astype(np.int64)
+        tally.ok(np.array_equal(step(domain, 2), nrefl * domain),
+                 f"{f} fixed point n={n} step(domain, 2) != {nrefl} domain")
+        cells = []
+        for (i, j), v in _basis(family, n):
+            lv = step(v, 0)
+            tally.ok(not (step(lv, 0) - int(s1 + s2) * lv + int(s1 * s2) * v).any(),
+                     f"{f} quadratic n={n} ({i},{j})")
+            cells.append((i, j))
         for table in iterate_pairtables(family, n, PAIR_TMAX):
-            t, memo = table.t, {}
-            for i, j in cells:
-                key = (i > 0, j - i, i == -j)
-                if key not in memo:
-                    memo[key] = closed_pair(n, i, j, t)
-                tally.eq(memo[key], 1 - table.entry(i, j), f"{f} pair n={n} ({i},{j}) t={t}")
+            t = table.t
+            for i, j in cells if t <= 2 else ():
+                tally.eq(closed_pair(n, i, j, t), 1 - table.entry(i, j),
+                         f"{f} pair n={n} ({i},{j}) t={t}")
             tally.eq(cf.closed_form(spec, Gens.REFLECTIONS, Measure.LENGTH, t).value,
                      table.expected_length(), f"{f} pair-sum n={n} t={t}")
     return tally.result(name)
 
 
 def check_type_a_pairwise() -> CheckResult:
-    """Pair inversion probabilities: closed form == pairwise engine and
-    closed-form length == the pair tables' sum (ranks up to 40), and
-    pairwise engine == full-distribution marginals (small ranks)."""
     return _check_pair_theorem(Family.A, CHAIN_A_NS, PAIR_NS, cf.pair_prob_A,
                                "typeA pairwise: closed == pair engine == marginals")
 
@@ -179,24 +207,14 @@ def check_eriksen_hultman() -> CheckResult:
 
 
 def check_operator_identities() -> CheckResult:
-    """Q.Q = n.Q on antisymmetric tables (A) and Q.Q = (2n-2).Q on doubly
-    symmetric signed-pair tables (B, D), exact at every rank in PAIR_NS on a
-    basis, so on every table (Q is linear).  An orbit of Q's mask cells under
-    v(j,i) = -v(i,j) and, in B/D, v(-j,-i) = v(i,j) holds one inversion cell
-    (i, j), j > |i|, of ``_layout`` (D's in B/D); its table is +1 on (i, j)
-    and (-j, -i) and -1 on (j, i) and (-i, -j)."""
+    """Q.Q = n.Q (A) and Q.Q = (2n-2).Q (B, D) on ``_basis`` (D's in B/D) at every
+    rank in PAIR_NS, so on every antisymmetric (and in B/D doubly symmetric) table."""
     tally = _Tally()
     for n in PAIR_NS:
         for family, apply_q, k in ((Family.A, apply_Q_A, n), (Family.D, apply_Q_BD, 2 * n - 2)):
-            layout = _layout(family, n)
-            lab, size = layout.labels, len(layout.labels)
-            for a, b in zip(*np.divmod(layout.inversions, size)):
-                v = np.zeros((size, size), dtype=np.int64)
-                v[a, b], v[b, a] = 1, -1
-                if family != Family.A:  # position -1 - p carries -i where p carries i
-                    v[-1 - b, -1 - a], v[-1 - a, -1 - b] = 1, -1
+            for (i, j), v in _basis(family, n):
                 qv = apply_q(v)
-                tally.ok(np.array_equal(apply_q(qv), k * qv), f"Q^2={k}Q n={n} ({lab[a]},{lab[b]})")
+                tally.ok(np.array_equal(apply_q(qv), k * qv), f"Q^2={k}Q n={n} ({i},{j})")
     return tally.result("operator identities: Q.Q = n.Q and Q.Q = (2n-2).Q")
 
 
@@ -248,25 +266,18 @@ def check_montecarlo_calibration() -> CheckResult:
     bit-identical reruns under a different worker count."""
     tally = _Tally()
     for idx, (family, n, gens, measure, t) in enumerate(MC_GRID):
-        spec = GroupSpec(family, n)
+        spec, seed = GroupSpec(family, n), MC_BASE_SEED + idx
         target = float(cf.closed_form(spec, gens, measure, t).value)
-        sim = simulate(spec, gens, measure, t, trials=MC_TRIALS, seed=MC_BASE_SEED + idx)
+        sim = simulate(spec, gens, measure, t, trials=MC_TRIALS, seed=seed)
         tally.ok(
             abs(sim.mean - target) < 4 * sim.stderr,
             f"point {idx} {family.value} n={n} {gens.value}/{measure.value} t={t}: "
             f"|{sim.mean} - {target}| >= 4*{sim.stderr}",
         )
-    for idx in (0, 6):
-        family, n, gens, measure, t = MC_GRID[idx]
-        spec = GroupSpec(family, n)
-        one = simulate(spec, gens, measure, t, trials=MC_TRIALS, seed=MC_BASE_SEED + idx)
-        par = simulate(
-            spec, gens, measure, t, trials=MC_TRIALS, seed=MC_BASE_SEED + idx, workers=3
-        )
-        tally.ok(
-            (one.mean, one.stderr) == (par.mean, par.stderr),
-            f"point {idx}: parallel rerun differs",
-        )
+        if idx in (0, 6):  # a rerun over 3 workers is bit-identical
+            par = simulate(spec, gens, measure, t, trials=MC_TRIALS, seed=seed, workers=3)
+            tally.ok((sim.mean, sim.stderr) == (par.mean, par.stderr),
+                     f"point {idx}: parallel rerun differs")
     return tally.result("monte carlo calibration within 4 sigma, reruns identical", "checks")
 
 

@@ -24,21 +24,22 @@ def test_criterion_01_type_a_expectation():
 
 
 def test_criterion_02_type_a_pairwise():
-    # pair probabilities == pairwise engine and the closed-form length ==
-    # the pair tables' sum (ranks to 40, t to 30), and pairwise engine ==
-    # full-distribution marginals (n <= 6, t <= 8)
-    _run(2, verify.check_type_a_pairwise, "37148 equalities")
+    # pair probabilities == pairwise engine at every t (ranks to 40: the
+    # step's fixed point and quadratic on every basis table, cells at
+    # t <= 2), the closed-form length == the pair tables' sum (t to 30),
+    # and pairwise engine == full-distribution marginals (n <= 6, t <= 8)
+    _run(2, verify.check_type_a_pairwise, "5545 equalities")
 
 
 def test_criterion_03_type_b():
     # closed forms == full distribution (n 1..4, t 0..8)
-    # and == pairwise engine (ranks to 40, t to 30)
-    _run(3, verify.check_type_b, "76669 equalities")
+    # and == pairwise engine (ranks to 40, as in criterion 02)
+    _run(3, verify.check_type_b, "10940 equalities")
 
 
 def test_criterion_04_type_d():
     # same grid shape with n 2..4 on the chain side
-    _run(4, verify.check_type_d, "73566 equalities")
+    _run(4, verify.check_type_d, "10346 equalities")
 
 
 def test_criterion_05_dihedral_closed_forms():

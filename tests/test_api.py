@@ -10,6 +10,7 @@ from coxwalk import (
     Measure,
     UnsupportedFamily,
     closed_form,
+    formula_for,
     iterate_distributions,
     make_statistic,
     simulate,
@@ -67,6 +68,31 @@ def test_unknown_measure_is_refused(family):
         simulate(spec, Gens.REFLECTIONS, "bogus", 2, trials=10, seed=1)
     # the member strings stay accepted
     assert make_statistic(spec, "descents")(spec.identity()) == 0
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(Family.A, 3), GroupSpec(Family.D, 1)])
+def test_formula_for_refuses_an_unknown_name(spec):
+    # refused, not read as a cell without a closed form (D1 has none)
+    with pytest.raises(UnsupportedFamily, match="'bogus' names no Gens; choose from simple"):
+        formula_for(spec, "bogus", Measure.LENGTH)
+    with pytest.raises(UnsupportedFamily, match="'bogus' names no Measure; choose from length"):
+        formula_for(spec, Gens.REFLECTIONS, "bogus")
+    # the member strings stay accepted
+    found = formula_for(spec, "reflections", "length")
+    assert found is None if spec.n == 1 else found[0] == "A_T_length"
+
+
+def test_results_hold_the_members_that_strings_name():
+    spec = GroupSpec(Family.B, 3)
+    res = closed_form(spec, "reflections", "abslength", 4)
+    sim = simulate(spec, "simple", "length", 2, trials=10, seed=1)
+    assert (res.gens, res.measure) == (Gens.REFLECTIONS, Measure.ABSLENGTH)
+    assert (sim.gens, sim.measure) == (Gens.SIMPLE, Measure.LENGTH)
+    assert type(make_statistic(spec, "descents").measure) is Measure
+    for result in (res, sim):
+        assert type(result.gens) is Gens and type(result.measure) is Measure
+        assert f"{result.gens.value}/{result.measure.value}" in ("reflections/abslength",
+                                                               "simple/length")
 
 
 def test_unknown_names_are_value_errors():

@@ -37,7 +37,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
-from coxwalk import elements, verify
+from coxwalk import closedform, elements, verify
 from coxwalk.elements import num_generators
 from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
@@ -478,6 +478,60 @@ class TestOperators:
             # Python-int tables are covered wherever den grows
             many = num_generators(family, n, Gens.REFLECTIONS) > 1
             assert tables[-1].num.dtype == (object if many else np.int64), (family, n)
+
+
+_PAIR_CHECKS = {
+    Family.A: (verify.check_type_a_pairwise, pair_prob_A),
+    Family.B: (verify.check_type_b, pair_prob_B),
+    Family.D: (verify.check_type_d, pair_prob_D),
+}
+
+
+class TestPairProof:
+    @pytest.mark.parametrize("family", [Family.A, Family.B, Family.D])
+    def test_a_step_off_by_one_at_one_rank_fails(self, monkeypatch, family):
+        # one cell of the step off by one at a single rank, where the cells
+        # are compared at t <= 2 alone, fails the proof at that rank
+        right = verify._pair_step
+
+        def wrong(fam, n):
+            step, growth = right(fam, n)
+            if n != 25:
+                return step, growth
+
+            def off(u, den):
+                new = step(u, den)
+                new[0, 1] += 1
+                return new
+
+            return off, growth
+
+        monkeypatch.setattr(verify, "_pair_step", wrong)
+        res = _PAIR_CHECKS[family][0]()
+        assert not res.ok and " n=25 " in res.detail, res.detail
+
+    @pytest.mark.parametrize("family, ns", [
+        (Family.A, verify.PAIR_NS),
+        (Family.B, (1,) + verify.PAIR_NS),
+        (Family.D, verify.PAIR_NS),
+    ])
+    def test_b2_off_by_one_over_n_squared_fails(self, monkeypatch, family, ns):
+        # b2 + 1/n^2 fails A and D at every rank, and B at every rank but 2:
+        # in B2 every inversion pair has c = 1/2, and so does the length
+        # (c = half = 2), so b2's coefficient is zero.  B1's one pair has
+        # c = 1/2 too, but its length has c = 2/3 against half = 1/2, which
+        # only b1 = b2 cancelled: the pair sum fails there
+        right = closedform._pair_bases
+
+        def wrong(fam, n):
+            b1, b2 = right(fam, n)
+            return b1, b2 + Fraction(1, n * n)
+
+        monkeypatch.setattr(closedform, "_pair_bases", wrong)
+        closed_pair = _PAIR_CHECKS[family][1]
+        for n in ns:
+            res = verify._check_pair_theorem(family, (), (n,), closed_pair, "one rank")
+            assert res.ok == (family == Family.B and n == 2), (n, res.detail)
 
 def test_dihedral_walk_statistic_lookup():
     m = 4
