@@ -11,7 +11,6 @@ and at boundary ranks where a geometric base vanishes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -27,21 +26,23 @@ from .elements import (
     has_reflections,
     in_index_domain,
 )
-from .errors import InvalidPair, UnsupportedFamily, as_member, check_step_count
+from .errors import InvalidPair, UnsupportedFamily, as_int, as_member, check_step_count
 
 Value = Union[Fraction, float]
 
-INFINITE = math.inf  # sentinel accepted by the dihedral evaluators
+# m of the infinite dihedral group: expected_length_I2_S_troili and
+# expected_abslength_I2_S let it past the rank check, and no group takes it
+INFINITE = math.inf
 
 
 def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _check(t: int, family: Family, n: int, r: int = 1) -> None:
-    """A closed form's domain: ``check_step_count``, then ``check_walk_rank``."""
-    check_step_count(t)
-    check_walk_rank(family, n, r)
+def _check(t: int, family: Family, n: int) -> tuple[int, int]:
+    """A closed form's domain: ``check_step_count``, then ``check_walk_rank``;
+    t and n as Python ints, so that no numpy scalar enters a formula."""
+    return check_step_count(t), check_walk_rank(family, n)[0]
 
 
 @dataclass(frozen=True)
@@ -71,19 +72,11 @@ class ExpectationResult:
 _HALF = Fraction(1, 2)
 
 
-def _index_pair(i: int, j: int) -> tuple[int, int]:
-    """(i, j) as ints; InvalidPair unless both are integers (Python or numpy)."""
-    try:
-        return operator.index(i), operator.index(j)
-    except TypeError:
-        raise InvalidPair(f"pair indices must be integers, got ({i!r}, {j!r})") from None
-
-
 def _pair_c(family: Family, n: int, i: int, j: int) -> Fraction:
     """c of the inversion pair (i, j): (j - i)/n in A (1 <= i < j <= n),
     (j - i - 1 + sgn i)/(2n - 2) in B and D (j > |i|), and 1/2 on B's sign
     pairs (-i, i), 1 <= i <= n; InvalidPair for any other (i, j)."""
-    i, j = _index_pair(i, j)
+    i, j = (as_int(x, InvalidPair, "a pair index") for x in (i, j))
     if family == "A":
         if 1 <= i < j <= n:
             return Fraction(j - i, n)
@@ -98,7 +91,7 @@ def _pair_form(family: Family, n: int, t: int, pair: tuple | None = None) -> Fra
     """The form on pair = (i, j), or else the expected length, after the
     closed forms' domain check.  In B1, b1 = b2 = -1, so the length's c,
     stated for n >= 2, drops out."""
-    _check(t, family, n)
+    t, n = _check(t, family, n)
     if pair is not None:
         half, c = _HALF, _pair_c(family, n, *pair)
     elif family == "A":  # n(n-1)/2 pairs; their (j - i)/n sum to (n+1)(n-1)/6
@@ -169,7 +162,7 @@ def expected_length_I2_T(m: int, t: int) -> Fraction:
 
     t = 0 returns 0 (empty product), an extension beyond the t >= 1 statement.
     """
-    _check(t, Family.I2, m)
+    t, m = _check(t, Family.I2, m)
     if t == 0:
         return Fraction(0)
     if m % 2 == 0:
@@ -184,7 +177,7 @@ def expected_abslength_I2_S(m, t: int) -> Fraction:
     1 for odd t; for even t, 2 minus 2^(1-t) times the central section of
     binomial row t sampled with period 2m.
     """
-    _check(t, Family.I2, m)
+    t, m = (check_step_count(t), m) if m == INFINITE else _check(t, Family.I2, m)
     if t % 2 == 1:
         return Fraction(1)
     if m == INFINITE:
@@ -199,7 +192,7 @@ def expected_abslength_I2_T(m: int, t: int) -> Fraction:
     """Expected minimal reflection-word length after t >= 1 uniform
     reflections in the dihedral group of order 2m: 1 for odd t, 2 - 2/m for
     even t.  t = 0 returns 0 (empty product)."""
-    _check(t, Family.I2, m)
+    t, m = _check(t, Family.I2, m)
     if t == 0:
         return Fraction(0)
     if t % 2 == 1:
@@ -228,7 +221,7 @@ def expected_length_I2_S_troili(m, t: int) -> Fraction:
     half of row t, O(t) big-int multiply-adds for every m (none for
     m >= t), and one Fraction at the end.
     """
-    _check(t, Family.I2, m)
+    t, m = (check_step_count(t), m) if m == INFINITE else _check(t, Family.I2, m)
     num = (t + 1) // 2 * comb(t, (t + 1) // 2)  # h(s) = s, telescoped
     c, below, i = 1, 0, 0  # c = C(t, i), below = B(i - 1)
     # images km < t, outermost first so that the scan runs upwards in i;
@@ -294,8 +287,8 @@ def expected_length_A_S_eriksen(n_gens: int, t: int) -> Fraction:
     P(E) = ((E + n - 4)^t - n^t) / (E - 4), whose coefficients come from one
     synthetic division: P_{t-1} = A_t and P_{k-1} = A_k + 4 P_k, where
     A_k = C(t, k) (n - 4)^(t - k).  That is t big-integer terms."""
-    _check(t, Family.A, n_gens + 1)
-    n = n_gens
+    t, letters = _check(t, Family.A, n_gens + 1)
+    n = letters - 1
     num, p, c, power = 0, 0, 1, 1  # p = P_k, c = C(t, k), power = (n - 4)^(t - k)
     for k in range(t, 0, -1):
         p = c * power + 4 * p  # P_{k-1}
@@ -309,8 +302,8 @@ def expected_length_A_S_bm(n_gens: int, t: int) -> float:
     """Expected inversion count after t uniform adjacent transpositions, by
     the trigonometric eigenexpansion of Bousquet-Melou (2010).  Float valued;
     agrees with the exact expansion to about 1e-9."""
-    _check(t, Family.A, n_gens + 1)
-    n = n_gens
+    t, letters = _check(t, Family.A, n_gens + 1)
+    n = letters - 1
     alphas = [(2 * k + 1) * math.pi / (2 * n + 2) for k in range(n + 1)]
     coss = [math.cos(a) for a in alphas]
     sins2 = [math.sin(a) ** 2 for a in alphas]
@@ -340,7 +333,7 @@ def expected_abslength_G_EH(r: int, n: int, t: int) -> Fraction:
     Every term, the harmonic head n - H_n / r included, is (c / d) (N / denom)^t
     with small integers c, d and N; over L denom^t, with L = lcm(d), the sum is
     one integer, sum c (L / d) N^t, and one Fraction is formed at the end."""
-    _check(t, Family.G, n, r)
+    t, (n, r) = check_step_count(t), check_walk_rank(Family.G, n, r)
     denom = r * comb(n + 1, 2) - n
     terms = [(n, 1, denom)] + [(-1, r * k, denom) for k in range(1, n + 1)]  # (c, d, N)
     for p in range(1, n):
@@ -367,8 +360,8 @@ def lemma_bd_v(n: int, x, t: int, i: int, j: int) -> Fraction:
     """Closed form for the signed-pair recurrence v' = (Q + x I) v started
     from v(i,j) = sign(j - i): a two-eigenvalue combination of (2n - 2 + x)^t
     and x^t.  Its rank rule is D's, n >= 2, for B as well."""
-    _check(t, Family.D, n)
-    i, j = _index_pair(i, j)
+    t, n = _check(t, Family.D, n)
+    i, j = (as_int(x, InvalidPair, "a pair index") for x in (i, j))
     if not in_index_domain(n, i, j):
         raise InvalidPair(f"({i}, {j}) is not an admissible pair for n={n}")
     x = Fraction(x)
@@ -447,7 +440,7 @@ def closed_form(
 ) -> ExpectationResult:
     """Evaluate the closed form for this cell, raising UnsupportedFamily when
     the cell has none or formula names no formula of the cell."""
-    check_step_count(t)
+    t = check_step_count(t)
     gens, measure = as_member(Gens, gens), as_member(Measure, measure)
     found = formula_for(spec, gens, measure, formula)
     if found is None:

@@ -26,12 +26,11 @@ distribution level, but every element-level test assumes this one.
 """
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import factorial, inf
+from math import factorial
 from typing import Union
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import (
     OrderLimitExceeded,
     SpecMismatch,
     UnsupportedFamily,
+    as_int,
     as_member,
 )
 
@@ -86,18 +86,12 @@ class Family(str, Enum):
     G = "G"
 
 
-def check_rank(family: Family, n: int, r: int = 1) -> None:
-    """Raise InvalidRank unless (n, r) names a group of the family.  It runs
-    on every closed-form call, so it compares the family with the members'
-    string values, far cheaper than reading members off the Enum class.
-    n and r must be integers (Python or numpy); I2 also takes m = math.inf,
-    the infinite dihedral group of the dihedral closed forms."""
-    try:
-        operator.index(r)
-        if n != inf or family != "I2":
-            operator.index(n)
-    except TypeError:
-        raise InvalidRank(f"rank parameters must be integers, got n={n!r}, r={r!r}") from None
+def check_rank(family: Family, n: int, r: int = 1) -> tuple[int, int]:
+    """(n, r) as Python ints; InvalidRank unless they are integers naming a
+    group of the family, which is never infinite (two closed forms let I2(inf)
+    past this themselves).  It runs on every closed-form call, so it compares
+    the family with the members' string values, far cheaper than Enum reads."""
+    n, r = as_int(n, InvalidRank, "n"), as_int(r, InvalidRank, "r")
     if family == "A" and n < 2:
         raise InvalidRank(f"family A needs at least 2 letters, got {n}")
     if family in ("B", "D") and n < 1:
@@ -111,6 +105,7 @@ def check_rank(family: Family, n: int, r: int = 1) -> None:
             raise InvalidRank("family G needs r, n not both 1")
     elif r != 1:
         raise InvalidRank(f"parameter r is only meaningful for family G, got r={r}")
+    return n, r
 
 
 def has_reflections(family: Family, n: int) -> bool:
@@ -118,11 +113,12 @@ def has_reflections(family: Family, n: int) -> bool:
     return family != "D" or n >= 2
 
 
-def check_walk_rank(family: Family, n: int, r: int = 1) -> None:
+def check_walk_rank(family: Family, n: int, r: int = 1) -> tuple[int, int]:
     """``check_rank``, and InvalidRank for D1: the rank rule of walks on reflections."""
-    check_rank(family, n, r)
+    ranks = check_rank(family, n, r)
     if not has_reflections(family, n):
         raise InvalidRank("family D needs n >= 2")
+    return ranks
 
 
 class Gens(str, Enum):
@@ -159,7 +155,8 @@ class GroupSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", as_member(Family, self.family))
-        check_rank(self.family, self.n, self.r)
+        for name, value in zip(("n", "r"), check_rank(self.family, self.n, self.r)):
+            object.__setattr__(self, name, value)  # a numpy integer is stored as its int
 
     def __str__(self) -> str:
         """The group's usual name: A4, B3, D1, I2(5), G(3,1,4)."""
@@ -270,18 +267,20 @@ class SignedPermutation(_Window):
 @dataclass(frozen=True)
 class DihedralElement:
     """Element rho^rot * sigma^flip of the dihedral group of order 2m, where
-    rho is the unit rotation and sigma a fixed reflection."""
+    rho is the unit rotation and sigma a fixed reflection: integers m >= 2
+    (else InvalidRank), 0 <= rot < m and flip in {0, 1} (else ValueError)."""
 
     m: int
     rot: int
     flip: int
 
     def __post_init__(self):
-        check_rank(Family.I2, self.m)
-        if not 0 <= self.rot < self.m:
-            raise ValueError(f"rotation index out of range: {self.rot}")
-        if self.flip not in (0, 1):
-            raise ValueError(f"flip must be 0 or 1: {self.flip}")
+        m = check_rank(Family.I2, self.m)[0]
+        rot, flip = as_int(self.rot, ValueError, "rot"), as_int(self.flip, ValueError, "flip")
+        if not (0 <= rot < m and flip in (0, 1)):
+            raise ValueError(f"no element of I2({m}) has rot={rot}, flip={flip}")
+        for name, value in (("m", m), ("rot", rot), ("flip", flip)):
+            object.__setattr__(self, name, value)  # as in GroupSpec
 
     def __mul__(self, other: "DihedralElement") -> "DihedralElement":
         if not isinstance(other, DihedralElement):
@@ -521,8 +520,8 @@ class RankedGroup:
         return int(self.ranks(np.array(w.window, dtype=np.int8)[:, None])[0])
 
     def element(self, k: int) -> GroupElement:
-        """The element of rank k; KeyError if k is not in [0, |W|)."""
-        if not 0 <= k < self.order:
+        """The element of rank k; KeyError unless k is an integer in [0, |W|)."""
+        if not 0 <= (k := as_int(k, KeyError, "rank")) < self.order:
             raise KeyError(k)
         f = self.spec.family
         if f == Family.I2:

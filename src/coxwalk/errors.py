@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, the one walk-length check, and Enum lookup."""
+"""Exceptions shared across the package, the one integer rule (``as_int``),
+the one walk-length check, and Enum lookup."""
 
 import operator
 
@@ -59,15 +60,21 @@ class OrderLimitExceeded(CoxwalkError, RuntimeError):
     """Group order (or walk work estimate) exceeds the configured guard."""
 
 
-def check_step_count(t: int) -> None:
-    """Reject a walk length that is not an integer (Python or numpy) or is
-    below 0; every engine and closed form calls this."""
+def as_int(value, error, what: str) -> int:
+    """value as a Python int when it is an integer (a Python or numpy integer,
+    or a bool), else error naming what; the one integer rule of the package."""
     try:
-        operator.index(t)
+        return operator.index(value)
     except TypeError:
-        raise InvalidStepCount(f"t must be an integer, got {t!r}") from None
-    if t < 0:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_step_count(t: int) -> int:
+    """t as a Python int; InvalidStepCount if it is not an integer or is below
+    0.  Every engine and closed form calls this and walks the int it returns."""
+    if (t := as_int(t, InvalidStepCount, "t")) < 0:
         raise InvalidStepCount(f"t must be >= 0, got {t}")
+    return t
 
 
 def as_member(enum, value):

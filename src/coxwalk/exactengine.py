@@ -51,7 +51,7 @@ from .elements import (
     num_generators,
     ranked_group,
 )
-from .errors import UnsupportedFamily, check_step_count
+from .errors import UnsupportedFamily, as_member, check_step_count
 from . import lengths
 
 _INT64_LIMIT = 2**63
@@ -138,7 +138,7 @@ def iterate_distributions(spec: GroupSpec, gens: Gens, t_max: int):
     Every generator is an involution, so the counts arriving at w are the
     counts at w * g, summed over g; a new count is at most |R| * den.
     """
-    check_step_count(t_max)
+    t_max = check_step_count(t_max)
     group = ranked_group(spec)  # its order guard runs before any table is built
     check_walk_rank(spec.family, spec.n, spec.r)
     n_gens = num_generators(spec.family, spec.n, gens)
@@ -198,18 +198,21 @@ def expectation(dist: ExactDist, statistic: Callable[[GroupElement], int]) -> Fr
 
 def pair_probability(dist: ExactDist, i: int, j: int) -> Fraction:
     """Prob(w(i) < w(j)) under the distribution, summed over the support.
-    Raises KeyError off the pair-table domain, as ``PairTable.entry`` does."""
+    Takes the keys ``PairTable.entry`` takes, and raises KeyError off its
+    domain as it does."""
     win = dist.group.windows
     if win is None:
         raise UnsupportedFamily("pair probabilities need a permutation window")
     layout = _layout(dist.spec.family, dist.spec.n)
-    if not layout.domain[layout.pos[i], layout.pos[j]]:
+    a, b = layout.pos[i], layout.pos[j]
+    if not layout.domain[a, b]:
         raise KeyError((i, j))
 
-    def value(x: int) -> np.ndarray:
+    def value(p: int) -> np.ndarray:  # w(x) for the label x at position p
+        x = layout.labels[p]
         return win[:, x - 1] if x > 0 else -win[:, -x - 1]
 
-    return Fraction(int(dist.counts[value(i) < value(j)].sum()), dist.den)
+    return Fraction(int(dist.counts[value(a) < value(b)].sum()), dist.den)
 
 
 def make_statistic(spec: GroupSpec, measure: Measure) -> lengths.Statistic:
@@ -232,7 +235,7 @@ class _Layout:
     along each axis in increasing order, 1..n in A and -n..-1, 1..n in B and
     D (so positions p and 2n-1-p carry i and -i); ``pos``: label -> position,
     KeyError off the labels; ``domain``: the cells i != j, in D also
-    i != -j; ``q_mask``: the cells |i| != |j| on which Q sums;
+    i != -j, so in A and D the cells |i| != |j| on which Q sums;
     ``inversions``: flat positions of the pairs (i, j) with j > |i|, plus
     (-i, i) in B.  The fields are slots, which ``PairTable.entry`` reads as
     fast as its own fields (a NamedTuple's read slower).
@@ -241,7 +244,6 @@ class _Layout:
     labels: tuple
     pos: Mapping
     domain: np.ndarray
-    q_mask: np.ndarray
     inversions: np.ndarray
 
 
@@ -251,17 +253,16 @@ def _layout(family: Family, n: int) -> _Layout:
     if family != Family.A:
         lab = np.concatenate([-lab[::-1], lab])
     i, j = lab[:, None], lab[None, :]
-    q_mask = abs(i) != abs(j)
-    domain = q_mask if family == Family.D else i != j
+    domain = abs(i) != abs(j) if family == Family.D else i != j
     inv = j > abs(i)
     if family == Family.B:
         inv |= (i == -j) & (j > 0)
     inversions = np.flatnonzero(inv)
-    for a in (domain, q_mask, inversions):
+    for a in (domain, inversions):
         a.flags.writeable = False
     labels = tuple(lab.tolist())
     pos = MappingProxyType({x: p for p, x in enumerate(labels)})
-    return _Layout(labels, pos, domain, q_mask, inversions)
+    return _Layout(labels, pos, domain, inversions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,10 +368,10 @@ def _pair_step(family: Family, n: int):
 
 def iterate_pairtables(family: Family, n: int, t_max: int):
     """Yield the pair tables for t = 0..t_max: ``_pair_step``'s walk from P(i, j) = [i < j]."""
+    family = as_member(Family, family)
     if family not in (Family.A, Family.B, Family.D):
         raise UnsupportedFamily(f"pairwise engine supports families A, B, D, not {family}")
-    check_walk_rank(family, n)
-    check_step_count(t_max)
+    n, t_max = check_walk_rank(family, n)[0], check_step_count(t_max)
     check_work(4 * n * n * max(t_max, 1), "pair-table work estimate")
     layout = _layout(family, n)
     step, growth = _pair_step(family, n)
@@ -405,7 +406,7 @@ def apply_Q_A(v: np.ndarray) -> np.ndarray:
     """Q on an (n, n) table in the family-A pair-table layout (cell
     (i-1, j-1) holds v(i, j)): row sum plus column sum off the diagonal.
     Satisfies Q.Q = n.Q on antisymmetric tables."""
-    return _q(v, _layout(Family.A, len(v)).q_mask)
+    return _q(v, _layout(Family.A, len(v)).domain)
 
 
 def apply_Q_BD(v: np.ndarray) -> np.ndarray:
@@ -413,4 +414,4 @@ def apply_Q_BD(v: np.ndarray) -> np.ndarray:
     -n..-1, 1..n): row sum over |j'| != |i| plus column sum over |i'| != |j|
     at every cell with |i| != |j|.  Satisfies Q.Q = (2n-2).Q on tables with
     v(j,i) = -v(i,j) and v(-j,-i) = v(i,j)."""
-    return _q(v, _layout(Family.D, len(v) // 2).q_mask)
+    return _q(v, _layout(Family.D, len(v) // 2).domain)

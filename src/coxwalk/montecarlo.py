@@ -1,7 +1,8 @@
 """Seeded, reproducible Monte Carlo estimation of expected walk lengths.
 
-Stream contract.  Trial k of a run with seed s (both in [0, 2^64)) draws its
-t generator indices from the Philox4x64-10 stream keyed by (s, k), exactly
+Stream contract.  Trial k of a run with seed s (both integers, Python or
+numpy, in [0, 2^64); any other value is refused) draws its t generator
+indices from the Philox4x64-10 stream keyed by (s, k), exactly
 as ``np.random.Generator(np.random.Philox(key=[s, k])).integers(0, n, t)``
 does for n <= 2^32 generators (``trial_choices``):
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import sqrt
-from operator import index, mul
+from operator import mul
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .errors import (
     InvalidSeed,
     InvalidTrialCount,
     InvalidTrialIndex,
+    as_int,
     as_member,
     check_step_count,
 )
@@ -77,9 +79,12 @@ _BLOCK_WORDS = 2**16
 _BLOCK_STATE = 2**17
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise InvalidSeed(f"seed must be in [0, 2**64), got {seed}")
+def _key(value, error, what: str) -> int:
+    """A seed or trial index as a Python int in [0, 2^64), the key range of
+    the streams, else error naming what."""
+    if not 0 <= (key := as_int(value, error, what)) < 2**64:
+        raise error(f"{what} must be in [0, 2**64), got {value}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,14 @@ class SimResult:
 def trial_choices(seed: int, trial: int, n_choices: int, steps: int) -> np.ndarray:
     """The generator indices used by the given trial: steps draws from the
     Philox stream keyed by (seed, trial).  This is the stream contract's
-    reference; a seed outside [0, 2^64) raises InvalidSeed, and a trial
-    outside it InvalidTrialIndex."""
-    _check_seed(seed)
-    if not 0 <= trial < 2**64:
-        raise InvalidTrialIndex(f"trial must be in [0, 2**64), got {trial}")
-    key = np.array([seed, trial], dtype=np.uint64)
+    reference.  Each argument is an integer: a seed outside [0, 2^64) raises
+    InvalidSeed, a trial outside it InvalidTrialIndex, an n_choices below 1
+    InvalidRank and steps below 0 InvalidStepCount."""
+    key = np.array([_key(seed, InvalidSeed, "seed"), _key(trial, InvalidTrialIndex, "trial")],
+                   dtype=np.uint64)
+    if (n_choices := as_int(n_choices, InvalidRank, "n_choices")) < 1:
+        raise InvalidRank(f"n_choices must be >= 1, got {n_choices}")
+    steps = check_step_count(steps)
     return np.random.Generator(np.random.Philox(key=key)).integers(0, n_choices, size=steps)
 
 
@@ -237,14 +244,6 @@ def _walk_dihedral(rank: np.ndarray, choices: np.ndarray, m: int) -> None:
     rank[:] = 2 * (rot % m) + len(choices) % 2
 
 
-def _count(name: str, value) -> int:
-    """value as an int; InvalidTrialCount, naming it, unless it is an integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise InvalidTrialCount(f"{name} must be an integer, got {value!r}") from None
-
-
 def simulate(
     spec: GroupSpec,
     gens: Gens,
@@ -257,15 +256,16 @@ def simulate(
     """Estimate the expected walk statistic from independent trials.
 
     Identical (spec, gens, measure, t, trials, seed) give a bit-identical
-    result for any number of workers.  A seed outside [0, 2^64) raises
-    InvalidSeed, and a trial count that is not an integer or is below 2, or
-    a worker count that is not an integer, InvalidTrialCount.
+    result for any number of workers.  A seed that is not an integer in
+    [0, 2^64) raises InvalidSeed, and a trial count that is not an integer or
+    is below 2, or a worker count that is not an integer, InvalidTrialCount.
     """
-    trials, workers = _count("trials", trials), _count("workers", workers)
+    trials = as_int(trials, InvalidTrialCount, "trials")
+    workers = as_int(workers, InvalidTrialCount, "workers")
     if trials < 2:
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
-    check_step_count(t)
-    _check_seed(seed)
+    t = check_step_count(t)
+    seed = _key(seed, InvalidSeed, "seed")
     n = spec.n
     if spec.family == Family.I2 and n >= 2**62:
         raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")

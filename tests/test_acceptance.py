@@ -1,11 +1,14 @@
-"""Acceptance gate: one test per criterion.
+"""Acceptance gate: one test per criterion, and the runner that reports them.
 
 Each criterion runs the corresponding cross-check at its full grid and
 tolerance (exact rational equality unless stated otherwise) and prints one
 pass/fail line; run with ``pytest -s tests/test_acceptance.py`` to see them.
 """
 
+import pytest
+
 from coxwalk import verify
+from coxwalk.cli import main
 
 
 def _run(number, check, detail):
@@ -79,3 +82,30 @@ def test_criterion_10_monte_carlo():
 def test_criterion_11_dihedral_spot_values():
     # pinned values: m/2 (even m), 2 - 2/m (even t), 1 (odd t)
     _run(11, verify.check_dihedral_spot_values, "350 equalities")
+
+
+# ---------------------------------------------------------------------------
+# The runner around the criteria: ``run_suite`` and ``coxwalk verify``
+# ---------------------------------------------------------------------------
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(KeyError, match="unknown suite 'bogus'"):
+        verify.run_suite("bogus")
+
+
+def test_a_check_that_raises_is_a_failed_check(monkeypatch, capsys):
+    def crashes():
+        raise ZeroDivisionError("synthetic")
+
+    monkeypatch.setitem(verify.SUITES, "dihedral",
+                        (crashes, verify.check_dihedral_spot_values))
+    first, second = verify.run_suite("dihedral")
+    assert (first.name, first.ok) == ("crashes", False)
+    assert first.detail == "raised ZeroDivisionError('synthetic')"
+    assert second.ok  # the suite runs on past the crash
+    capsys.readouterr()
+    assert main(["verify", "--suite", "dihedral"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "[FAIL] dihedral: crashes (raised ZeroDivisionError('synthetic'))"
+    assert out[1].startswith("[PASS] dihedral: ") and out[-1] == "FAILED: 1 failing check(s)"

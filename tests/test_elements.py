@@ -9,6 +9,7 @@ from coxwalk import (
     Gens,
     GroupSpec,
     InvalidRank,
+    Measure,
     OrderLimitExceeded,
     Permutation,
     RankedGroup,
@@ -18,6 +19,8 @@ from coxwalk import (
     enumerate_group,
     in_index_domain,
     index_pairs,
+    iterate_distributions,
+    make_statistic,
     multiply,
     reflections_of,
     simple_reflections_of,
@@ -62,6 +65,18 @@ class TestGroupSpec:
         assert GroupSpec(Family.G, 3, 2).element_model() == GroupSpec(Family.B, 3)
         with pytest.raises(UnsupportedFamily):
             GroupSpec(Family.G, 3, 3).element_model()
+
+    def test_family_g_is_named_but_has_no_elements(self):
+        # G(r,1,n) has closed forms only; its elements, full-engine walks and
+        # statistics are refused (G(1,1,n) and G(2,1,n) reach them through
+        # element_model)
+        spec = GroupSpec(Family.G, 3, 2)
+        assert str(spec) == "G(2,1,3)"
+        for call in (spec.identity,
+                     lambda: list(iterate_distributions(spec, Gens.REFLECTIONS, 1)),
+                     lambda: make_statistic(spec, Measure.LENGTH)):
+            with pytest.raises(UnsupportedFamily, match="family G"):
+                call()
 
 
 class TestWindows:

@@ -282,7 +282,7 @@ class TestPairTables:
                 assert table.entries == evolve_pairtable(family, n, t).entries
                 with pytest.raises(ValueError):
                     table.num[0, 1] = 7
-            for cells in (layout.domain, layout.q_mask, layout.inversions):
+            for cells in (layout.domain, layout.inversions):
                 with pytest.raises(ValueError):
                     cells[0] = 0
             with pytest.raises(TypeError):
@@ -610,16 +610,18 @@ class TestRankedEngine:
         assert calls and set(calls.values()) == {1}
 
     def test_pair_probability_raises_off_the_pair_table_domain(self):
-        # pair_probability and PairTable.entry share one domain: off it both
-        # raise KeyError, on it they agree.  The labels include 0 and +-(n+1),
-        # so A4 (0, 1), (-1, 2), (2, 2), (1, 5) and D3 (0, 1) are among them
+        # pair_probability and PairTable.entry share one domain and one set of
+        # keys: off it both raise KeyError, on it they agree.  The keys include
+        # 0, +-(n+1) and 1.5, so A4 (0, 1), (-1, 2), (2, 2), (1, 5) and D3 (0, 1)
+        # are among them; 1.0 and np.int64(2) name the labels 1 and 2
         for spec in (GroupSpec(Family.A, 4), GroupSpec(Family.B, 3), GroupSpec(Family.D, 3)):
             n = spec.n
             dist = evolve_distribution(spec, Gens.REFLECTIONS, 3)
             table = evolve_pairtable(spec.family, n, 3)
             off = 0
-            for i in range(-n - 1, n + 2):
-                for j in range(-n - 1, n + 2):
+            keys = [*range(-n - 1, n + 2), 1.0, 1.5, np.int64(2)]
+            for i in keys:
+                for j in keys:
                     try:
                         p = table.entry(i, j)
                     except KeyError:
@@ -637,6 +639,12 @@ class TestRankedEngine:
         table = evolve_pairtable(Family.A, 3, 41)
         for (i, j), p in table.entries.items():
             assert pair_probability(dist, i, j) == p
+
+    def test_pair_probability_needs_a_window(self):
+        # an I2 element is a (rotation, flip) pair: it has no entries to compare
+        dist = evolve_distribution(GroupSpec(Family.I2, 5), Gens.REFLECTIONS, 2)
+        with pytest.raises(UnsupportedFamily, match="permutation window"):
+            pair_probability(dist, 1, 2)
 
 
 @pytest.mark.parametrize("call, estimate, message", [
@@ -732,7 +740,8 @@ def test_helpers_stay_independent_of_the_engines():
     import ast
     import helpers
 
-    tree = ast.parse(open(helpers.__file__).read())
+    with open(helpers.__file__) as source:
+        tree = ast.parse(source.read())
     from_package = [
         alias.name
         for node in ast.walk(tree)
