@@ -3,10 +3,9 @@ more source trees, written to BENCH_statistics.json (or --out).
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src --tree after=src
 
-Each route is one ``coxwalk`` command line, ``eval`` or ``verify``, run
-through ``cli.main`` in a fresh interpreter with the tree on PYTHONPATH; the
-time is the median of
---repeats runs of ``cli.main`` alone (interpreter start and imports
+Each route is one ``coxwalk`` command line (``eval``, ``table`` or
+``verify``), run through ``cli.main`` in a fresh interpreter with the tree on
+PYTHONPATH; the time is the median of --repeats runs of ``cli.main`` alone (interpreter start and imports
 excluded), and each run also records the child's peak RSS (``ru_maxrss``,
 interpreter and imports included).  The child also times perfbench's
 host-speed reference loop (``perfbench/hostspeed.py``, imported read-only)
@@ -49,7 +48,13 @@ and large ranks.  The cli route is A10 length at t = 12, an O(1) closed form, so
 ``cli.main``: each child's one call builds the eval parser, as the first
 call of every process does.  The eh routes time Eriksen and Hultman's
 expansion for A12 and B9 absolute length at t = 200, far past closed-cli's
-grid (A5, B3, B4, t <= 12).  The verify routes time the typeA, typeB,
+grid (A5, B3, B4, t <= 12).  The table routes time ``coxwalk table``,
+which no perfbench workload runs: A40 over t <= 100 with 5000 trials is one
+Monte Carlo run per t (A40 is past the exact engine's guard, so that column
+is empty), the baseline of a single walk for every t; G(2,1,3) absolute
+length in JSON prints the G header and the closed form, exact engine and
+Monte Carlo columns.  Their value is the whole stdout, so two trees must
+print the same bytes.  The verify routes time the typeA, typeB,
 typeD and operators suites, which no perfbench workload runs: pair engine,
 full engine, closed forms, the pair theorem's checks and its proof on a basis
 of the pair tables, and the Q identities on the same basis; their value is
@@ -131,6 +136,11 @@ ROUTES = {
                      "--formula", "eh"],
     "eh B9 t=200": ["eval", "--family", "B", "--n", "9", "--measure", "abslength", "--t", "200",
                     "--formula", "eh"],
+    "table A40 t<=100 length": ["table", "--family", "A", "--n", "40", "--t-max", "100",
+                                "--trials", "5000"],
+    "table G(2,1,3) t<=8 abslength json": ["table", "--family", "G", "--r", "2", "--n", "3",
+                                           "--measure", "abslength", "--t-max", "8",
+                                           "--trials", "2000", "--format", "json"],
     "verify typeA": ["verify", "--suite", "typeA"],
     "verify typeB": ["verify", "--suite", "typeB"],
     "verify typeD": ["verify", "--suite", "typeD"],

@@ -42,29 +42,46 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _csv_value(value) -> str:
+def _csv_value(value):
+    """A field as CSV prints it: a rational as "num/den", None empty; csv
+    writes the others (ints and strings with str, floats with repr)."""
+    if value is None:
+        return ""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    return repr(float(value))
+    return value
 
 
 def _json_value(value):
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    return float(value)
+    """``json.dumps``' hook for the one field type JSON lacks, a rational: its
+    {"num", "den"} as decimal strings (None and floats print natively)."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _build_spec(args, parser) -> GroupSpec:
-    """The group of the flags; a rank outside the family's domain, or D1,
-    which has no reflections to walk on, raises InvalidRank for ``main`` to
-    report before any engine or closed form is looked up."""
+def _write_csv(keys, rows) -> None:
+    """The key row, then one row per value row, each field by ``_csv_value``."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([_csv_value(v) for v in row] for row in rows)
+
+
+def _read_cell(args, parser):
+    """The cell of the flags, (spec, gens, measure, header), header being the
+    family, param, r, gens and measure fields that eval and table print.  A
+    rank outside the family's domain, or D1, which has no reflections to walk
+    on, raises InvalidRank for ``main`` to report before any engine or closed
+    form is looked up."""
     if args.n is None:
         parser.error("--n (or --m for I2) is required")
     if args.r is not None and args.family != Family.G:
         parser.error("--r is only valid with --family G")
     spec = GroupSpec(args.family, args.n, 1 if args.r is None else args.r)
     check_walk_rank(spec.family, spec.n, spec.r)
-    return spec
+    gens, measure = Gens(args.gens), Measure(args.measure)
+    header = {"family": spec.family.value, "param": spec.n,
+              "r": spec.r if spec.family == Family.G else None,
+              "gens": gens.value, "measure": measure.value}
+    return spec, gens, measure, header
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
@@ -82,20 +99,9 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _emit_record(record: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(record))
-        return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(record.keys())
-    writer.writerow("" if v is None else v for v in record.values())
-
-
 def _cmd_eval(args, parser) -> int:
-    spec = _build_spec(args, parser)
-    gens, measure = Gens(args.gens), Measure(args.measure)
-    method, value, stderr = None, None, None
-    engine = args.engine
+    spec, gens, measure, header = _read_cell(args, parser)
+    engine, extra = args.engine, {}
     if engine == "closed" and formula_for(spec, gens, measure, args.formula) is None:
         _warn(
             f"no closed form for family={spec.family.value} gens={gens.value} "
@@ -109,8 +115,7 @@ def _cmd_eval(args, parser) -> int:
         method, value = res.method, res.value
     elif engine == "exact-full":
         dist = evolve_distribution(model, gens, args.t)
-        value = expectation(dist, make_statistic(model, measure))
-        method = "exact-full"
+        method, value = engine, expectation(dist, make_statistic(model, measure))
     elif engine == "exact-pair":
         if gens != Gens.REFLECTIONS or measure != Measure.LENGTH or model.family not in (
             Family.A,
@@ -118,35 +123,27 @@ def _cmd_eval(args, parser) -> int:
             Family.D,
         ):
             raise UnsupportedFamily("--engine exact-pair needs family A/B/D, reflections, length")
-        value = evolve_pairtable(model.family, model.n, args.t).expected_length()
-        method = "exact-pair"
+        method, value = engine, evolve_pairtable(model.family, model.n, args.t).expected_length()
     else:  # mc
         sim = simulate(model, gens, measure, args.t, trials=args.trials, seed=args.seed)
-        method, value, stderr = "mc", sim.mean, sim.stderr
-    record = {
-        "family": spec.family.value,
-        "param": spec.n,
-        "r": spec.r if spec.family == Family.G else None,
-        "gens": gens.value,
-        "measure": measure.value,
-        "t": args.t,
-        "method": method,
-        "value": _json_value(value) if args.format == "json" else _csv_value(value),
-    }
-    if stderr is not None:
-        record["stderr"] = stderr
-        record["trials"] = args.trials
-        record["seed"] = args.seed
-    _emit_record(record, args.format)
+        method, value = engine, sim.mean
+        extra = {"stderr": sim.stderr, "trials": args.trials, "seed": args.seed}
+    record = {**header, "t": args.t, "method": method, "value": value, **extra}
+    if args.format == "json":
+        print(json.dumps(record, default=_json_value))
+    else:
+        _write_csv(record, [record.values()])
     return 0
 
 
+_TABLE_KEYS = ("t", "closed_form", "exact", "mc_mean", "mc_stderr")
+
+
 def _cmd_table(args, parser) -> int:
-    spec = _build_spec(args, parser)
-    gens, measure = Gens(args.gens), Measure(args.measure)
+    spec, gens, measure, header = _read_cell(args, parser)
     model = spec.element_model()
-    have_formula = formula_for(spec, gens, measure, args.formula) is not None
-    if not have_formula:
+    found = formula_for(spec, gens, measure, args.formula)
+    if found is None:
         _warn("no closed form for this cell; closed_form column left empty")
     stat = make_statistic(model, measure)
     try:
@@ -154,51 +151,17 @@ def _cmd_table(args, parser) -> int:
     except OrderLimitExceeded as exc:
         _warn(f"exact engine skipped: {exc}")
         exact = [None] * (args.t_max + 1)
-
     rows = []
     for t in range(args.t_max + 1):
-        closed = (
-            closed_form(spec, gens, measure, t, args.formula).value
-            if have_formula
-            else None
-        )
+        closed = found[1](t) if found else None
         sim = simulate(model, gens, measure, t, trials=args.trials, seed=args.seed)
         rows.append((t, closed, exact[t], sim.mean, sim.stderr))
-
     if args.format == "json":
-        obj = {
-            "family": spec.family.value,
-            "param": spec.n,
-            "r": spec.r if spec.family == Family.G else None,
-            "gens": gens.value,
-            "measure": measure.value,
-            "trials": args.trials,
-            "seed": args.seed,
-            "rows": [
-                {
-                    "t": t,
-                    "closed_form": None if c is None else _json_value(c),
-                    "exact": None if e is None else _json_value(e),
-                    "mc_mean": m,
-                    "mc_stderr": s,
-                }
-                for (t, c, e, m, s) in rows
-            ],
-        }
-        print(json.dumps(obj))
-        return 0
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["t", "closed_form", "exact", "mc_mean", "mc_stderr"])
-    for (t, c, e, m, s) in rows:
-        writer.writerow(
-            [
-                t,
-                "" if c is None else _csv_value(c),
-                "" if e is None else _csv_value(e),
-                repr(m),
-                repr(s),
-            ]
-        )
+        rows = [dict(zip(_TABLE_KEYS, row)) for row in rows]
+        print(json.dumps({**header, "trials": args.trials, "seed": args.seed, "rows": rows},
+                         default=_json_value))
+    else:
+        _write_csv(_TABLE_KEYS, rows)
     return 0
 
 

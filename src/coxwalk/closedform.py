@@ -26,7 +26,7 @@ from .elements import (
     has_reflections,
     in_index_domain,
 )
-from .errors import InvalidPair, UnsupportedFamily, as_int, as_member, check_step_count
+from .errors import InvalidPair, InvalidRank, UnsupportedFamily, as_int, as_member, check_step_count
 
 Value = Union[Fraction, float]
 
@@ -287,7 +287,7 @@ def expected_length_A_S_eriksen(n_gens: int, t: int) -> Fraction:
     P(E) = ((E + n - 4)^t - n^t) / (E - 4), whose coefficients come from one
     synthetic division: P_{t-1} = A_t and P_{k-1} = A_k + 4 P_k, where
     A_k = C(t, k) (n - 4)^(t - k).  That is t big-integer terms."""
-    t, letters = _check(t, Family.A, n_gens + 1)
+    t, letters = _check(t, Family.A, as_int(n_gens, InvalidRank, "n_gens") + 1)
     n = letters - 1
     num, p, c, power = 0, 0, 1, 1  # p = P_k, c = C(t, k), power = (n - 4)^(t - k)
     for k in range(t, 0, -1):
@@ -302,7 +302,7 @@ def expected_length_A_S_bm(n_gens: int, t: int) -> float:
     """Expected inversion count after t uniform adjacent transpositions, by
     the trigonometric eigenexpansion of Bousquet-Melou (2010).  Float valued;
     agrees with the exact expansion to about 1e-9."""
-    t, letters = _check(t, Family.A, n_gens + 1)
+    t, letters = _check(t, Family.A, as_int(n_gens, InvalidRank, "n_gens") + 1)
     n = letters - 1
     alphas = [(2 * k + 1) * math.pi / (2 * n + 2) for k in range(n + 1)]
     coss = [math.cos(a) for a in alphas]

@@ -24,7 +24,8 @@ class InvalidPair(CoxwalkError, IndexError):
 
 class InvalidTrialCount(CoxwalkError, ValueError):
     """Monte Carlo trial count not an integer, or below the 2 a standard error
-    needs, or a worker count (the split of the trials) not an integer."""
+    needs, or a worker count (the split of the trials) not an integer, or
+    below 1."""
 
 
 class InvalidSeed(CoxwalkError, ValueError):

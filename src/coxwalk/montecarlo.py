@@ -4,7 +4,8 @@ Stream contract.  Trial k of a run with seed s (both integers, Python or
 numpy, in [0, 2^64); any other value is refused) draws its t generator
 indices from the Philox4x64-10 stream keyed by (s, k), exactly
 as ``np.random.Generator(np.random.Philox(key=[s, k])).integers(0, n, t)``
-does for n <= 2^32 generators (``trial_choices``):
+does for n <= 2^32 generators (``trial_choices``; more raise InvalidRank,
+as numpy draws from more by another algorithm):
 
 * the counter blocks are (1, 0, 0, 0), (2, 0, 0, 0), ... in order, each
   giving four 64-bit words, and each 64-bit word gives two 32-bit words,
@@ -87,6 +88,17 @@ def _key(value, error, what: str) -> int:
     return key
 
 
+def _choice_count(n_choices) -> int:
+    """n_choices as a Python int in [1, 2^32], the generator counts whose
+    draws the stream contract states (numpy draws from more by another
+    algorithm), else InvalidRank."""
+    if (n_choices := as_int(n_choices, InvalidRank, "n_choices")) < 1:
+        raise InvalidRank(f"n_choices must be >= 1, got {n_choices}")
+    if n_choices > 2**32:
+        raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")
+    return n_choices
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Sample mean and normal-approximation standard error of the walk
@@ -106,12 +118,11 @@ def trial_choices(seed: int, trial: int, n_choices: int, steps: int) -> np.ndarr
     """The generator indices used by the given trial: steps draws from the
     Philox stream keyed by (seed, trial).  This is the stream contract's
     reference.  Each argument is an integer: a seed outside [0, 2^64) raises
-    InvalidSeed, a trial outside it InvalidTrialIndex, an n_choices below 1
-    InvalidRank and steps below 0 InvalidStepCount."""
+    InvalidSeed, a trial outside it InvalidTrialIndex, an n_choices outside
+    [1, 2^32] InvalidRank and steps below 0 InvalidStepCount."""
     key = np.array([_key(seed, InvalidSeed, "seed"), _key(trial, InvalidTrialIndex, "trial")],
                    dtype=np.uint64)
-    if (n_choices := as_int(n_choices, InvalidRank, "n_choices")) < 1:
-        raise InvalidRank(f"n_choices must be >= 1, got {n_choices}")
+    n_choices = _choice_count(n_choices)
     steps = check_step_count(steps)
     return np.random.Generator(np.random.Philox(key=key)).integers(0, n_choices, size=steps)
 
@@ -203,7 +214,7 @@ def _blocks(trials: int, workers: int, rows: int):
     """Contiguous (lo, hi) trial ranges of at most ``rows`` trials, as even
     as possible, in trial order, within each worker's share of the trial
     range; at most one share per trial, as any more would be empty."""
-    workers = min(max(workers, 1), trials)
+    workers = min(workers, trials)
     bounds = [trials * w // workers for w in range(workers + 1)]
     for start, stop in zip(bounds, bounds[1:]):
         count = -(-(stop - start) // rows)
@@ -257,13 +268,15 @@ def simulate(
 
     Identical (spec, gens, measure, t, trials, seed) give a bit-identical
     result for any number of workers.  A seed that is not an integer in
-    [0, 2^64) raises InvalidSeed, and a trial count that is not an integer or
-    is below 2, or a worker count that is not an integer, InvalidTrialCount.
+    [0, 2^64) raises InvalidSeed, and a trial count below 2 or a worker count
+    below 1, or either not an integer, InvalidTrialCount.
     """
     trials = as_int(trials, InvalidTrialCount, "trials")
     workers = as_int(workers, InvalidTrialCount, "workers")
     if trials < 2:
         raise InvalidTrialCount(f"need at least 2 trials, got {trials}")
+    if workers < 1:
+        raise InvalidTrialCount(f"need at least 1 worker, got {workers}")
     t = check_step_count(t)
     seed = _key(seed, InvalidSeed, "seed")
     n = spec.n
@@ -271,9 +284,7 @@ def simulate(
         raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
     check_walk_rank(spec.family, n, spec.r)
     gens, measure = as_member(Gens, gens), as_member(Measure, measure)
-    n_choices = num_generators(spec.family, n, gens)
-    if n_choices > 2**32:  # checked before a move is listed
-        raise InvalidRank(f"at most 2**32 generators per draw, got {n_choices}")
+    n_choices = _choice_count(num_generators(spec.family, n, gens))  # before a move is listed
     # one trial's starting state: the identity's rank in I2, else its window
     if spec.family == Family.I2:
         width, identity = 1, np.zeros(1, dtype=np.int64)

@@ -134,11 +134,13 @@ def _check_pair_theorem(family: Family, chain_ns, pair_ns, closed_pair,
             tally.ok(not (step(lv, 0) - int(s1 + s2) * lv + int(s1 * s2) * v).any(),
                      f"{f} quadratic n={n} ({i},{j})")
             cells.append((i, j))
+        closed = {}  # the closed pair depends on (i, j) only through its c
         for table in iterate_pairtables(family, n, PAIR_TMAX):
             t = table.t
             for i, j in cells if t <= 2 else ():
-                tally.eq(closed_pair(n, i, j, t), 1 - table.entry(i, j),
-                         f"{f} pair n={n} ({i},{j}) t={t}")
+                if (key := (cf._pair_c(family, n, i, j), t)) not in closed:
+                    closed[key] = closed_pair(n, i, j, t)
+                tally.eq(closed[key], 1 - table.entry(i, j), f"{f} pair n={n} ({i},{j}) t={t}")
             tally.eq(cf.closed_form(spec, Gens.REFLECTIONS, Measure.LENGTH, t).value,
                      table.expected_length(), f"{f} pair-sum n={n} t={t}")
     return tally.result(name)

@@ -2,6 +2,7 @@
 or measure that names no member is refused, and every integer argument
 follows one rule."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coxwalk import (
     evolve_distribution,
     evolve_pairtable,
     expected_abslength_G_EH,
+    expected_length_A_S_bm,
     expected_length_A_S_eriksen,
     expected_length_A_T,
     expected_length_I2_S_troili,
@@ -171,16 +173,17 @@ INTEGER_ARGUMENTS = {
                    InvalidPair),
     "trials": (lambda k: simulate(A4, Gens.REFLECTIONS, Measure.LENGTH, 3, k, 1), 10,
                (np.int64(10),), (10.0, 1), InvalidTrialCount),
-    # every integer worker count is in range: counts below 1 run one share
+    # a worker count is at least 1
     "workers": (lambda w: simulate(A4, Gens.REFLECTIONS, Measure.LENGTH, 3, 10, 1, w), 2,
-                (np.int64(2),), (2.0, 2.5), InvalidTrialCount),
+                (np.int64(2),), (2.0, 2.5, 0, -5), InvalidTrialCount),
     # bit-identical: the repr holds the mean and standard error exactly
     "seed": (lambda s: repr(simulate(A4, Gens.REFLECTIONS, Measure.LENGTH, 3, 1000, s)), 7,
              (np.uint64(7), np.int64(7)), (7.0, 1.5, -1, 2**64), InvalidSeed),
     "trial": (lambda k: trial_choices(1, k, 3, 16).tolist(), 1, (np.uint64(1), np.int8(1)),
               (1.0, 1.5, -1, 2**64), InvalidTrialIndex),
+    # the stream contract states draws from at most 2**32 choices
     "n_choices": (lambda n: trial_choices(1, 1, n, 16).tolist(), 3, (np.int64(3),),
-                  (3.0, 0), InvalidRank),
+                  (3.0, 0, 2**32 + 1), InvalidRank),
     "steps": (lambda s: trial_choices(1, 1, 3, s).tolist(), 16, (np.int64(16),),
               (16.0, -1), InvalidStepCount),
     "rank": (lambda k: RankedGroup(GroupSpec(Family.A, 3)).element(k), 3, (np.int64(3),),
@@ -203,6 +206,14 @@ def test_one_integer_rule(name):
     for bad in refused:
         with pytest.raises(error):
             call(bad)
+
+
+@pytest.mark.parametrize("form", [expected_length_A_S_eriksen, expected_length_A_S_bm])
+def test_simple_forms_read_n_gens_before_adding_a_letter(form):
+    # n_gens + 1 letters: np.int8(127) + 1 overflows int8 to -128
+    assert form(np.int8(127), 3) == form(127, 3)
+    if form is expected_length_A_S_eriksen:
+        assert form(np.int8(127), 3) == Fraction(6049387, 2048383)
 
 
 def test_pair_engine_reads_family_names_as_group_specs_do():

@@ -122,6 +122,18 @@ def test_table_json(capsys):
         assert row["closed_form"] == row["exact"]
 
 
+@pytest.mark.parametrize("group", [["--family", "G", "--r", "2", "--n", "3"],
+                                   ["--family", "I2", "--m", "5"]])
+def test_table_and_eval_print_one_header(capsys, group):
+    cell = [*group, "--measure", "abslength", "--format", "json", "--trials", "100"]
+    _, table, _ = run(capsys, "table", *cell, "--t-max", "1")
+    _, one, _ = run(capsys, "eval", *cell, "--t", "1")
+    table, one = json.loads(table), json.loads(one)
+    header = ("family", "param", "r", "gens", "measure")
+    assert [table[k] for k in header] == [one[k] for k in header]
+    assert table["family"] == group[1] and table["param"] == int(group[-1])
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dihedral")
     assert code == 0
