@@ -43,8 +43,9 @@ t = 200 is a walk where the cost is all stream words (its moves are sums);
 A10 at t = 5 over 10^5 trials is per-trial bound; B6 at t = 6 over 5000
 trials is a short walk like perfbench's mc-grid median cells, where a
 statistic summed along the rows of the state takes about half the time;
-and B11/D12 absolute length and I2(10^7) show the peak RSS of wide states
-and large ranks.  The cli route is A10 length at t = 12, an O(1) closed form, so its time is all
+B11/D12 absolute length and I2(10^7) show the peak RSS of wide states
+and large ranks; and A1000 at t = 3 over 2 trials is all set-up, the
+listing of its 499 500 reflection moves.  The cli route is A10 length at t = 12, an O(1) closed form, so its time is all
 ``cli.main``: each child's one call builds the eval parser, as the first
 call of every process does.  The eh routes time Eriksen and Hultman's
 expansion for A12 and B9 absolute length at t = 200, far past closed-cli's
@@ -113,6 +114,8 @@ ROUTES = {
                           "--trials", str(10**5)],
     "mc B6 t=6 length": ["eval", "--family", "B", "--n", "6", "--t", "6", "--engine", "mc",
                          "--trials", "5000"],
+    "mc A1000 t=3 length": ["eval", "--family", "A", "--n", "1000", "--t", "3", "--engine", "mc",
+                            "--trials", "2"],
     "exact-pair A60 t=60 length": ["eval", "--family", "A", "--n", "60", "--t", "60",
                                    "--engine", "exact-pair"],
     "exact-pair B60 t=60 length": ["eval", "--family", "B", "--n", "60", "--t", "60",

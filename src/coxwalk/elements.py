@@ -18,7 +18,8 @@ element objects are built from a rank on demand.
 (a, b, s) on window positions in A/B/D and rotation parts in I2.  The element
 lists ``reflections_of`` / ``simple_reflections_of``, Monte Carlo's moves and
 the full engine's action tables (``RankedGroup.actions``) all read it, and
-``num_generators`` counts it without listing it.
+``num_generators`` counts it without listing it.  ``window_dtype`` types
+every window array.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -355,38 +356,44 @@ def generator_moves(spec: GroupSpec, gens: Gens):
     An A/B/D generator g is a move (a, b, s) on positions 1..n: w * g maps
     the window entries w(a), w(b) to s * w(b), s * w(a).  So (a, b, 1) is a
     transposition, (a, b, -1) the signed pair map a -> -b, b -> -a, and
-    (a, a, -1) the sign change at a.  An I2(m) generator is its rotation
-    part: range(2) or range(m), so no list of m entries is built.
+    (a, a, -1) the sign change at a; the moves are the rows of one read-only
+    (count, 3) intp array.  An I2(m) generator is its rotation part:
+    range(2) or range(m), so no list of m entries is built.
     """
     f, n = spec.family, spec.n
     count = num_generators(f, n, gens)  # UnsupportedFamily for G or an unknown gens
     if f == Family.I2:  # a rotation part is its index
         return range(count)
+    moves, positions = np.empty((count, 3), dtype=np.intp), np.arange(1, n + 1)
     if gens == Gens.SIMPLE:
-        adjacent = [(i, i + 1, 1) for i in range(1, n)]
-        if f == Family.A:
-            return adjacent
-        if f == Family.B:
-            return [(1, 1, -1)] + adjacent
-        return [(1, 2, -1)] + adjacent if has_reflections(f, n) else []
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    if f == Family.A:
-        return [(a, b, 1) for a, b in pairs]
-    moves = [(a, b, s) for a, b in pairs for s in (1, -1)]
-    if f == Family.B:
-        moves += [(a, a, -1) for a in range(1, n + 1)]
+        # the adjacent transpositions (i, i + 1, 1), after B's (1, 1, -1) or D's (1, 2, -1)
+        first = count - (n - 1)
+        moves[first:, 0], moves[first:, 1], moves[first:, 2] = positions[:-1], positions[1:], 1
+        moves[:first] = (1, 1 if f == Family.B else 2, -1)
+    else:
+        # each pair a < b in lexicographic order, in B and D as (a, b, 1), (a, b, -1)
+        a, b = np.nonzero(positions[:, None] < positions)
+        signs = (1,) if f == Family.A else (1, -1)
+        pairs = moves[:len(a) * len(signs)].reshape(len(a), len(signs), 3)
+        pairs[..., 0], pairs[..., 1], pairs[..., 2] = positions[a, None], positions[b, None], signs
+        if f == Family.B:  # then the sign changes (a, a, -1)
+            moves[-n:, 0], moves[-n:, 1], moves[-n:, 2] = positions, positions, -1
+    moves.flags.writeable = False
     return moves
 
 
-def _generator(spec: GroupSpec, move) -> GroupElement:
-    """The element of one move: the identity's window moved, or the I2
-    reflection with the given rotation part."""
+def _generators(spec: GroupSpec, gens: Gens) -> list[GroupElement]:
+    """The elements of the moves, read as Python ints: each move applied to
+    the identity's window, or the I2 reflection with that rotation part."""
     if spec.family == Family.I2:
-        return DihedralElement(spec.n, move, 1)
-    a, b, s = move
-    w = list(range(1, spec.n + 1))
-    w[a - 1], w[b - 1] = s * b, s * a
-    return (Permutation if spec.family == Family.A else SignedPermutation)(tuple(w))
+        return [DihedralElement(spec.n, r, 1) for r in generator_moves(spec, gens)]
+    cls = Permutation if spec.family == Family.A else SignedPermutation
+    elements = []
+    for a, b, s in generator_moves(spec, gens).tolist():
+        w = list(range(1, spec.n + 1))
+        w[a - 1], w[b - 1] = s * b, s * a
+        elements.append(cls(tuple(w)))
+    return elements
 
 
 def reflections_of(spec: GroupSpec) -> list[GroupElement]:
@@ -397,7 +404,7 @@ def reflections_of(spec: GroupSpec) -> list[GroupElement]:
     sign changes by position.  D_n: the signed pair maps only.  I2(m): the m
     reflections ordered by rotation part.
     """
-    return [_generator(spec, g) for g in generator_moves(spec, Gens.REFLECTIONS)]
+    return _generators(spec, Gens.REFLECTIONS)
 
 
 def simple_reflections_of(spec: GroupSpec) -> list[GroupElement]:
@@ -408,7 +415,7 @@ def simple_reflections_of(spec: GroupSpec) -> list[GroupElement]:
     adjacents (empty for n = 1, where the group is trivial).  I2: the two
     reflections with rotation part 0 and 1.
     """
-    return [_generator(spec, g) for g in generator_moves(spec, Gens.SIMPLE)]
+    return _generators(spec, Gens.SIMPLE)
 
 
 def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
@@ -436,13 +443,19 @@ def _check_member(spec: GroupSpec, w) -> None:
 # ---------------------------------------------------------------------------
 
 
+def window_dtype(n: int) -> np.dtype:
+    """The smallest signed integer type holding +-2n, so that no sum of two
+    entries of an n-entry window wraps: the smallest one holding -2n - 1."""
+    return np.min_scalar_type(-2 * n - 1)
+
+
 def _perm_windows(n: int) -> np.ndarray:
-    """All permutations of 1..n as an int8 (n!, n) array in lexicographic
-    order, so that row k has Lehmer rank k."""
-    w = np.zeros((1, 0), dtype=np.int8)
+    """All permutations of 1..n as a (n!, n) array in ``window_dtype(n)``,
+    in lexicographic order, so that row k has Lehmer rank k."""
+    w = np.zeros((1, 0), dtype=window_dtype(n))
     for k in range(1, n + 1):
         # rows starting with v: v, then each (k-1)-permutation shifted past v
-        v = np.repeat(np.arange(1, k + 1, dtype=np.int8), len(w))[:, None]
+        v = np.repeat(np.arange(1, k + 1, dtype=w.dtype), len(w))[:, None]
         rest = np.tile(w, (k, 1))
         rest += rest >= v
         w = np.hstack([v, rest])
@@ -465,12 +478,12 @@ def _perm_rank(cols: np.ndarray) -> np.ndarray:
 class RankedGroup:
     """A group of family A, B, D or I2 with its elements ranked 0..|W|-1.
 
-    ``windows`` holds every element's window as one int8 (|W|, n) array in
-    rank order (None for I2), stored column by column and built on first
-    read; element objects are built on demand.  ``actions`` tabulates right
-    multiplication by the generators, once per generating set.
-    ``memo`` maps a statistic to its values by rank: at every rank for a
-    ``make_statistic`` statistic, on the supports asked about otherwise.
+    ``windows`` holds every element's window as one ``window_dtype(n)``
+    (|W|, n) array in rank order (None for I2), stored column by column and
+    built on first read; element objects are built on demand.  ``actions``
+    tabulates right multiplication by the generators, once per generating
+    set.  ``memo`` maps a statistic to its values by rank: at every rank for
+    a ``make_statistic`` statistic, on the supports asked about otherwise.
     OrderLimitExceeded when the group order exceeds the guard; nothing is
     built before the guard runs.  ``ranked_group`` shares one group, with
     its tables and memo, between the walks on its spec.
@@ -497,7 +510,7 @@ class RankedGroup:
         s = np.arange(2**self._bits)[:, None] >> np.arange(n) & 1
         if f == Family.D:
             s[:, n - 1] = s.sum(axis=1) & 1  # parity fixes the last sign
-        signs = (1 - 2 * s).astype(np.int8)
+        signs = (1 - 2 * s).astype(perms.dtype)
         full = np.repeat(perms, len(signs), axis=0) * np.tile(signs, (len(perms), 1))
         return np.ascontiguousarray(full.T).T
 
@@ -517,7 +530,7 @@ class RankedGroup:
             raise KeyError(w) from None
         if self.spec.family == Family.I2:
             return 2 * w.rot + w.flip
-        return int(self.ranks(np.array(w.window, dtype=np.int8)[:, None])[0])
+        return int(self.ranks(np.array(w.window, dtype=window_dtype(w.n))[:, None])[0])
 
     def element(self, k: int) -> GroupElement:
         """The element of rank k; KeyError unless k is an integer in [0, |W|)."""
@@ -563,6 +576,7 @@ class RankedGroup:
             return out
         # in a generator_moves set every link is a move of the same set:
         # REFLECTIONS is closed under the two rules, and SIMPLE has only base moves
+        moves = list(map(tuple, moves.tolist()))
         row, links = {move: k for k, move in enumerate(moves)}, {}
         for a, b, s in moves:
             if a > 1 and (b, s) != (a + 1, 1):

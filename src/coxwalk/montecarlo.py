@@ -14,24 +14,27 @@ as numpy draws from more by another algorithm):
   unless m mod 2^32 < (2^32 - n) mod n, in which case the word is rejected
   and the next one tried (Lemire's bounded draw).  For n = 1 every draw is 0.
 
-Choice index k is generator k of ``elements.generator_moves``, the list
-that also orders ``reflections_of`` and ``simple_reflections_of``.
+``trial_choices`` reads the block words that ``simulate`` reads, so no
+route imports ``numpy.random``.  Choice index k is generator k of
+``elements.generator_moves``, the list that also orders ``reflections_of``
+and ``simple_reflections_of``.
 
 ``simulate`` walks the trials in blocks: contiguous trial ranges of up to
 _BLOCK_WORDS / 8 = 8192 trials, fewer where trials times n would pass
-_BLOCK_STATE, each carrying its states (a (trials, n) window array, or the
-ranks 2 * rot + flip in I2) through the whole walk.  A block advances one chunk
-of steps at a time: a multiple of 8 steps, so a whole number of counter
-blocks per trial, with at most _BLOCK_WORDS words over the block.  A chunk
-computes its words for every trial of the block at once, maps them to
-choices and the choices to the flat state indices of entries a and b of
-every row; a step then applies its moves (a, b, s) as two gathers and two
-scatters on the state array.  A trial that hits a rejection in any chunk
-took its later choices from the wrong words; after its block it is walked
-again from ``trial_choices``.  The statistic is evaluated over each block, and
-the values of all trials are counted per distinct value; the mean and
-variance are exact sums over those counts rounded once, as exactly rounded
-sums over the trials are.
+_BLOCK_STATE, each carrying its states (a (trials, n) window array of type
+``elements.window_dtype(n)``, or the ranks 2 * rot + flip in I2) through
+the whole walk.  A block advances one chunk of steps at a time: a multiple
+of 8 steps, so a whole number of counter blocks per trial, with at most
+_BLOCK_WORDS words over the block.  A chunk computes its words for every
+trial of the block at once, maps them to choices and the choices to the
+flat state indices of entries a and b of every row; a step then applies its
+moves (a, b, s) as two gathers and two scatters on the state array.  A trial
+that hits a rejection in any chunk took its later choices from the wrong
+words; after its block it is walked again from ``trial_choices``.  The
+statistic is evaluated over each block (its sums widen to intp), and the
+values of all trials are counted per distinct value; the mean and variance
+are exact sums over those counts rounded once, as exactly rounded sums over
+the trials are.
 ``workers`` only splits the trial range into contiguous shares, processed
 in order, so the result is bit-identical for any number of workers.
 """
@@ -52,6 +55,7 @@ from .elements import (
     check_walk_rank,
     generator_moves,
     num_generators,
+    window_dtype,
 )
 from .errors import (
     InvalidRank,
@@ -115,16 +119,23 @@ class SimResult:
 
 
 def trial_choices(seed: int, trial: int, n_choices: int, steps: int) -> np.ndarray:
-    """The generator indices used by the given trial: steps draws from the
-    Philox stream keyed by (seed, trial).  This is the stream contract's
-    reference.  Each argument is an integer: a seed outside [0, 2^64) raises
+    """The generator indices used by the given trial, as int64: steps draws
+    from the Philox stream keyed by (seed, trial), the stream contract's
+    reference, read from the trial's ``_philox_words`` that pass Lemire's
+    test.  Each argument is an integer: a seed outside [0, 2^64) raises
     InvalidSeed, a trial outside it InvalidTrialIndex, an n_choices outside
     [1, 2^32] InvalidRank and steps below 0 InvalidStepCount."""
-    key = np.array([_key(seed, InvalidSeed, "seed"), _key(trial, InvalidTrialIndex, "trial")],
-                   dtype=np.uint64)
+    seed, trial = _key(seed, InvalidSeed, "seed"), _key(trial, InvalidTrialIndex, "trial")
     n_choices = _choice_count(n_choices)
     steps = check_step_count(steps)
-    return np.random.Generator(np.random.Philox(key=key)).integers(0, n_choices, size=steps)
+    threshold = (2**32 - n_choices) % n_choices
+    kept, blocks = np.empty(0, dtype=np.uint64), 0
+    while len(kept) < steps:  # a counter block per 8 missing draws
+        more = -(-(steps - len(kept)) // 8)
+        m = _philox_words(seed, trial, trial + 1, blocks, more).reshape(-1) * np.uint64(n_choices)
+        kept = np.concatenate([kept, m[(m & _LOW32) >= threshold] >> _32])
+        blocks += more
+    return kept[:steps].view(np.int64)
 
 
 def _mulhi(x: np.ndarray, a0: np.ndarray, a1: np.ndarray, out: np.ndarray,
@@ -223,25 +234,32 @@ def _blocks(trials: int, workers: int, rows: int):
                    start + (stop - start) * (i + 1) // count)
 
 
+def _window_moves(spec: GroupSpec, gens: Gens, dtype: np.dtype):
+    """The moves (a, b, s) as ``_walk_windows`` reads them: (a - 1, b - 1) as
+    one (2, count) array, and s in dtype, or None if every s is 1."""
+    moves = generator_moves(spec, gens)
+    signs = moves[:, 2].astype(dtype)
+    return np.subtract(moves[:, :2].T, 1, order="C"), None if (signs == 1).all() else signs
+
+
 def _walk_windows(state: np.ndarray, choices: np.ndarray, moves) -> None:
     """Apply generator choices[s, k] at step s to row k of the windows state,
-    a C-contiguous (rows, n) array, in place.  moves holds the generators'
-    (a - 1, b - 1, s) as three arrays, from the moves (a, b, s) of
-    ``generator_moves``."""
+    a C-contiguous (rows, n) array, in place.  moves is ``_window_moves``'
+    pair of positions and signs."""
     rows, n = state.shape
-    a, b, s = moves
+    positions, signs = moves
     # the flat state indices of entries a and b of every row, per step, as
     # one array filled in place: each large temporary costs page faults
-    ia, ib = ab = np.stack((a, b)).take(choices, axis=1)
+    ia, ib = ab = positions.take(choices, axis=1)
     ab += np.arange(0, rows * n, n)
     flat = state.reshape(-1)
     # both gathers are read before either scatter writes, so a sign change
     # (a, a, -1) writes -w(a) twice
-    if (s == 1).all():  # transpositions only: skip the sign product
+    if signs is None:  # transpositions only: skip the sign product
         for i, j in zip(ia, ib):
             flat[i], flat[j] = flat[j], flat[i]
     else:
-        for i, j, sign in zip(ia, ib, s[choices]):
+        for i, j, sign in zip(ia, ib, signs[choices]):
             flat[i], flat[j] = flat[j] * sign, flat[i] * sign
 
 
@@ -290,9 +308,8 @@ def simulate(
         width, identity = 1, np.zeros(1, dtype=np.int64)
         advance = partial(_walk_dihedral, m=n)
     else:
-        a, b, s = np.array(generator_moves(spec, gens), dtype=np.intp).T
-        width, identity = n, np.arange(1, n + 1)[None, :]
-        advance = partial(_walk_windows, moves=(a - 1, b - 1, s))
+        width, identity = n, np.arange(1, n + 1, dtype=window_dtype(n))[None, :]
+        advance = partial(_walk_windows, moves=_window_moves(spec, gens, identity.dtype))
 
     statistic = block_statistic(spec, measure)
     blocks = []  # each block's statistic values

@@ -6,7 +6,8 @@ search, Troili's dihedral sum term by term with math.comb, Eriksen's
 expansion as its double sum over image-by-image inner coefficients, and
 Eriksen and Hultman's character expansion term by term in Fractions, and the
 B/D length and absolute length of signed windows by pair counts and by the
-cycles of a lift to 2n points, so that engine bugs cannot mask each other.
+cycles of a lift to 2n points, and the A/B/D generator moves by a loop of
+tuples, so that engine bugs cannot mask each other.
 """
 import math
 from fractions import Fraction
@@ -15,6 +16,29 @@ from itertools import product
 import numpy as np
 
 from coxwalk import multiply
+
+
+def generator_moves_by_tuples(family, n, gens):
+    """The moves (a, b, s) of the A, B or D group of rank n under gens
+    ("simple" or "reflections"), listed one tuple at a time: simple walks
+    take the adjacent transpositions (i, i + 1, 1), after (1, 1, -1) in B and
+    (1, 2, -1) in D (none in D1); reflection walks take every pair a < b in
+    lexicographic order, as (a, b, 1) in A and as (a, b, 1), (a, b, -1) in
+    B and D, and then in B the sign changes (a, a, -1)."""
+    if gens == "simple":
+        adjacent = [(i, i + 1, 1) for i in range(1, n)]
+        if family == "A":
+            return adjacent
+        if family == "B":
+            return [(1, 1, -1)] + adjacent
+        return [(1, 2, -1)] + adjacent if n >= 2 else []
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    if family == "A":
+        return [(a, b, 1) for a, b in pairs]
+    moves = [(a, b, s) for a, b in pairs for s in (1, -1)]
+    if family == "B":
+        moves += [(a, a, -1) for a in range(1, n + 1)]
+    return moves
 
 
 def brute_force_expectation(spec, generators, statistic, t):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
-from coxwalk.elements import generator_moves, num_generators
+from coxwalk.elements import generator_moves, num_generators, window_dtype
+from helpers import generator_moves_by_tuples
 
 A3 = GroupSpec(Family.A, 3)
 B2 = GroupSpec(Family.B, 2)
@@ -300,6 +303,76 @@ class TestActionTables:
                         assert np.array_equal(group.ranks(cols), row), (spec, move)
                         got = group.ranks(np.array([wg.window for wg in products], dtype=np.int8).T)
                     assert np.array_equal(got, row[sample]), (spec, move)
+
+
+# sha256 of each group's simple then reflection action table
+ACTION_DIGESTS = {
+    "A2": "af8a44699e0fe2cbe8fcb03e513ef95500dcd533abce01646342d7d2d5dbc5d4",
+    "A3": "84b06ac976be3d45e301bc8914cd3b6496f39c3f9c27fafa5380ca9a6b4480ab",
+    "A4": "b3e218de849a4e5381b37f2af784ac4b8d4a4970fa5f7a86ddd3f38163e12c64",
+    "A5": "2a8d5fd37028b231ce498968469745a03d3b701d4cf8341f39408a00e12d27c7",
+    "A6": "bd0fb9760513b3d856da5cf9c6b18c62dbbcadc8e82688eb68deb2aca9ce48c9",
+    "A7": "71e4151e08d86a9ce50573fa99ea90bc2e912678c513a33c905a88d59b0c460a",
+    "B1": "af8a44699e0fe2cbe8fcb03e513ef95500dcd533abce01646342d7d2d5dbc5d4",
+    "B2": "6bca5c02ded602225f9f6e2d4df6647489fb8f83b5f87a4ff8bca0c9993452be",
+    "B3": "405a84de8e65c89b49dbe43c89d86403c2d0f3b7d395f01a41cd28857b5ec4e0",
+    "B4": "3d661cbd1936c554eaae6d13207752eac9d3ca9968f32e7b41667c2d29fb7618",
+    "B5": "a1e80046f3c0b59487f9dd273196210e402a721788fbf6ecaf9e7092b12c090e",
+    "D1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "D2": "e1bfffebc491cdc65c5be549497077eca97918ad3713f4a8781bb741eb660747",
+    "D3": "21de0d61cdaed8f22916ef3928c1fdcdf3a4964b34f5cc272432a6d14eb52e6e",
+    "D4": "6d42e3a3895a93d798024e8a5793600af064100e2d723e19eb1fc03d9e18c6cc",
+    "D5": "8caa57280b0b9a2a96349e9545d650aecaca4983cf0b7b3d6fe2b70608b80c60",
+    "D6": "f8e086316f80def873afeba2a8995112a32b65d77ce2c7e53734acc465116dc3",
+    "I2(2)": "63c1c589fc84b93fcb141834b5bb71fac8cb3610795d14351ebeca25bc9fbed0",
+    "I2(3)": "56064facf9ea243c8416e26cbd67fae444eb7129ba0a46489de11a7b0cf02e76",
+    "I2(4)": "816d68ebb2a2c5c3297cd23e0b8673b12e8309a2b73ce5a8fe9091b8d442f252",
+    "I2(5)": "0bc46a71f9e0551eefed0fc744f72d96cfe26bdd1337a7660ceddc622f55c2fb",
+    "I2(6)": "55523b4e68bb2e831c7daf83538851504dec51cd7374df0ea92228630e5a65b3",
+    "I2(7)": "8f1952dd2692f24582749c236853c3a40829a5f977fd285a9e792b56af4c569a",
+    "I2(8)": "5ca2ef59377f59285a59d4545ce65e5ce41930d6db8483588bf48e729f8cf162",
+    "I2(9)": "3187612e14d05cb0629b7e0bcf3446a6407ccd45a398474d215593518b6943d6",
+    "I2(10)": "4cff18b758b570edb797063392b4c17d44e115b36afb9049e8dae1ffc4504575",
+    "I2(11)": "754a1f60e0a1ea53d43785f96ebb3c63f1f3938dfdbbd9b66f679edff5151202",
+    "I2(12)": "db493c171925a5cf8c1fba0e58a2a86cacc1c0f20d7ccb38e63422a1e562a04f",
+}
+
+
+class TestGeneratorMoves:
+    @pytest.mark.parametrize("spec", [GroupSpec(Family.A, n) for n in range(2, 13)]
+                             + [GroupSpec(Family.B, n) for n in range(1, 11)]
+                             + [GroupSpec(Family.D, n) for n in range(1, 11)], ids=str)
+    @pytest.mark.parametrize("gens", list(Gens))
+    def test_moves_equal_the_tuple_loop(self, spec, gens):
+        # the numpy-built moves are the tuple loop's, row for row, as one
+        # read-only (count, 3) intp array
+        moves = generator_moves(spec, gens)
+        want = generator_moves_by_tuples(spec.family.value, spec.n, gens.value)
+        assert moves.dtype == np.intp and not moves.flags.writeable
+        assert moves.shape == (num_generators(spec.family, spec.n, gens), 3)
+        assert [tuple(row) for row in moves.tolist()] == want
+
+    def test_action_tables_unchanged(self):
+        # sha256 of each group's simple then reflection action table, as
+        # little-endian int64, pinned from the tuple-built moves
+        got = {}
+        for spec in ([GroupSpec(Family.A, n) for n in range(2, 8)]
+                     + [GroupSpec(Family.B, n) for n in range(1, 6)]
+                     + [GroupSpec(Family.D, n) for n in range(1, 7)]
+                     + [GroupSpec(Family.I2, m) for m in range(2, 13)]):
+            group, digest = RankedGroup(spec), hashlib.sha256()
+            for gens in (Gens.SIMPLE, Gens.REFLECTIONS):
+                digest.update(group.actions(gens).astype("<i8").tobytes())
+            got[str(spec)] = digest.hexdigest()
+        assert got == ACTION_DIGESTS
+
+    def test_window_dtype_edges(self):
+        # the smallest signed type holding +-2n
+        edges = [(1, np.int8), (63, np.int8), (64, np.int16), (16383, np.int16),
+                 (16384, np.int32), (2**30 - 1, np.int32), (2**30, np.int64)]
+        for n, dtype in edges:
+            assert window_dtype(n) == np.dtype(dtype), n
+            assert 2 * n <= np.iinfo(window_dtype(n)).max
 
 
 class TestRanks:

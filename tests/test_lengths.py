@@ -20,6 +20,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
+from coxwalk.elements import window_dtype
 from coxwalk.lengths import block_statistic
 from helpers import bfs_word_length, signed_abs_length_by_lift, signed_length_by_pairs
 
@@ -294,3 +295,26 @@ def test_random_signed_blocks_equal_pair_and_lift_references(family, n):
     for block in (w, np.asfortranarray(w)):
         assert block_statistic(spec, Measure.LENGTH)(block).tolist() == length
         assert block_statistic(spec, Measure.ABSLENGTH)(block).tolist() == absolute
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.B, Family.D])
+@pytest.mark.parametrize("n", [20, 63, 64])
+def test_narrow_windows_equal_int64_windows(family, n):
+    # every measure on windows held in window_dtype(n) (int8 up to n = 63,
+    # int16 from 64) equals it on the same windows as int64; the first rows
+    # put +-n and +-(n - 1) at positions 1 and 2, where D's w(1) + w(2) and
+    # B/D's sums over the negative entries reach their extremes
+    rng = np.random.default_rng(n)
+    top = np.arange(n, 0, -1)
+    w = np.vstack([top, top[::-1], rng.permuted(np.tile(top, (300, 1)), axis=1)])
+    if family != Family.A:
+        w = np.vstack([w, -top, -top[::-1]])
+        w[4:] *= rng.choice([-1, 1], size=w[4:].shape)
+        if family == Family.D:
+            w[:, -1] *= np.prod(np.sign(w), axis=1)  # an even number of negative entries
+    narrow = w.astype(window_dtype(n))
+    assert narrow.dtype == (np.int8 if n <= 63 else np.int16)
+    spec = GroupSpec(family, n)
+    for measure in Measure:
+        statistic = block_statistic(spec, measure)
+        assert statistic(narrow).tolist() == statistic(w).tolist(), measure

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import fsum, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +31,15 @@ from coxwalk import (
     trial_choices,
 )
 from coxwalk.lengths import block_statistic
-from coxwalk.elements import generator_moves
+from coxwalk.elements import generator_moves, window_dtype
 from coxwalk import montecarlo
-from coxwalk.montecarlo import _draws, _philox_words, _walk_dihedral, _walk_windows
+from coxwalk.montecarlo import (
+    _draws,
+    _philox_words,
+    _walk_dihedral,
+    _walk_windows,
+    _window_moves,
+)
 from coxwalk.verify import MC_BASE_SEED, MC_GRID
 
 A10 = GroupSpec(Family.A, 10)
@@ -188,6 +198,40 @@ def test_block_draws_match_numpy(seed, n):
                     assert (got[:, row] == want).all(), (seed, n, steps, first_step, k)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_trial_choices_match_numpy(seed):
+    # the block words' bounded draws are numpy's, including n whose words
+    # reject about half and a quarter of the time, n = 2^32 (no rejection)
+    # and walks of more words than one counter block
+    for k in (0, 1, 5, 2**63 + 3):
+        for n in (1, 2, 3, 45, 1000, 2**31 + 11, 3 * 2**30 + 1, 2**32):
+            for t in (0, 1, 7, 8, 9, 99):
+                got = trial_choices(seed, k, n, t)
+                assert got.dtype == np.int64 and got.shape == (t,)
+                assert got.tolist() == numpy_choices(seed, k, n, t).tolist(), (k, n, t)
+
+
+def test_simulate_leaves_numpy_random_unimported():
+    # trials that reject a word are walked again from trial_choices, which
+    # draws from the block words: numpy.random (and the hashlib, hmac and
+    # secrets imports it brings) stays out of the process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "from coxwalk import Family, GroupSpec, simulate\n"
+        "from coxwalk.montecarlo import _draws\n"
+        "m = 2**31 + 11\n"
+        "assert _draws(7, 0, 151, m, 0, 7)[1].any()\n"
+        "simulate(GroupSpec(Family.I2, m), 'reflections', 'length', 7, trials=151, seed=7)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # (mean, stderr) of simulate before it was vectorized, as exact float
 # literals: the 20 calibration grid points at 2000 trials, then a long walk,
 # seeds at and above 2^63, and one cell of every family/measure kind
@@ -278,9 +322,9 @@ def test_block_statistic_any_layout(spec):
                                         (GroupSpec(Family.D, 5), Gens.SIMPLE)])
 def test_walk_of_many_rows_equals_walk_of_each_row(spec, gens):
     # a multi-row walk writes every row in place, as walking it alone does
-    a, b, s = np.array(generator_moves(spec, gens), dtype=np.intp).T
-    moves = a - 1, b - 1, s
-    choices = np.random.default_rng(5).integers(0, len(a), size=(24, 37))
+    moves = _window_moves(spec, gens, np.dtype(np.int64))
+    choices = np.random.default_rng(5).integers(0, len(generator_moves(spec, gens)),
+                                                size=(24, 37))
     state = np.repeat(np.arange(1, spec.n + 1)[None, :], 37, axis=0)
     _walk_windows(state, choices, moves)
     for row in range(37):
@@ -288,6 +332,24 @@ def test_walk_of_many_rows_equals_walk_of_each_row(spec, gens):
         _walk_windows(one, choices[:, row:row + 1], moves)
         assert state[row].tolist() == one[0].tolist(), row
     assert (state != np.arange(1, spec.n + 1)).any()
+
+
+@pytest.mark.parametrize("spec, gens", [(GroupSpec(Family.A, 63), Gens.REFLECTIONS),
+                                        (GroupSpec(Family.B, 63), Gens.REFLECTIONS),
+                                        (GroupSpec(Family.D, 64), Gens.REFLECTIONS),
+                                        (GroupSpec(Family.B, 30), Gens.SIMPLE)])
+def test_walk_on_narrow_windows_equals_int64_walk(spec, gens):
+    # the walk state in window_dtype(n), as simulate holds it, ends where an
+    # int64 state does, signs and all
+    dtype = window_dtype(spec.n)
+    choices = np.random.default_rng(spec.n).integers(0, len(generator_moves(spec, gens)),
+                                                     size=(200, 50))
+    wide = np.repeat(np.arange(1, spec.n + 1)[None, :], 50, axis=0)
+    narrow = wide.astype(dtype)
+    _walk_windows(wide, choices, _window_moves(spec, gens, wide.dtype))
+    _walk_windows(narrow, choices, _window_moves(spec, gens, dtype))
+    assert narrow.dtype == dtype and narrow.tolist() == wide.tolist()
+    assert (wide < 0).any() == (spec.family != Family.A)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec(Family.A, 4), GroupSpec(Family.B, 3),
@@ -301,9 +363,8 @@ def test_walk_moves_are_the_element_generators(spec, gens):
     g = simple_reflections_of(spec) if gens == Gens.SIMPLE else reflections_of(spec)
     moves = generator_moves(spec, gens)
     assert len(moves) == len(g)
-    if spec.family != Family.I2 and moves:
-        a, b, s = np.array(moves, dtype=np.intp).T
-        arrays = a - 1, b - 1, s
+    if spec.family != Family.I2:
+        arrays = _window_moves(spec, gens, np.dtype(np.int64))
     for k1 in range(len(g)):
         for k2 in range(len(g)):
             product = multiply(g[k1], g[k2])
@@ -351,9 +412,8 @@ def per_trial_reference(spec, gens, measure, t, trials, seed):
             state = np.zeros(1, dtype=np.int64)
             _walk_dihedral(state, choices, spec.n)
         else:
-            a, b, s = np.array(moves, dtype=np.intp).T
             state = np.arange(1, spec.n + 1)[None, :].copy()
-            _walk_windows(state, choices, (a - 1, b - 1, s))
+            _walk_windows(state, choices, _window_moves(spec, gens, state.dtype))
         values.append(float(statistic(state)[0]))
     mean = fsum(values) / trials
     var = fsum((v - mean) ** 2 for v in values) / (trials - 1)
