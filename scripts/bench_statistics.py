@@ -16,7 +16,11 @@ evaluations.  Reference seconds follow the speed of a shared host, whose
 phases move plain times between runs of the same tree.  Within each
 repeat the trees take turns, and the tree that goes first alternates
 between repeats, so a slow phase of a shared host falls on every tree
-alike.  A route a tree refuses
+alike.  Each tree's modules are compiled to bytecode (``compileall``)
+before its first child: where PYTHONDONTWRITEBYTECODE is set, a tree whose
+bytecode is stale or missing would recompile its modules in every child,
+and the children's peak RSS would differ by that work alone, not by the
+code.  A route a tree refuses
 is recorded as "refused (exit 2)" with its error line.  Where two trees
 both run a route, their printed values must agree exactly, or the script
 exits 1.
@@ -70,6 +74,7 @@ then a route runs if its name contains any of the texts.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -207,6 +212,8 @@ def main() -> int:
                     help="run only the routes whose name contains TEXT; repeatable")
     args = ap.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree)
+    for src in trees.values():  # the children read this bytecode, and write none
+        compileall.compile_dir(str(Path(src).resolve()), quiet=1)
 
     import numpy
 

@@ -10,16 +10,18 @@ half of the domain implicit through w(-i) = -w(i), dihedral elements as a
 the Lehmer rank of |w| shifted past its sign bits (none in A, all n in B,
 all but the last in D, which parity fixes), and 2 * rot + flip in I2.
 Enumeration, the action tables (only the base moves' tables are ranked, the
-rest conjugated from them) and the exact full engine work on these ranks;
-element objects are built from a rank on demand.
+rest conjugated from them) and the exact full engine work on these ranks.
 ``ranked_group`` keeps the last ranked group for the next walk on its spec.
 
-``generator_moves`` is the one list of a walk's generators: integer moves
-(a, b, s) on window positions in A/B/D and rotation parts in I2.  The element
-lists ``reflections_of`` / ``simple_reflections_of``, Monte Carlo's moves and
-the full engine's action tables (``RankedGroup.actions``) all read it, and
-``num_generators`` counts it without listing it.  ``window_dtype`` types
-every window array.
+An element's integer form is a row of a block: its window (typed by
+``window_dtype``) in A/B/D, its rank in I2.  ``_row``, the one membership
+test, and ``_element`` convert; ``_element_class`` maps a family to its
+class and is the one refusal of G.  ``generator_moves`` is the one list of a
+walk's generators: moves (a, b, s) on window positions in A/B/D, rotation
+parts in I2, counted unlisted by ``num_generators``.  ``walker`` applies them
+to blocks of rows, for Monte Carlo and for the one step from the identity
+that lists ``reflections_of`` / ``simple_reflections_of``; the full engine's
+action tables (``RankedGroup.actions``) read the moves too.
 
 Composition convention: (a * b)(x) = a(b(x)), i.e. b acts first.  All walk
 statistics in this package are invariant under the opposite convention at the
@@ -30,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial
 from typing import Union
 
@@ -185,14 +187,7 @@ class GroupSpec:
         return (2 if f == Family.B else self.r) ** n * factorial(n)
 
     def identity(self) -> "GroupElement":
-        f, n = self.family, self.n
-        if f == Family.A:
-            return Permutation(tuple(range(1, n + 1)))
-        if f in (Family.B, Family.D):
-            return SignedPermutation(tuple(range(1, n + 1)))
-        if f == Family.I2:
-            return DihedralElement(n, 0, 0)
-        raise UnsupportedFamily("no element model for family G")
+        return _element(self, 0 if self.family == Family.I2 else np.arange(1, self.n + 1))
 
     def element_model(self) -> "GroupSpec":
         """The isomorphic A/B spec carrying the element model of G(r,1,n)
@@ -302,6 +297,36 @@ class DihedralElement:
 GroupElement = Union[Permutation, SignedPermutation, DihedralElement]
 
 
+def _element_class(family: Family) -> type:
+    """The class of the family's elements; UnsupportedFamily for G, which has
+    none (``GroupSpec.element_model`` maps G(1,1,n) and G(2,1,n) to A and B)."""
+    if family == Family.G:
+        raise UnsupportedFamily("no element model for family G")
+    return {Family.A: Permutation, Family.I2: DihedralElement}.get(family, SignedPermutation)
+
+
+def _row(spec: GroupSpec, w) -> np.ndarray:
+    """w as a one-row block of the group spec: its window as a (1, n) array
+    in ``window_dtype(n)``, or its rank 2 * rot + flip as a length-1 array in
+    I2.  The one membership test: SpecMismatch unless w is an element of
+    spec, DParityViolation for an odd number of sign changes under D."""
+    cls = _element_class(spec.family)
+    if type(w) is not cls or (w.m if cls is DihedralElement else w.n) != spec.n:
+        raise SpecMismatch(f"{w} is not an element of {spec}")
+    if cls is DihedralElement:
+        return np.array([2 * w.rot + w.flip])
+    if spec.family == Family.D and not w.in_type_d:
+        raise DParityViolation(f"odd number of sign changes in {w.window}")
+    return np.array([w.window], dtype=window_dtype(spec.n))
+
+
+def _element(spec: GroupSpec, row) -> GroupElement:
+    """The element of the group spec held in one row of a block: a window
+    (a 1-d array), or in I2 a rank 2 * rot + flip.  The inverse of ``_row``."""
+    cls = _element_class(spec.family)
+    return cls(spec.n, *divmod(int(row), 2)) if cls is DihedralElement else cls(tuple(row.tolist()))
+
+
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product a * b, with b acting first: (a*b)(x) = a(b(x))."""
     if type(a) is not type(b):
@@ -337,12 +362,8 @@ def num_generators(family: Family, n: int, gens: Gens) -> int:
     """len(generator_moves) for the group (family, n), counted without
     listing a move, so that a walk can check its size first."""
     gens = as_member(Gens, gens)
-    if family == Family.I2:
+    if _element_class(family) is DihedralElement:
         return 2 if gens == Gens.SIMPLE else n
-    if family == Family.G:
-        raise UnsupportedFamily(
-            "no element-level generators for family G; use the A/B model for r in {1, 2}"
-        )
     if gens == Gens.SIMPLE:
         return n - 1 if family == Family.A or not has_reflections(family, n) else n
     if family == Family.A:
@@ -382,18 +403,67 @@ def generator_moves(spec: GroupSpec, gens: Gens):
     return moves
 
 
+def _window_moves(spec: GroupSpec, gens: Gens, dtype: np.dtype):
+    """The moves (a, b, s) as ``_walk_windows`` reads them: (a - 1, b - 1) as
+    one (2, count) array, and s in dtype, or None if every s is 1."""
+    moves = generator_moves(spec, gens)
+    signs = moves[:, 2].astype(dtype)
+    return np.subtract(moves[:, :2].T, 1, order="C"), None if (signs == 1).all() else signs
+
+
+def _walk_windows(state: np.ndarray, choices: np.ndarray, moves) -> None:
+    """Apply generator choices[s, k] at step s to row k of the windows state,
+    a C-contiguous (rows, n) array, in place; ValueError for another layout,
+    whose flat view would be a copy.  moves is ``_window_moves``' pair of
+    positions and signs."""
+    if not state.flags.c_contiguous:
+        raise ValueError("the walk state must be a C-contiguous array")
+    rows, n = state.shape
+    positions, signs = moves
+    # the flat state indices of entries a and b of every row, per step, as
+    # one array filled in place: each large temporary costs page faults
+    ia, ib = ab = positions.take(choices, axis=1)
+    ab += np.arange(0, rows * n, n)
+    flat = state.reshape(-1)
+    # both gathers are read before either scatter writes, so a sign change
+    # (a, a, -1) writes -w(a) twice
+    if signs is None:  # transpositions only: skip the sign product
+        for i, j in zip(ia, ib):
+            flat[i], flat[j] = flat[j], flat[i]
+    else:
+        for i, j, sign in zip(ia, ib, signs[choices]):
+            flat[i], flat[j] = flat[j] * sign, flat[i] * sign
+
+
+def _walk_dihedral(rank: np.ndarray, choices: np.ndarray, m: int) -> None:
+    """Advance the ranks 2 * rot + flip of I2(m) walks, in place, by the
+    reflections choices[s, k] chosen by index, a chunk that starts at an
+    even step (so flip 0); by ``generator_moves``, reflection k, simple or
+    not, has rotation part k.  Before step s the flip is s mod 2, so step s
+    adds (-1)^s times its rotation part."""
+    rot = (rank >> 1) + choices[::2].sum(axis=0) - choices[1::2].sum(axis=0)
+    rank[:] = 2 * (rot % m) + len(choices) % 2
+
+
+def walker(spec: GroupSpec, gens: Gens):
+    """(identity, advance) of walks on gens: the identity as a one-row block,
+    and advance(state, choices), which multiplies row k of a block in place
+    by generator choices[s, k] at step s, as ``_walk_windows`` and
+    ``_walk_dihedral`` state."""
+    if _element_class(spec.family) is DihedralElement:
+        return np.zeros(1, dtype=np.int64), partial(_walk_dihedral, m=spec.n)
+    identity = np.arange(1, spec.n + 1, dtype=window_dtype(spec.n))[None, :]
+    return identity, partial(_walk_windows, moves=_window_moves(spec, gens, identity.dtype))
+
+
 def _generators(spec: GroupSpec, gens: Gens) -> list[GroupElement]:
-    """The elements of the moves, read as Python ints: each move applied to
-    the identity's window, or the I2 reflection with that rotation part."""
-    if spec.family == Family.I2:
-        return [DihedralElement(spec.n, r, 1) for r in generator_moves(spec, gens)]
-    cls = Permutation if spec.family == Family.A else SignedPermutation
-    elements = []
-    for a, b, s in generator_moves(spec, gens).tolist():
-        w = list(range(1, spec.n + 1))
-        w[a - 1], w[b - 1] = s * b, s * a
-        elements.append(cls(tuple(w)))
-    return elements
+    """The elements of the moves: one ``walker`` step on a block of identity
+    rows, generator k on row k."""
+    identity, advance = walker(spec, gens)
+    count = num_generators(spec.family, spec.n, gens)
+    state = np.repeat(identity, count, axis=0)
+    advance(state, np.arange(count)[None, :])
+    return [_element(spec, row) for row in state]
 
 
 def reflections_of(spec: GroupSpec) -> list[GroupElement]:
@@ -424,18 +494,6 @@ def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
     Raises OrderLimitExceeded when the group order exceeds the guard.
     """
     return RankedGroup(spec).elements()
-
-
-def _check_member(spec: GroupSpec, w) -> None:
-    """Raise SpecMismatch unless w is an element of the A, B, D or I2 group
-    spec, and DParityViolation for a signed window with an odd number of sign
-    changes under D.  The one membership test of ranks and statistics."""
-    f = spec.family
-    cls = {Family.A: Permutation, Family.I2: DihedralElement}.get(f, SignedPermutation)
-    if type(w) is not cls or (w.m if f == Family.I2 else w.n) != spec.n:
-        raise SpecMismatch(f"{w} is not an element of {spec}")
-    if f == Family.D and not w.in_type_d:
-        raise DParityViolation(f"odd number of sign changes in {w.window}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +550,7 @@ class RankedGroup:
     def __init__(self, spec: GroupSpec):
         f, n = spec.family, spec.n
         check_work(spec.order(), "group order")
-        if f == Family.G:
-            raise UnsupportedFamily("no element model for family G")
+        _element_class(f)  # UnsupportedFamily for G
         self.spec = spec
         self.order = spec.order()
         # sign bits in the rank: all n in B, all but the last in D
@@ -516,7 +573,9 @@ class RankedGroup:
 
     def ranks(self, cols: np.ndarray) -> np.ndarray:
         """Rank of every window of this group held column-wise in the (n, N)
-        array cols."""
+        array cols; in I2 cols holds the ranks, and is returned."""
+        if self.spec.family == Family.I2:
+            return cols
         rank = _perm_rank(np.abs(cols)) << self._bits
         for i in range(self._bits):
             rank += (cols[i] < 0).astype(np.int64) << i
@@ -525,22 +584,16 @@ class RankedGroup:
     def rank_of(self, w) -> int:
         """Rank of one element; KeyError if w does not belong to the group."""
         try:
-            _check_member(self.spec, w)
+            row = _row(self.spec, w)
         except (SpecMismatch, DParityViolation):
             raise KeyError(w) from None
-        if self.spec.family == Family.I2:
-            return 2 * w.rot + w.flip
-        return int(self.ranks(np.array(w.window, dtype=window_dtype(w.n))[:, None])[0])
+        return int(self.ranks(row.T)[0])
 
     def element(self, k: int) -> GroupElement:
         """The element of rank k; KeyError unless k is an integer in [0, |W|)."""
         if not 0 <= (k := as_int(k, KeyError, "rank")) < self.order:
             raise KeyError(k)
-        f = self.spec.family
-        if f == Family.I2:
-            return DihedralElement(self.spec.n, k >> 1, k & 1)
-        cls = Permutation if f == Family.A else SignedPermutation
-        return cls(tuple(self.windows[k].tolist()))
+        return _element(self.spec, k if self.windows is None else self.windows[k])
 
     def elements(self) -> list[GroupElement]:
         """Every element, in rank order."""
@@ -552,7 +605,7 @@ class RankedGroup:
         of w (an involution), k in ``generator_moves`` order.  Its dtype is
         intp, numpy's index type, which a gather through it uses without a
         conversion.  Built on the first call for a generating set and kept on
-        the group.  A move (a, b, s) maps the window columns as Monte Carlo
+        the group.  A move (a, b, s) maps the window columns as ``walker``
         does; an I2 rotation part r is the reflection rho^r * sigma, a closed
         expression in the rank.
 

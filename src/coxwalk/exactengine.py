@@ -43,7 +43,6 @@ from .elements import (
     Gens,
     GroupElement,
     GroupSpec,
-    Measure,
     RankedGroup,
     _BLOCK,
     check_walk_rank,
@@ -215,12 +214,7 @@ def pair_probability(dist: ExactDist, i: int, j: int) -> Fraction:
     return Fraction(int(dist.counts[value(a) < value(b)].sum()), dist.den)
 
 
-def make_statistic(spec: GroupSpec, measure: Measure) -> lengths.Statistic:
-    """Statistic for the measure on this group's elements: called on one
-    element it returns that element's value, and ``expectation`` evaluates
-    it over the whole group at once.  Every measure is a closed expression in
-    the window (or the rank in I2), so no group is enumerated to build it."""
-    return lengths.Statistic(spec, measure)
+make_statistic = lengths.Statistic  # make_statistic(spec, measure), which expectation reads
 
 
 # ---------------------------------------------------------------------------

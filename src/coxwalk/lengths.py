@@ -9,9 +9,9 @@ group and Monte Carlo over its final walk states.  Length and descents sum
 comparisons of columns per row, so ``block_statistic``'s functions take the
 block column-major (``np.asfortranarray``), whatever layout the caller holds,
 and sum down contiguous columns; cycles are found by gathers, in any layout.
-``Statistic`` (built by ``make_statistic``) is the one per-element entry:
-called on one element it evaluates a one-row block, after the membership
-test that ranks use too, so an element of another group raises SpecMismatch.
+``Statistic`` (``make_statistic``) is the one per-element entry: on one
+element it evaluates ``elements._row``'s one-row block, so an element of
+another group raises SpecMismatch, as in ranks; G is refused in ``elements``.
 
 * Word length is the inversion count inv(w), the pairs i < j with
   w(i) > w(j) on the window, in type A; inv(w) less the sum of the negative
@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import Family, GroupElement, GroupSpec, Measure, RankedGroup, _check_member
-from .errors import SpecMismatch, UnsupportedFamily, as_member
+from .elements import Family, GroupElement, GroupSpec, Measure, RankedGroup, _element_class, _row
+from .errors import SpecMismatch, as_member
 
 # rows of windows per block when a statistic runs over a whole group
 _ROWS = 2**10
@@ -91,8 +91,7 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
     A, B and D, ranks 2 * rot + flip in I2.  Needs no enumeration, so it
     applies to groups of any order."""
     f, n = spec.family, spec.n
-    if f == Family.G:
-        raise UnsupportedFamily("no element-level statistics for family G")
+    _element_class(f)  # UnsupportedFamily for G
     measure = as_member(Measure, measure)
     if f == Family.I2:
         if measure == Measure.LENGTH:
@@ -116,16 +115,6 @@ def block_statistic(spec: GroupSpec, measure: Measure) -> Callable[[np.ndarray],
     else:
         per_row = _descents
     return lambda w: per_row(np.asfortranarray(w))
-
-
-def _row(spec: GroupSpec, w: GroupElement) -> np.ndarray:
-    """One element of the group as a one-row block; SpecMismatch for an
-    element of another group, DParityViolation for an odd-signed window
-    under D."""
-    _check_member(spec, w)
-    if spec.family == Family.I2:
-        return np.array([2 * w.rot + w.flip])
-    return np.array([w.window])
 
 
 @dataclass(frozen=True)

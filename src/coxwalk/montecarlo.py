@@ -21,27 +21,24 @@ and ``simple_reflections_of``.
 
 ``simulate`` walks the trials in blocks: contiguous trial ranges of up to
 _BLOCK_WORDS / 8 = 8192 trials, fewer where trials times n would pass
-_BLOCK_STATE, each carrying its states (a (trials, n) window array of type
-``elements.window_dtype(n)``, or the ranks 2 * rot + flip in I2) through
-the whole walk.  A block advances one chunk of steps at a time: a multiple
-of 8 steps, so a whole number of counter blocks per trial, with at most
-_BLOCK_WORDS words over the block.  A chunk computes its words for every
-trial of the block at once, maps them to choices and the choices to the
-flat state indices of entries a and b of every row; a step then applies its
-moves (a, b, s) as two gathers and two scatters on the state array.  A trial
-that hits a rejection in any chunk took its later choices from the wrong
-words; after its block it is walked again from ``trial_choices``.  The
-statistic is evaluated over each block (its sums widen to intp), and the
-values of all trials are counted per distinct value; the mean and variance
-are exact sums over those counts rounded once, as exactly rounded sums over
-the trials are.
+_BLOCK_STATE, each carrying its states (rows of ``elements.walker``'s
+identity: windows of ``window_dtype(n)``, ranks 2 * rot + flip in I2)
+through the whole walk.  A block advances one chunk of steps at a time: a
+multiple of 8 steps, so a whole number of counter blocks per trial, with at
+most _BLOCK_WORDS words over the block.  A chunk computes its words for
+every trial of the block at once and maps them to choices, which the
+walker's kernels in ``elements`` apply.  A trial that hits a rejection in
+any chunk took its later choices from the wrong words; after its block it is
+walked again from ``trial_choices``.  The statistic is evaluated over each
+block (its sums widen to intp), and the values of all trials are counted per
+distinct value; the mean and variance are exact sums over those counts
+rounded once, as exactly rounded sums over the trials are.
 ``workers`` only splits the trial range into contiguous shares, processed
 in order, so the result is bit-identical for any number of workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import sqrt
 from operator import mul
 
@@ -53,9 +50,8 @@ from .elements import (
     GroupSpec,
     Measure,
     check_walk_rank,
-    generator_moves,
     num_generators,
-    window_dtype,
+    walker,
 )
 from .errors import (
     InvalidRank,
@@ -234,45 +230,6 @@ def _blocks(trials: int, workers: int, rows: int):
                    start + (stop - start) * (i + 1) // count)
 
 
-def _window_moves(spec: GroupSpec, gens: Gens, dtype: np.dtype):
-    """The moves (a, b, s) as ``_walk_windows`` reads them: (a - 1, b - 1) as
-    one (2, count) array, and s in dtype, or None if every s is 1."""
-    moves = generator_moves(spec, gens)
-    signs = moves[:, 2].astype(dtype)
-    return np.subtract(moves[:, :2].T, 1, order="C"), None if (signs == 1).all() else signs
-
-
-def _walk_windows(state: np.ndarray, choices: np.ndarray, moves) -> None:
-    """Apply generator choices[s, k] at step s to row k of the windows state,
-    a C-contiguous (rows, n) array, in place.  moves is ``_window_moves``'
-    pair of positions and signs."""
-    rows, n = state.shape
-    positions, signs = moves
-    # the flat state indices of entries a and b of every row, per step, as
-    # one array filled in place: each large temporary costs page faults
-    ia, ib = ab = positions.take(choices, axis=1)
-    ab += np.arange(0, rows * n, n)
-    flat = state.reshape(-1)
-    # both gathers are read before either scatter writes, so a sign change
-    # (a, a, -1) writes -w(a) twice
-    if signs is None:  # transpositions only: skip the sign product
-        for i, j in zip(ia, ib):
-            flat[i], flat[j] = flat[j], flat[i]
-    else:
-        for i, j, sign in zip(ia, ib, signs[choices]):
-            flat[i], flat[j] = flat[j] * sign, flat[i] * sign
-
-
-def _walk_dihedral(rank: np.ndarray, choices: np.ndarray, m: int) -> None:
-    """Advance the ranks 2 * rot + flip of I2(m) walks, in place, by the
-    reflections choices[s, k] chosen by index, a chunk that starts at an
-    even step (so flip 0); by ``generator_moves``, reflection k, simple or
-    not, has rotation part k.  Before step s the flip is s mod 2, so step s
-    adds (-1)^s times its rotation part."""
-    rot = (rank >> 1) + choices[::2].sum(axis=0) - choices[1::2].sum(axis=0)
-    rank[:] = 2 * (rot % m) + len(choices) % 2
-
-
 def simulate(
     spec: GroupSpec,
     gens: Gens,
@@ -297,23 +254,16 @@ def simulate(
         raise InvalidTrialCount(f"need at least 1 worker, got {workers}")
     t = check_step_count(t)
     seed = _key(seed, InvalidSeed, "seed")
-    n = spec.n
-    if spec.family == Family.I2 and n >= 2**62:
-        raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {n}")
-    check_walk_rank(spec.family, n, spec.r)
+    if spec.family == Family.I2 and spec.n >= 2**62:
+        raise InvalidRank(f"Monte Carlo ranks I2(m) in int64 and needs m < 2**62, got {spec.n}")
+    check_walk_rank(spec.family, spec.n, spec.r)
     gens, measure = as_member(Gens, gens), as_member(Measure, measure)
-    n_choices = _choice_count(num_generators(spec.family, n, gens))  # before a move is listed
-    # one trial's starting state: the identity's rank in I2, else its window
-    if spec.family == Family.I2:
-        width, identity = 1, np.zeros(1, dtype=np.int64)
-        advance = partial(_walk_dihedral, m=n)
-    else:
-        width, identity = n, np.arange(1, n + 1, dtype=window_dtype(n))[None, :]
-        advance = partial(_walk_windows, moves=_window_moves(spec, gens, identity.dtype))
-
+    n_choices = _choice_count(num_generators(spec.family, spec.n, gens))  # before a move is listed
+    identity, advance = walker(spec, gens)  # one trial's starting state, and the step
     statistic = block_statistic(spec, measure)
     blocks = []  # each block's statistic values
-    for lo, hi in _blocks(trials, workers, min(_BLOCK_WORDS // 8, max(1, _BLOCK_STATE // width))):
+    rows = min(_BLOCK_WORDS // 8, max(1, _BLOCK_STATE // identity.size))
+    for lo, hi in _blocks(trials, workers, rows):
         state = np.repeat(identity, hi - lo, axis=0)
         rejected = np.zeros(hi - lo, dtype=bool)
         # a chunk of 8 * k steps draws k counter blocks for every row

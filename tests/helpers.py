@@ -6,8 +6,8 @@ search, Troili's dihedral sum term by term with math.comb, Eriksen's
 expansion as its double sum over image-by-image inner coefficients, and
 Eriksen and Hultman's character expansion term by term in Fractions, and the
 B/D length and absolute length of signed windows by pair counts and by the
-cycles of a lift to 2n points, and the A/B/D generator moves by a loop of
-tuples, so that engine bugs cannot mask each other.
+cycles of a lift to 2n points, and the A/B/D generator moves and their
+elements by a loop of tuples, so that engine bugs cannot mask each other.
 """
 import math
 from fractions import Fraction
@@ -39,6 +39,22 @@ def generator_moves_by_tuples(family, n, gens):
     if family == "B":
         moves += [(a, a, -1) for a in range(1, n + 1)]
     return moves
+
+
+def generators_by_tuples(family, n, gens):
+    """The generators of the group (family, n) under gens ("simple" or
+    "reflections") as tuples of Python ints: in A, B and D the window of each
+    move of ``generator_moves_by_tuples`` applied to the identity window, in
+    I2(m) the (rot, flip) of the reflections with rotation part 0, 1
+    (simple) or 0..m-1."""
+    if family == "I2":
+        return [(r, 1) for r in range(2 if gens == "simple" else n)]
+    windows = []
+    for a, b, s in generator_moves_by_tuples(family, n, gens):
+        w = list(range(1, n + 1))
+        w[a - 1], w[b - 1] = s * b, s * a
+        windows.append(tuple(w))
+    return windows
 
 
 def brute_force_expectation(spec, generators, statistic, t):

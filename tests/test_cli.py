@@ -297,7 +297,7 @@ def test_mc_counts_generators_before_listing_them(capsys, monkeypatch):
     def no_moves(spec, gens):
         raise AssertionError("moves listed before the size check")
 
-    monkeypatch.setattr("coxwalk.montecarlo.generator_moves", no_moves)
+    monkeypatch.setattr("coxwalk.elements.generator_moves", no_moves)
     code, out, err = run(capsys, "eval", "--family", "B", "--n", "100000", "--t", "2",
                          "--engine", "mc")
     _assert_usage_error(code, out, err)

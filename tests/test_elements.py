@@ -26,9 +26,10 @@ from coxwalk import (
     multiply,
     reflections_of,
     simple_reflections_of,
+    simulate,
 )
-from coxwalk.elements import generator_moves, num_generators, window_dtype
-from helpers import generator_moves_by_tuples
+from coxwalk.elements import generator_moves, num_generators, walker, window_dtype
+from helpers import generator_moves_by_tuples, generators_by_tuples
 
 A3 = GroupSpec(Family.A, 3)
 B2 = GroupSpec(Family.B, 2)
@@ -71,14 +72,21 @@ class TestGroupSpec:
 
     def test_family_g_is_named_but_has_no_elements(self):
         # G(r,1,n) has closed forms only; its elements, full-engine walks and
-        # statistics are refused (G(1,1,n) and G(2,1,n) reach them through
-        # element_model)
+        # statistics are refused, with the one message of the one map of
+        # families to element classes (G(1,1,n) and G(2,1,n) reach them
+        # through element_model)
         spec = GroupSpec(Family.G, 3, 2)
         assert str(spec) == "G(2,1,3)"
         for call in (spec.identity,
                      lambda: list(iterate_distributions(spec, Gens.REFLECTIONS, 1)),
-                     lambda: make_statistic(spec, Measure.LENGTH)):
-            with pytest.raises(UnsupportedFamily, match="family G"):
+                     lambda: make_statistic(spec, Measure.LENGTH),
+                     lambda: RankedGroup(spec),
+                     lambda: num_generators(spec.family, spec.n, Gens.SIMPLE),
+                     lambda: generator_moves(spec, Gens.REFLECTIONS),
+                     lambda: reflections_of(spec),
+                     lambda: walker(spec, Gens.REFLECTIONS),
+                     lambda: simulate(spec, Gens.SIMPLE, Measure.LENGTH, 2, trials=4, seed=1)):
+            with pytest.raises(UnsupportedFamily, match="^no element model for family G$"):
                 call()
 
 
@@ -351,6 +359,19 @@ class TestGeneratorMoves:
         assert moves.dtype == np.intp and not moves.flags.writeable
         assert moves.shape == (num_generators(spec.family, spec.n, gens), 3)
         assert [tuple(row) for row in moves.tolist()] == want
+
+    @pytest.mark.parametrize("spec", [GroupSpec(Family.A, n) for n in range(2, 9)]
+                             + [GroupSpec(Family.B, n) for n in range(1, 7)]
+                             + [GroupSpec(Family.D, n) for n in range(1, 7)]
+                             + [GroupSpec(Family.I2, m) for m in range(2, 13)], ids=str)
+    def test_element_lists_equal_the_tuple_loop(self, spec):
+        # the walker's one step from the identity gives the elements that
+        # each move applied to the identity window by Python ints gives
+        for gens, elements in (("simple", simple_reflections_of(spec)),
+                               ("reflections", reflections_of(spec))):
+            got = [(g.rot, g.flip) if spec.family == Family.I2 else g.window for g in elements]
+            assert got == generators_by_tuples(spec.family.value, spec.n, gens), gens
+            assert all(type(g) is type(spec.identity()) for g in elements), gens
 
     def test_action_tables_unchanged(self):
         # sha256 of each group's simple then reflection action table, as

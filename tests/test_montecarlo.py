@@ -31,15 +31,16 @@ from coxwalk import (
     trial_choices,
 )
 from coxwalk.lengths import block_statistic
-from coxwalk.elements import generator_moves, window_dtype
-from coxwalk import montecarlo
-from coxwalk.montecarlo import (
-    _draws,
-    _philox_words,
+from coxwalk.elements import (
     _walk_dihedral,
     _walk_windows,
     _window_moves,
+    generator_moves,
+    walker,
+    window_dtype,
 )
+from coxwalk import montecarlo
+from coxwalk.montecarlo import _draws, _philox_words
 from coxwalk.verify import MC_BASE_SEED, MC_GRID
 
 A10 = GroupSpec(Family.A, 10)
@@ -332,6 +333,17 @@ def test_walk_of_many_rows_equals_walk_of_each_row(spec, gens):
         _walk_windows(one, choices[:, row:row + 1], moves)
         assert state[row].tolist() == one[0].tolist(), row
     assert (state != np.arange(1, spec.n + 1)).any()
+
+
+def test_walk_refuses_a_state_that_is_not_c_contiguous():
+    # a column-major block's flat view is a copy: walking it would write
+    # nothing and leave the identity, so the walk refuses it
+    spec = GroupSpec(Family.A, 4)
+    identity, advance = walker(spec, Gens.REFLECTIONS)
+    state = np.asfortranarray(np.repeat(identity, 3, axis=0))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        advance(state, np.array([[0, 1, 2]]))
+    assert state.tolist() == [[1, 2, 3, 4]] * 3
 
 
 @pytest.mark.parametrize("spec, gens", [(GroupSpec(Family.A, 63), Gens.REFLECTIONS),
