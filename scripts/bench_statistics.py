@@ -61,8 +61,9 @@ length in JSON prints the G header and the closed form, exact engine and
 Monte Carlo columns.  Their value is the whole stdout, so two trees must
 print the same bytes.  The verify routes time the typeA, typeB,
 typeD and operators suites, which no perfbench workload runs: pair engine,
-full engine, closed forms, the pair theorem's checks and its proof on a basis
-of the pair tables, and the Q identities on the same basis; their value is
+full engine, closed forms, the pair theorem's checks and its cubic on the
+first four tables of each pair walk, and the Q identities on a basis of the
+pair tables; their value is
 the suite's stdout, one line per check with its comparison count.
 
     python3 scripts/bench_statistics.py --tree before=/path/to/old/src \

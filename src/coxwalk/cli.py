@@ -13,8 +13,8 @@ usage text for malformed or missing flags, and one ``error:`` line for any
 domain, a group or cell the engine does not cover, work beyond the guard).
 Rationals are emitted without precision loss: "num/den" in CSV,
 {"num": ..., "den": ...} with decimal strings in JSON.  The environment
-variable COXWALK_GUARD_LIMIT (a decimal integer) overrides the group-order
-guard.
+variable COXWALK_GUARD_LIMIT (a decimal integer >= 0) overrides the
+group-order guard.
 """
 from __future__ import annotations
 

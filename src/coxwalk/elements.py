@@ -64,11 +64,11 @@ def guard_limit() -> int:
     if not raw:
         return DEFAULT_GUARD_LIMIT
     try:
-        return int(raw)
+        if (limit := int(raw)) >= 0:
+            return limit
     except ValueError:
-        raise InvalidGuardLimit(
-            f"{GUARD_ENV_VAR} must be a decimal integer, got {raw!r}"
-        ) from None
+        pass
+    raise InvalidGuardLimit(f"{GUARD_ENV_VAR} must be a decimal integer >= 0, got {raw!r}")
 
 
 def check_work(work: int, what: str) -> None:
@@ -82,6 +82,7 @@ def check_work(work: int, what: str) -> None:
 
 
 class Family(str, Enum):
+    __hash__ = str.__hash__  # as in Gens
     A = "A"
     B = "B"
     D = "D"
@@ -295,14 +296,16 @@ class DihedralElement:
 
 
 GroupElement = Union[Permutation, SignedPermutation, DihedralElement]
+_ELEMENT_CLASS = {Family.A: Permutation, Family.B: SignedPermutation,
+                  Family.D: SignedPermutation, Family.I2: DihedralElement}
 
 
 def _element_class(family: Family) -> type:
     """The class of the family's elements; UnsupportedFamily for G, which has
     none (``GroupSpec.element_model`` maps G(1,1,n) and G(2,1,n) to A and B)."""
-    if family == Family.G:
+    if (cls := _ELEMENT_CLASS.get(family)) is None:
         raise UnsupportedFamily("no element model for family G")
-    return {Family.A: Permutation, Family.I2: DihedralElement}.get(family, SignedPermutation)
+    return cls
 
 
 def _row(spec: GroupSpec, w) -> np.ndarray:
@@ -337,13 +340,7 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 def in_index_domain(n: int, i: int, j: int) -> bool:
     """True iff (i, j) is an admissible off-diagonal index pair: both nonzero
     in [-n, n] with distinct absolute values."""
-    return (
-        i != 0
-        and j != 0
-        and -n <= i <= n
-        and -n <= j <= n
-        and abs(i) != abs(j)
-    )
+    return 0 < abs(i) <= n and 0 < abs(j) <= n and abs(i) != abs(j)
 
 
 def index_pairs(n: int) -> list[tuple[int, int]]:

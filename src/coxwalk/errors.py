@@ -38,7 +38,7 @@ class InvalidTrialIndex(CoxwalkError, ValueError):
 
 
 class InvalidGuardLimit(CoxwalkError, ValueError):
-    """COXWALK_GUARD_LIMIT is set but is not a decimal integer."""
+    """COXWALK_GUARD_LIMIT is set but is not a decimal integer >= 0."""
 
 
 class SpecMismatch(CoxwalkError, ValueError):

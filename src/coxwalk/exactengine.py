@@ -20,12 +20,12 @@ block of generators at a time.  The pairwise state, U = |R|^t * P in one
 numpy table, scales as O(n^2) and so reaches ranks far beyond full enumeration.
 
 Also here: the row-plus-column summation operator Q of the pairwise
-recurrence, which the pair step (``_pair_step``, also run by ``verify``'s
-proof) evaluates as one row sum and ``apply_Q_A`` / ``apply_Q_BD`` apply to
-pair-table arrays, where Q.Q = n.Q (antisymmetric tables) and
-Q.Q = (2n-2).Q (doubly symmetric signed-pair tables), as the pairwise
-closed forms use.  The pair engine, its tables, ``pair_probability`` and Q
-all read one cached index layout per (family, n), ``_layout``.
+recurrence, which the pair step (``_pair_step``, linear in (U, den)) evaluates
+as one row sum and ``apply_Q_A`` / ``apply_Q_BD`` apply to pair-table arrays,
+where Q.Q = n.Q (antisymmetric tables) and Q.Q = (2n-2).Q (doubly symmetric
+signed-pair tables), as the pairwise closed forms use.  The pair engine, its
+tables, ``pair_probability`` and Q all read one cached index layout per
+(family, n), ``_layout``.
 """
 from __future__ import annotations
 

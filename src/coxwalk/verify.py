@@ -3,9 +3,9 @@ the Monte Carlo estimator to one another.
 
 Every check compares two independent routes to the same quantity and demands
 exact rational equality (or the stated float tolerance where one side is
-float valued); the A/B/D pair check proves its cells at every t on the pair
-engine's own step, ``_pair_step``.  ``coxwalk verify`` prints one line per
-check, and the acceptance test module asserts each check.
+float valued); the A/B/D pair check proves its cells at every t on the
+first four tables of the pair engine's own walk.  ``coxwalk verify`` prints
+one line per check, and the acceptance test module asserts each check.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from . import closedform as cf
 from .elements import Family, Gens, GroupSpec, Measure, num_generators
 from .exactengine import (
     _layout,
-    _pair_step,
     apply_Q_A,
     apply_Q_BD,
     expectation,
@@ -101,15 +100,17 @@ def _check_pair_theorem(family: Family, chain_ns, pair_ns, closed_pair,
     marginals (chain_ns, t <= MARGINAL_TMAX; B and D: length == the chain
     too); at each rank of pair_ns, every inversion pair == closed_pair at
     every t, and the length through ``closed_form``'s cell table == the
-    tables' sum at t <= PAIR_TMAX.  Every t: ``_pair_step`` is linear in
-    (U, den); with L = step(., 0), (1) fixed point: step(domain, 2) ==
-    |R| domain, so U_t = den_t/2 domain + L^t(W), W = start - domain/2 =
-    half the sum of the ``_basis`` tables; (2) quadratic: (L - |R|b1)(L -
-    |R|b2) == 0 on that basis, in int64 (entries < 2^32), with |R|b1, |R|b2
-    integers and (b1, b2) = ``_pair_bases``, so every cell is 1/2 + a b1^t
-    + b b2^t; (3) three values of t: the closed pair is k + a b1^t + b b2^t,
-    and as 1, b1, b2 are distinct, t = 0, 1 and 2 fix a sequence of that
-    shape (in B1, b1 = b2, and t = 0, 1, 2 fix k + (a + b t) b1^t too)."""
+    tables' sum at t <= PAIR_TMAX.
+
+    Every t: the walk iterates one map linear in (U, den) (``_pair_step``).
+    If its first four tables satisfy U_3 - e1 U_2 + e2 U_1 - e3 U_0 = 0, with
+    e1, e2, e3 the elementary symmetric functions of |R|, |R|b1 and |R|b2
+    ((b1, b2) = ``_pair_bases``, |R|b checked integral), so do any four in a
+    row, since den = |R|^t does.  Every cell's |R|^t P then follows the
+    cubic's recurrence, as |R|^t times the closed pair k + a b1^t + b b2^t
+    does, and t = 0, 1, 2 fix such a sequence.  The cubic is exact in int64:
+    its terms sum in magnitude to at most 2|R|^3 (1 + |b1|)(1 + |b2|) < 2^35
+    at every PAIR_NS rank."""
     tally, f = _Tally(), family.value
     for n in chain_ns:
         spec = GroupSpec(family, n)
@@ -121,22 +122,22 @@ def _check_pair_theorem(family: Family, chain_ns, pair_ns, closed_pair,
                 tally.eq(pair_probability(dist, i, j), p,
                          f"{f} marginal n={n} t={table.t} ({i},{j})")
     for n in pair_ns:
-        spec, step = GroupSpec(family, n), _pair_step(family, n)[0]
+        spec, layout = GroupSpec(family, n), _layout(family, n)
         nrefl = num_generators(family, n, Gens.REFLECTIONS)
         s1, s2 = (nrefl * b for b in cf._pair_bases(family, n))
         tally.ok(s1.denominator == s2.denominator == 1, f"{f} bases n={n} |R|b = {s1}, {s2}")
-        domain = _layout(family, n).domain.astype(np.int64)
-        tally.ok(np.array_equal(step(domain, 2), nrefl * domain),
-                 f"{f} fixed point n={n} step(domain, 2) != {nrefl} domain")
-        cells = []
-        for (i, j), v in _basis(family, n):
-            lv = step(v, 0)
-            tally.ok(not (step(lv, 0) - int(s1 + s2) * lv + int(s1 * s2) * v).any(),
-                     f"{f} quadratic n={n} ({i},{j})")
-            cells.append((i, j))
+        e = [int(x) for x in (nrefl + s1 + s2, nrefl * (s1 + s2) + s1 * s2, nrefl * s1 * s2)]
+        cells = [(layout.labels[a], layout.labels[b])
+                 for a, b in zip(*np.divmod(layout.inversions, len(layout.labels)))]
         closed = {}  # the closed pair depends on (i, j) only through its c
+        u = []  # the numerators of tables t = 0..3
         for table in iterate_pairtables(family, n, PAIR_TMAX):
             t = table.t
+            if t <= 3:
+                u.append(table.num)
+            if t == 3:
+                tally.ok(not (u[3] - e[0] * u[2] + e[1] * u[1] - e[2] * u[0]).any(),
+                         f"{f} cubic n={n}: U3 - e1 U2 + e2 U1 - e3 U0 != 0")
             for i, j in cells if t <= 2 else ():
                 if (key := (cf._pair_c(family, n, i, j), t)) not in closed:
                     closed[key] = closed_pair(n, i, j, t)

@@ -28,21 +28,22 @@ def test_criterion_01_type_a_expectation():
 
 def test_criterion_02_type_a_pairwise():
     # pair probabilities == pairwise engine at every t (ranks to 40: the
-    # step's fixed point and quadratic on every basis table, cells at
-    # t <= 2), the closed-form length == the pair tables' sum (t to 30),
-    # and pairwise engine == full-distribution marginals (n <= 6, t <= 8)
-    _run(2, verify.check_type_a_pairwise, "5545 equalities")
+    # cubic on the walk's first four tables, one check per rank, and the
+    # cells at t <= 2), the closed-form length == the pair tables' sum (t to
+    # 30), and pairwise engine == full-distribution marginals (n <= 6, t <= 8)
+    _run(2, verify.check_type_a_pairwise, "4374 equalities")
 
 
 def test_criterion_03_type_b():
-    # closed forms == full distribution (n 1..4, t 0..8)
-    # and == pairwise engine (ranks to 40, as in criterion 02)
-    _run(3, verify.check_type_b, "10940 equalities")
+    # closed forms == full distribution (n 1..4, t 0..8) and == pairwise
+    # engine (ranks 1 to 40, every t on the cubic as in criterion 02)
+    _run(3, verify.check_type_b, "8505 equalities")
 
 
 def test_criterion_04_type_d():
-    # same grid shape with n 2..4 on the chain side
-    _run(4, verify.check_type_d, "10346 equalities")
+    # criterion 03's grid, with n 2..4 on the chain side and ranks 2 to 40
+    # on the pair side
+    _run(4, verify.check_type_d, "8004 equalities")
 
 
 def test_criterion_05_dihedral_closed_forms():

@@ -231,6 +231,15 @@ def test_unparsable_guard_exit_2(capsys, monkeypatch):
     assert "COXWALK_GUARD_LIMIT" in err
 
 
+def test_negative_guard_exit_2(capsys, monkeypatch):
+    # a negative guard names the variable, not a group order that exceeds it
+    monkeypatch.setenv("COXWALK_GUARD_LIMIT", "-5")
+    code, out, err = run(capsys, "eval", "--family", "A", "--n", "3", "--t", "1",
+                         "--engine", "exact-full")
+    _assert_usage_error(code, out, err)
+    assert "COXWALK_GUARD_LIMIT" in err and "exceeds" not in err, err
+
+
 def test_mc_seed_outside_key_range_exit_2(capsys):
     for argv in (
         ["eval", "--family", "A", "--n", "4", "--t", "2", "--engine", "mc", "--seed", "-1"],

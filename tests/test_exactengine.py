@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -37,7 +38,7 @@ from coxwalk import (
     reflections_of,
     simple_reflections_of,
 )
-from coxwalk import closedform, elements, verify
+from coxwalk import closedform, elements, exactengine, verify
 from coxwalk.elements import num_generators
 from coxwalk.exactengine import _layout
 from helpers import brute_force_distribution, brute_force_expectation
@@ -487,28 +488,63 @@ _PAIR_CHECKS = {
 }
 
 
+def _step_changed_at_25(monkeypatch, change):
+    """Patch the pair walk's step so that at n = 25 the k-th step (k >= 1)
+    applies change(new, den, k) to the table it returns."""
+    right = exactengine._pair_step
+
+    def wrong(fam, n):
+        step, growth = right(fam, n)
+        if n != 25:
+            return step, growth
+        calls = itertools.count(1)
+
+        def changed(u, den):
+            new = step(u, den)
+            change(new, den, next(calls))
+            return new
+
+        return changed, growth
+
+    monkeypatch.setattr(exactengine, "_pair_step", wrong)
+
+
+def _off_by_one(new, den, k):
+    new[0, 1] += 1
+
+
+def _plus_den(new, den, k):
+    new[0, 1] += den
+
+
+def _off_by_one_from_t3(new, den, k):
+    new[0, 1] += k >= 3
+
+
 class TestPairProof:
     @pytest.mark.parametrize("family", [Family.A, Family.B, Family.D])
     def test_a_step_off_by_one_at_one_rank_fails(self, monkeypatch, family):
-        # one cell of the step off by one at a single rank, where the cells
-        # are compared at t <= 2 alone, fails the proof at that rank
-        right = verify._pair_step
-
-        def wrong(fam, n):
-            step, growth = right(fam, n)
-            if n != 25:
-                return step, growth
-
-            def off(u, den):
-                new = step(u, den)
-                new[0, 1] += 1
-                return new
-
-            return off, growth
-
-        monkeypatch.setattr(verify, "_pair_step", wrong)
+        # one cell of the walk's step off by one at a single rank, where the
+        # cells are compared at t <= 2 alone, fails the proof at that rank
+        _step_changed_at_25(monkeypatch, _off_by_one)
         res = _PAIR_CHECKS[family][0]()
         assert not res.ok and " n=25 " in res.detail, res.detail
+
+    @pytest.mark.parametrize("family", [Family.A, Family.B, Family.D])
+    def test_a_step_adding_den_at_one_rank_fails(self, monkeypatch, family):
+        # in A, this step's walk still satisfies the cubic: the t <= 2 cell
+        # comparisons and the cubic are one gate
+        _step_changed_at_25(monkeypatch, _plus_den)
+        res = _PAIR_CHECKS[family][0]()
+        assert not res.ok and " n=25 " in res.detail, res.detail
+
+    @pytest.mark.parametrize("family", [Family.A, Family.B, Family.D])
+    def test_a_step_off_only_from_t3_fails_the_cubic(self, monkeypatch, family):
+        # tables exact through t = 2 pass every cell comparison: only the
+        # cubic on the first four tables sees the step go wrong
+        _step_changed_at_25(monkeypatch, _off_by_one_from_t3)
+        res = _PAIR_CHECKS[family][0]()
+        assert not res.ok and "cubic n=25" in res.detail, res.detail
 
     @pytest.mark.parametrize("family, ns", [
         (Family.A, verify.PAIR_NS),
